@@ -20,7 +20,7 @@ use bistream_cluster::{CostModel, ResourceMeter};
 use bistream_index::{ChainedIndex, IndexKind, IndexObs};
 use bistream_types::audit::Auditor;
 use bistream_types::batch::BatchMessage;
-use bistream_types::error::Result;
+use bistream_types::error::{Error, Result};
 use bistream_types::journal::{EventJournal, EventKind};
 use bistream_types::metrics::{Counter, Gauge, Histogram};
 use bistream_types::predicate::{JoinPredicate, ProbePlan};
@@ -200,13 +200,16 @@ impl JoinerCore {
     }
 
     /// One Theorem-1 expiry pass witnessed by `ts`, honouring the
-    /// configured expiry mode.
+    /// configured expiry mode and charged to the unit's counters and
+    /// meter. Returns the number of tuples discarded.
     fn expire_at(&mut self, ts: Ts) -> usize {
-        if self.epoch_expiry {
-            self.index.advance_epoch(ts)
-        } else {
-            self.index.expire(ts)
+        let dropped =
+            if self.epoch_expiry { self.index.advance_epoch(ts) } else { self.index.discard(ts) };
+        self.stats.expired += dropped.tuples as u64;
+        if dropped.sub_indexes > 0 {
+            self.meter.charge_cpu_us(self.cost.expire_subindex_us * dropped.sub_indexes as f64);
         }
+        dropped.tuples
     }
 
     /// Attach the invariant [`Auditor`]: every incoming message is checked
@@ -568,13 +571,7 @@ impl JoinerCore {
         emit: &mut F,
     ) -> Result<()> {
         debug_assert!(!entries.is_empty());
-        let before = self.index.stats().expired_sub_indexes;
         let dropped = self.expire_at(entries[0].1.ts());
-        self.stats.expired += dropped as u64;
-        let sub_dropped = self.index.stats().expired_sub_indexes - before;
-        if sub_dropped > 0 {
-            self.meter.charge_cpu_us(self.cost.expire_subindex_us * sub_dropped as f64);
-        }
 
         let mut probes: Vec<(ProbePlan, Ts)> = Vec::with_capacity(entries.len());
         for (_, probe) in entries {
@@ -582,27 +579,22 @@ impl JoinerCore {
             self.last_ts = self.last_ts.max(probe.ts());
             probes.push((self.predicate.probe_plan(probe)?, probe.ts()));
         }
-        let mut matched: Vec<Vec<Tuple>> = vec![Vec::new(); entries.len()];
+        // The index hands over matches probe by probe in run order, so
+        // they are emitted as they arrive; only the counts are kept.
+        let mut results = vec![0usize; entries.len()];
+        let mut failed = None;
+        let predicate = &self.predicate;
         let probe_stats = self.index.probe_batch(&probes, |i, stored| {
-            matched[i].push(stored.clone());
+            let hit =
+                emit_if_match(predicate, &probes[i].0, stored, &entries[i].1, &mut failed, emit);
+            results[i] += usize::from(hit);
         });
+        if let Some(e) = failed {
+            return Err(e);
+        }
 
         for (i, (seq, probe)) in entries.iter().enumerate() {
-            // Band plans use float arithmetic for their bounds; re-verify
-            // the predicate on candidates for exactness. FullScan plans
-            // are only key-complete, so they always re-verify.
-            let verify = matches!(
-                (&probes[i].0, &self.predicate),
-                (ProbePlan::FullScan, _) | (_, JoinPredicate::Band { .. })
-            );
-            let mut results = 0usize;
-            for stored in &matched[i] {
-                if verify && !self.predicate.matches(stored, probe)? {
-                    continue;
-                }
-                results += 1;
-                emit(JoinResult::of(stored.clone(), probe.clone()));
-            }
+            let results = results[i];
             let stats = &probe_stats[i];
             self.stats.probes += 1;
             self.stats.candidates += stats.candidates as u64;
@@ -734,33 +726,18 @@ impl JoinerCore {
         debug_assert_eq!(probe.rel(), self.side.opposite(), "join copy on the wrong side");
         // Theorem-1 discarding first: the incoming opposite-side timestamp
         // is the expiry witness.
-        let before = self.index.stats().expired_sub_indexes;
         let dropped = self.expire_at(probe.ts());
-        self.stats.expired += dropped as u64;
-        let sub_dropped = self.index.stats().expired_sub_indexes - before;
-        if sub_dropped > 0 {
-            self.meter.charge_cpu_us(self.cost.expire_subindex_us * sub_dropped as f64);
-        }
 
         let plan = self.predicate.probe_plan(&probe)?;
-        // Band plans use float arithmetic for their bounds; re-verify the
-        // predicate on candidates for exactness. FullScan plans are only
-        // key-complete, so they always re-verify.
-        let verify = matches!(
-            (&plan, &self.predicate),
-            (ProbePlan::FullScan, _) | (_, JoinPredicate::Band { .. })
-        );
-        let mut matched: Vec<Tuple> = Vec::new();
-        let stats = self.index.probe(&plan, probe.ts(), |stored| {
-            matched.push(stored.clone());
-        });
         let mut results = 0usize;
-        for stored in matched {
-            if verify && !self.predicate.matches(&stored, &probe)? {
-                continue;
-            }
-            results += 1;
-            emit(JoinResult::of(stored, probe.clone()));
+        let mut failed = None;
+        let predicate = &self.predicate;
+        let stats = self.index.probe(&plan, probe.ts(), |stored| {
+            let hit = emit_if_match(predicate, &plan, stored, &probe, &mut failed, emit);
+            results += usize::from(hit);
+        });
+        if let Some(e) = failed {
+            return Err(e);
         }
         self.stats.probes += 1;
         self.stats.candidates += stats.candidates as u64;
@@ -798,6 +775,41 @@ impl JoinerCore {
             _ => Ok(tuple.require(self.store_attr)?.clone()),
         }
     }
+}
+
+/// Emit `stored ⋈ probe` as the index yields the candidate, and say
+/// whether it counted as a result.
+///
+/// Band plans use float arithmetic for their bounds, so their candidates
+/// are re-verified against the predicate for exactness; `FullScan` plans
+/// are only key-complete, so they always re-verify. The first predicate
+/// error is parked in `failed` (the index callback cannot return it) and
+/// stops all further emission.
+fn emit_if_match<F: FnMut(JoinResult)>(
+    predicate: &JoinPredicate,
+    plan: &ProbePlan,
+    stored: &Tuple,
+    probe: &Tuple,
+    failed: &mut Option<Error>,
+    emit: &mut F,
+) -> bool {
+    if failed.is_some() {
+        return false;
+    }
+    let verify =
+        matches!((plan, predicate), (ProbePlan::FullScan, _) | (_, JoinPredicate::Band { .. }));
+    if verify {
+        match predicate.matches(stored, probe) {
+            Ok(true) => {}
+            Ok(false) => return false,
+            Err(e) => {
+                *failed = Some(e);
+                return false;
+            }
+        }
+    }
+    emit(JoinResult::of(stored.clone(), probe.clone()));
+    true
 }
 
 #[cfg(test)]

@@ -35,16 +35,26 @@ impl Link {
         Link { index: SubIndex::new(kind), span: None, count: 0, bytes: 0 }
     }
 
-    fn insert(&mut self, key: Value, tuple: Tuple) {
+    /// Store `tuple`, charged `bytes` by the memory accounting.
+    fn insert(&mut self, hash: u64, key: Value, tuple: Tuple, bytes: usize) {
         let ts = tuple.ts();
         self.span = Some(match self.span {
             Some((lo, hi)) => (lo.min(ts), hi.max(ts)),
             None => (ts, ts),
         });
         self.count += 1;
-        self.bytes += tuple.size_bytes() + ENTRY_OVERHEAD_BYTES;
-        self.index.insert(key, tuple);
+        self.bytes += bytes;
+        self.index.insert(hash, key, tuple);
     }
+}
+
+/// What one expiry pass discarded.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Discarded {
+    /// Tuples dropped.
+    pub tuples: usize,
+    /// Sub-indexes dropped (the joiner's cost model charges per link).
+    pub sub_indexes: usize,
 }
 
 /// Cost/result statistics of one probe, fed to the joiner's CPU model.
@@ -164,6 +174,10 @@ pub struct ChainedIndex {
     active: Link,
     /// Archived links, oldest first.
     archived: VecDeque<Link>,
+    /// Live tuples and accounted bytes over all links, kept as running
+    /// totals: the joiner reads them after every frame.
+    tuples: usize,
+    bytes: usize,
     expired_tuples: u64,
     expired_bytes: u64,
     expired_sub_indexes: u64,
@@ -174,6 +188,10 @@ pub struct ChainedIndex {
     /// Invariant auditor plus the owning joiner's label (e.g. `"R3"`);
     /// every wholesale discard is checked against Theorem 1.
     audit: Option<(Auditor, String)>,
+    /// Test hook: hash every key to 0, so that each hash link keeps all
+    /// its keys on one collision chain.
+    #[cfg(test)]
+    collide_all: bool,
 }
 
 impl ChainedIndex {
@@ -190,13 +208,43 @@ impl ChainedIndex {
             period: period.max(1),
             active: Link::new(kind),
             archived: VecDeque::new(),
+            tuples: 0,
+            bytes: 0,
             expired_tuples: 0,
             expired_bytes: 0,
             expired_sub_indexes: 0,
             last_epoch: 0,
             obs: None,
             audit: None,
+            #[cfg(test)]
+            collide_all: false,
         }
+    }
+
+    /// A chain whose hash links see one hash for every key: lookups must
+    /// then be decided by key equality alone.
+    #[cfg(test)]
+    fn new_colliding(kind: IndexKind, window: WindowSpec, period: Ts) -> ChainedIndex {
+        ChainedIndex { collide_all: true, ..ChainedIndex::new(kind, window, period) }
+    }
+
+    /// The hash of `key` in this chain's links, computed once per insert
+    /// and once per probe however many links the probe then visits.
+    fn key_hash(&self, key: &Value) -> u64 {
+        #[cfg(test)]
+        if self.collide_all {
+            return 0;
+        }
+        self.active.index.key_hash(key)
+    }
+
+    /// [`key_hash`](ChainedIndex::key_hash) of the key `plan` looks up.
+    fn plan_hash(&self, plan: &ProbePlan) -> u64 {
+        #[cfg(test)]
+        if self.collide_all {
+            return 0;
+        }
+        self.active.index.plan_hash(plan)
     }
 
     /// Attach the invariant [`Auditor`]: every wholesale discard performed
@@ -217,10 +265,9 @@ impl ChainedIndex {
     /// Push the live-size gauges to the registry, if hooks are attached.
     fn sync_gauges(&self) {
         if let Some(obs) = &self.obs {
-            let stats = self.stats();
-            obs.sub_indexes.set(stats.sub_indexes as u64);
-            obs.live_tuples.set(stats.tuples as u64);
-            obs.live_bytes.set(stats.bytes as u64);
+            obs.sub_indexes.set(1 + self.archived.len() as u64);
+            obs.live_tuples.set(self.tuples as u64);
+            obs.live_bytes.set(self.bytes as u64);
         }
     }
 
@@ -284,7 +331,11 @@ impl ChainedIndex {
                 self.archived.push_back(sealed);
             }
         }
-        self.active.insert(key, tuple);
+        let hash = self.key_hash(&key);
+        let bytes = tuple.size_bytes() + ENTRY_OVERHEAD_BYTES;
+        self.tuples += 1;
+        self.bytes += bytes;
+        self.active.insert(hash, key, tuple, bytes);
     }
 
     /// **Data discarding** (Theorem 1 at sub-index granularity): drop every
@@ -295,7 +346,13 @@ impl ChainedIndex {
     /// Only archived links are considered; the active link is still
     /// receiving inserts and is never dropped wholesale.
     pub fn expire(&mut self, incoming_ts: Ts) -> usize {
-        let mut dropped = 0usize;
+        self.discard(incoming_ts).tuples
+    }
+
+    /// [`expire`](ChainedIndex::expire), also reporting how many
+    /// sub-indexes went.
+    pub fn discard(&mut self, incoming_ts: Ts) -> Discarded {
+        let mut dropped = Discarded::default();
         while let Some(front) = self.archived.front() {
             let stale = match front.span {
                 // An empty link holds no state worth keeping; drop it.
@@ -315,7 +372,10 @@ impl ChainedIndex {
                         self.window.size(),
                     );
                 }
-                dropped += link.count;
+                dropped.tuples += link.count;
+                dropped.sub_indexes += 1;
+                self.tuples -= link.count;
+                self.bytes -= link.bytes;
                 self.expired_tuples += link.count as u64;
                 self.expired_bytes += link.bytes as u64;
                 self.expired_sub_indexes += 1;
@@ -339,7 +399,7 @@ impl ChainedIndex {
                 break;
             }
         }
-        if dropped > 0 {
+        if dropped.sub_indexes > 0 {
             self.sync_gauges();
         }
         dropped
@@ -353,14 +413,14 @@ impl ChainedIndex {
     /// Deferring expiry never changes join results — probes window-check
     /// every candidate — it only lets at most one period's worth of stale
     /// links linger, which is the same residency bound the chain already
-    /// accepts by expiring at sub-index granularity. Returns the number of
-    /// tuples discarded (0 when gated).
-    pub fn advance_epoch(&mut self, epoch: Ts) -> usize {
+    /// accepts by expiring at sub-index granularity. Returns what was
+    /// discarded (nothing when gated).
+    pub fn advance_epoch(&mut self, epoch: Ts) -> Discarded {
         if epoch.saturating_sub(self.last_epoch) < self.period {
-            return 0;
+            return Discarded::default();
         }
         self.last_epoch = epoch;
-        self.expire(epoch)
+        self.discard(epoch)
     }
 
     /// **Join processing**: visit every stored tuple that key-matches
@@ -375,6 +435,7 @@ impl ChainedIndex {
     pub fn probe<F: FnMut(&Tuple)>(&self, plan: &ProbePlan, probe_ts: Ts, mut f: F) -> ProbeStats {
         let mut stats = ProbeStats::default();
         let window = self.window;
+        let hash = self.plan_hash(plan);
         for link in self.archived.iter().chain(std::iter::once(&self.active)) {
             // Empty links have no span and nothing to probe.
             let Some((min_ts, max_ts)) = link.span else { continue };
@@ -388,7 +449,7 @@ impl ChainedIndex {
                 }
             }
             stats.sub_indexes += 1;
-            stats.candidates += link.index.probe(plan, |t| {
+            stats.candidates += link.index.probe(plan, hash, |t| {
                 if window.in_scope(t.ts(), probe_ts) {
                     stats.in_window += 1;
                     f(t);
@@ -403,10 +464,12 @@ impl ChainedIndex {
     }
 
     /// **Batched join processing**: run several probes over the chain in
-    /// one pass, visiting each sub-index once (link-major traversal)
-    /// instead of walking the whole chain per probe. Exact-key probes are
-    /// additionally sorted by key so lookups inside each link touch the
-    /// sub-index in key order.
+    /// one call. On ordered and scan chains each sub-index is visited once
+    /// (link-major traversal) instead of walking the whole chain per
+    /// probe, with exact-key probes sorted by key so lookups inside each
+    /// link touch the sub-index in key order. A hash chain runs the probes
+    /// one by one: neither order buys a hash lookup anything, and going
+    /// probe by probe needs no buffer to restore the delivery order.
     ///
     /// Each probe is `(plan, probe_ts)`; `f` receives the probe's position
     /// in `probes` and each in-window match. Matches are delivered grouped
@@ -420,6 +483,13 @@ impl ChainedIndex {
         probes: &[(ProbePlan, Ts)],
         mut f: F,
     ) -> Vec<ProbeStats> {
+        if self.kind == IndexKind::Hash {
+            return probes
+                .iter()
+                .enumerate()
+                .map(|(i, (plan, probe_ts))| self.probe(plan, *probe_ts, |t| f(i, t)))
+                .collect();
+        }
         let mut stats = vec![ProbeStats::default(); probes.len()];
         if probes.is_empty() {
             return stats;
@@ -458,7 +528,8 @@ impl ChainedIndex {
                 s.sub_indexes += 1;
                 let sink = &mut matched[i];
                 let mut in_window = 0;
-                s.candidates += link.index.probe(plan, |t| {
+                // Ordered and scan links take no hash.
+                s.candidates += link.index.probe(plan, 0, |t| {
                     if window.in_scope(t.ts(), probe_ts) {
                         in_window += 1;
                         sink.push(t.clone());
@@ -491,14 +562,9 @@ impl ChainedIndex {
 
     /// Current size statistics.
     pub fn stats(&self) -> ChainStats {
-        let (mut tuples, mut bytes) = (self.active.count, self.active.bytes);
-        for l in &self.archived {
-            tuples += l.count;
-            bytes += l.bytes;
-        }
         ChainStats {
-            tuples,
-            bytes,
+            tuples: self.tuples,
+            bytes: self.bytes,
             sub_indexes: 1 + self.archived.len(),
             expired_tuples: self.expired_tuples,
             expired_bytes: self.expired_bytes,
@@ -508,7 +574,7 @@ impl ChainedIndex {
 
     /// Live tuple count (active + archived).
     pub fn len(&self) -> usize {
-        self.active.count + self.archived.iter().map(|l| l.count).sum::<usize>()
+        self.tuples
     }
 
     /// True if no live tuples are stored.
@@ -603,8 +669,16 @@ mod tests {
     // Piggybacks on the expire test's chain: epoch gating is relative to
     // the last epoch scan, not to wall or tuple time.
     fn epoch_checks(c: &mut ChainedIndex) {
-        assert_eq!(c.advance_epoch(401), 0, "first epoch past the gate scans, finds nothing new");
-        assert_eq!(c.advance_epoch(402), 0, "within one period of the last scan: gated no-op");
+        assert_eq!(
+            c.advance_epoch(401).tuples,
+            0,
+            "first epoch past the gate scans, finds nothing new"
+        );
+        assert_eq!(
+            c.advance_epoch(402).tuples,
+            0,
+            "within one period of the last scan: gated no-op"
+        );
     }
 
     #[test]
@@ -615,14 +689,17 @@ mod tests {
         }
         // Epochs advancing less than one period since the last scan are
         // no-ops even when stale links exist.
-        assert!(c.advance_epoch(400) > 0, "first scan past the gate drops stale links");
+        assert!(c.advance_epoch(400).tuples > 0, "first scan past the gate drops stale links");
         let survivors = c.stats().tuples;
         c.insert(Value::Int(1), t(400, 1));
-        assert_eq!(c.advance_epoch(449), 0, "sub-period epoch advance is gated");
+        assert_eq!(c.advance_epoch(449), Discarded::default(), "sub-period epoch advance is gated");
         assert_eq!(c.stats().tuples, survivors + 1, "nothing dropped while gated");
         // A full period later the scan runs and catches up with expire().
         let dropped = c.advance_epoch(600);
-        assert!(dropped > 0, "post-gate epoch scan drops the links expire() would");
+        assert!(
+            dropped.tuples > 0 && dropped.sub_indexes > 0,
+            "post-gate epoch scan drops the links expire() would"
+        );
         let mut twin = chain(100, 50);
         for ts in (0..=300).step_by(25) {
             twin.insert(Value::Int(1), t(ts, 1));
@@ -839,6 +916,135 @@ mod tests {
         let flip = seen.windows(2).filter(|w| w[0] != w[1]).count();
         assert_eq!(flip, 1, "all matches of probe 0 before all matches of probe 1");
         assert_eq!(seen.len(), 60);
+    }
+
+    /// Drive one chain through a seeded random sequence of inserts, probes
+    /// (standalone and batched), expiries and snapshot → restore swaps,
+    /// checking every probe against [`NaiveWindowIndex`] and against a
+    /// plain list filtered with `Value::eq` / `Value::cmp` (the naive
+    /// index shares `SubIndex` with the chain; the list shares nothing).
+    fn check_against_oracles(kind: IndexKind, collide: bool, seed: u64) {
+        use crate::naive::NaiveWindowIndex;
+        use bistream_types::fault::SplitMix64;
+        use std::ops::{Bound, RangeBounds};
+
+        let window = WindowSpec::sliding(60);
+        let fresh = || {
+            if collide {
+                ChainedIndex::new_colliding(kind, window, 16)
+            } else {
+                ChainedIndex::new(kind, window, 16)
+            }
+        };
+        let mut rng = SplitMix64::new(seed);
+        let mut chain = fresh();
+        let mut naive = NaiveWindowIndex::new(kind, window);
+        let mut list: Vec<(Value, Tuple)> = Vec::new();
+        // Few keys, so that keys repeat inside a link (One → Many); each
+        // number comes as an Int, as the Float equal to it, as a Float
+        // next to it, and as a Str.
+        let key = |rng: &mut SplitMix64| {
+            let k = rng.next_below(12) as i64;
+            match rng.next_below(4) {
+                0 => Value::Int(k),
+                1 => Value::Float(k as f64),
+                2 => Value::Float(k as f64 + 0.5),
+                _ => Value::Str(format!("k{k}")),
+            }
+        };
+        let id = |t: &Tuple| t.get(1).and_then(Value::as_int).expect("id attribute");
+        let mut ts: Ts = 0;
+        for step in 0..400i64 {
+            ts += rng.next_below(6);
+            match rng.next_below(10) {
+                0..=4 => {
+                    let k = key(&mut rng);
+                    let t = Tuple::new(Rel::R, ts, vec![k.clone(), Value::Int(step)]);
+                    naive.insert(k.clone(), t.clone());
+                    list.push((k.clone(), t.clone()));
+                    chain.insert(k, t);
+                }
+                5..=7 => {
+                    let plans: Vec<(ProbePlan, Ts)> = (0..1 + rng.next_below(3))
+                        .map(|_| {
+                            let plan = match (kind, rng.next_below(3)) {
+                                (IndexKind::Scan, _) | (_, 0) => ProbePlan::FullScan,
+                                (IndexKind::Ordered, 1) => {
+                                    let (a, b) = (key(&mut rng), key(&mut rng));
+                                    ProbePlan::Range {
+                                        lo: Bound::Included(a.clone().min(b.clone())),
+                                        hi: Bound::Excluded(a.max(b)),
+                                    }
+                                }
+                                _ => ProbePlan::ExactKey(key(&mut rng)),
+                            };
+                            (plan, ts)
+                        })
+                        .collect();
+                    let mut batched: Vec<Vec<i64>> = vec![Vec::new(); plans.len()];
+                    let stats = chain.probe_batch(&plans, |i, t| batched[i].push(id(t)));
+                    for (i, (plan, probe_ts)) in plans.iter().enumerate() {
+                        let mut alone = Vec::new();
+                        let alone_stats = chain.probe(plan, *probe_ts, |t| alone.push(id(t)));
+                        assert_eq!(batched[i], alone, "{kind:?} seed {seed} step {step}: batch");
+                        assert_eq!(stats[i], alone_stats);
+                        assert_eq!(alone_stats.in_window, alone.len());
+                        let mut from_naive = Vec::new();
+                        naive.probe(plan, *probe_ts, |t| from_naive.push(id(t)));
+                        let mut from_list: Vec<i64> = list
+                            .iter()
+                            .filter(|(k, t)| {
+                                window.in_scope(t.ts(), *probe_ts)
+                                    && match plan {
+                                        ProbePlan::ExactKey(want) => k == want,
+                                        ProbePlan::Range { lo, hi } => {
+                                            (lo.clone(), hi.clone()).contains(k)
+                                        }
+                                        ProbePlan::FullScan => true,
+                                    }
+                            })
+                            .map(|(_, t)| id(t))
+                            .collect();
+                        alone.sort_unstable();
+                        from_naive.sort_unstable();
+                        from_list.sort_unstable();
+                        assert_eq!(alone, from_naive, "{kind:?} seed {seed} step {step}: {plan:?}");
+                        assert_eq!(alone, from_list, "{kind:?} seed {seed} step {step}: {plan:?}");
+                    }
+                }
+                8 => {
+                    naive.expire(ts);
+                    chain.expire(ts);
+                    assert!(chain.len() >= naive.len(), "link-granular expiry keeps a superset");
+                }
+                _ => {
+                    let blob = crate::snapshot::snapshot(&chain);
+                    let mut restored = fresh();
+                    assert_eq!(crate::snapshot::restore(&mut restored, blob).unwrap(), chain.len());
+                    chain = restored;
+                }
+            }
+            // The running totals are the sums they replaced.
+            let links = || chain.archived.iter().chain(std::iter::once(&chain.active));
+            assert_eq!(chain.stats().tuples, links().map(|l| l.count).sum::<usize>());
+            assert_eq!(chain.stats().bytes, links().map(|l| l.bytes).sum::<usize>());
+        }
+    }
+
+    #[test]
+    fn random_sequences_agree_with_the_naive_index_and_a_plain_list() {
+        for seed in 0..12 {
+            for kind in [IndexKind::Hash, IndexKind::Ordered, IndexKind::Scan] {
+                check_against_oracles(kind, false, seed);
+            }
+        }
+    }
+
+    #[test]
+    fn fully_colliding_hash_links_fall_back_to_key_equality() {
+        for seed in 0..12 {
+            check_against_oracles(IndexKind::Hash, true, seed);
+        }
     }
 
     #[test]

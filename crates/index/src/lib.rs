@@ -37,7 +37,7 @@ pub mod naive;
 pub mod snapshot;
 pub mod sub;
 
-pub use chain::{ChainStats, ChainedIndex, IndexObs, ProbeStats};
+pub use chain::{ChainStats, ChainedIndex, Discarded, IndexObs, ProbeStats};
 pub use naive::NaiveWindowIndex;
 pub use snapshot::{restore, snapshot};
 pub use sub::IndexKind;

@@ -42,7 +42,7 @@ impl NaiveWindowIndex {
         self.bytes +=
             tuple.size_bytes() + ENTRY_OVERHEAD_BYTES + std::mem::size_of::<(Ts, Value)>();
         self.log.push_back((tuple.ts(), key.clone()));
-        self.index.insert(key, tuple);
+        self.index.insert(self.index.key_hash(&key), key, tuple);
     }
 
     /// Evict every stored tuple expired w.r.t. `incoming_ts` (Theorem 1 at
@@ -54,7 +54,7 @@ impl NaiveWindowIndex {
                 break;
             }
             let Some((ts, key)) = self.log.pop_front() else { break };
-            remove_one(&mut self.index, &key, ts);
+            self.index.remove_one(self.index.key_hash(&key), &key, ts);
             dropped += 1;
             self.expired += 1;
         }
@@ -71,7 +71,7 @@ impl NaiveWindowIndex {
     /// Returns candidates visited.
     pub fn probe<F: FnMut(&Tuple)>(&self, plan: &ProbePlan, probe_ts: Ts, mut f: F) -> usize {
         let window = self.window;
-        self.index.probe(plan, |t| {
+        self.index.probe(plan, self.index.plan_hash(plan), |t| {
             if window.in_scope(t.ts(), probe_ts) {
                 f(t);
             }
@@ -96,37 +96,6 @@ impl NaiveWindowIndex {
     /// Tuples evicted so far.
     pub fn expired(&self) -> u64 {
         self.expired
-    }
-}
-
-/// Remove one tuple with timestamp `ts` stored under `key`.
-fn remove_one(index: &mut SubIndex, key: &Value, ts: Ts) {
-    match index {
-        SubIndex::Hash(m) => {
-            if let Some(v) = m.get_mut(key) {
-                if let Some(pos) = v.iter().position(|t| t.ts() == ts) {
-                    v.swap_remove(pos);
-                }
-                if v.is_empty() {
-                    m.remove(key);
-                }
-            }
-        }
-        SubIndex::Ordered(m) => {
-            if let Some(v) = m.get_mut(key) {
-                if let Some(pos) = v.iter().position(|t| t.ts() == ts) {
-                    v.swap_remove(pos);
-                }
-                if v.is_empty() {
-                    m.remove(key);
-                }
-            }
-        }
-        SubIndex::Scan(v) => {
-            if let Some(pos) = v.iter().position(|(k, t)| k == key && t.ts() == ts) {
-                v.swap_remove(pos);
-            }
-        }
     }
 }
 

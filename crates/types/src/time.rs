@@ -21,7 +21,7 @@ pub const MINUTE: Ts = 60 * SECOND;
 /// A source of "now" for components that must run under either harness.
 ///
 /// Implementations must be cheap (called on every tuple) and monotonic.
-pub trait Clock: Send + Sync {
+pub trait Clock: Send + Sync + std::fmt::Debug {
     /// Current time in milliseconds since the clock's epoch.
     fn now(&self) -> Ts;
 }
