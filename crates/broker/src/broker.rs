@@ -7,20 +7,12 @@ use crate::pattern::valid_pattern;
 use crate::queue::{Consumer, QueueCore, QueueObs};
 use bistream_types::audit::Auditor;
 use bistream_types::error::{Error, Result};
-use bistream_types::registry::Observability;
+use bistream_types::registry::{Observability, QueueSeries};
 use bistream_types::time::Clock;
 use parking_lot::RwLock;
 use serde::Serialize;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Default queue capacity when the declarer does not specify one.
-///
-/// Sized so that a queue holds a few punctuation intervals worth of tuples
-/// at the rates the experiments drive; the live runtime relies on the bound
-/// for backpressure, not for loss (blocking publish never drops).
-pub const DEFAULT_QUEUE_CAPACITY: usize = 8_192;
 
 #[derive(Default)]
 struct Inner {
@@ -55,7 +47,6 @@ struct Inner {
 #[derive(Clone, Default)]
 pub struct Broker {
     inner: Arc<RwLock<Inner>>,
-    anon_counter: Arc<AtomicU64>,
 }
 
 impl Broker {
@@ -107,36 +98,16 @@ impl Broker {
             return Ok(());
         }
         let queue = match &inner.obs {
-            Some((obs, clock)) => {
-                let labels: &[(&str, &str)] = &[("queue", name)];
-                let reg = &obs.registry;
-                QueueCore::observed(
-                    name.to_owned(),
-                    capacity,
-                    QueueObs {
-                        published: reg
-                            .counter(bistream_types::metric_names::QUEUE_PUBLISHED_TOTAL, labels),
-                        delivered: reg
-                            .counter(bistream_types::metric_names::QUEUE_DELIVERED_TOTAL, labels),
-                        redelivered: reg
-                            .counter(bistream_types::metric_names::QUEUE_REDELIVERED_TOTAL, labels),
-                        depth: reg.gauge(bistream_types::metric_names::QUEUE_DEPTH, labels),
-                        depth_max: reg
-                            .gauge(bistream_types::metric_names::QUEUE_DEPTH_MAX, labels),
-                        blocked: reg.counter(
-                            bistream_types::metric_names::QUEUE_BACKPRESSURE_BLOCKS_TOTAL,
-                            labels,
-                        ),
-                        stall_ms: reg
-                            .counter(bistream_types::metric_names::QUEUE_STALL_MS_TOTAL, labels),
-                        journal: obs.journal.clone(),
-                        clock: Arc::clone(clock),
-                        tracer: obs.tracer.clone(),
-                        auditor: inner.auditor.clone(),
-                    },
-                )
-            }
-            None => QueueCore::new(name.to_owned(), capacity),
+            Some((obs, clock)) => QueueCore::new(
+                QueueSeries::register(&obs.registry, inner.auditor.clone(), name),
+                capacity,
+                Some(QueueObs {
+                    journal: obs.journal.clone(),
+                    clock: Arc::clone(clock),
+                    tracer: obs.tracer.clone(),
+                }),
+            ),
+            None => QueueCore::new(QueueSeries::detached(name), capacity, None),
         };
         inner.queues.insert(name.to_owned(), queue);
         Ok(())
@@ -162,23 +133,10 @@ impl Broker {
         Ok(())
     }
 
-    /// Remove every binding between `exchange` and `queue`; returns how
-    /// many bindings were removed. The queue itself (and its buffered
-    /// messages) survive.
-    pub fn unbind(&self, exchange: &str, queue: &str) -> Result<usize> {
-        let mut inner = self.inner.write();
-        let e = inner
-            .exchanges
-            .get_mut(exchange)
-            .ok_or_else(|| Error::Broker(format!("no such exchange `{exchange}`")))?;
-        Ok(e.unbind_queue(queue))
-    }
-
     /// Fault injection: stall or un-stall a queue. A stalled queue reads
-    /// as permanently at-capacity — `try_publish` reports the message
-    /// dropped and blocking publishers park until the stall heals — so a
-    /// wedged broker queue is modelled as backpressure, never as loss.
-    /// Buffered messages and consumers are unaffected.
+    /// as permanently at-capacity — publishers park until the stall heals
+    /// — so a wedged broker queue is modelled as backpressure, never as
+    /// loss. Buffered messages and consumers are unaffected.
     pub fn set_queue_stalled(&self, name: &str, on: bool) -> Result<()> {
         let inner = self.inner.read();
         let q = inner
@@ -187,17 +145,6 @@ impl Broker {
             .ok_or_else(|| Error::Broker(format!("no such queue `{name}`")))?;
         q.set_stalled(on);
         Ok(())
-    }
-
-    /// Discard every message currently buffered in `queue`; returns how
-    /// many were purged.
-    pub fn purge_queue(&self, name: &str) -> Result<usize> {
-        let inner = self.inner.read();
-        let q = inner
-            .queues
-            .get(name)
-            .ok_or_else(|| Error::Broker(format!("no such queue `{name}`")))?;
-        Ok(q.purge())
     }
 
     /// Publish to an exchange, blocking on any full destination queue
@@ -218,28 +165,6 @@ impl Broker {
         Ok(targets.len())
     }
 
-    /// Publish without blocking. Destinations whose queue is full are
-    /// counted in the returned `dropped` figure — used by load-shedding
-    /// experiments; the join engine itself always uses blocking publish.
-    pub fn try_publish(&self, exchange: &str, msg: Message) -> Result<PublishOutcome> {
-        let targets = {
-            let inner = self.inner.read();
-            let e = inner
-                .exchanges
-                .get(exchange)
-                .ok_or_else(|| Error::Broker(format!("no such exchange `{exchange}`")))?;
-            e.route(&msg.routing_key)
-        };
-        let mut outcome = PublishOutcome { delivered: 0, dropped: 0 };
-        for q in &targets {
-            match q.try_push(msg.clone()) {
-                Ok(()) => outcome.delivered += 1,
-                Err(_) => outcome.dropped += 1,
-            }
-        }
-        Ok(outcome)
-    }
-
     /// Subscribe a competing consumer to an existing queue.
     pub fn subscribe(&self, queue: &str) -> Result<Consumer> {
         let inner = self.inner.read();
@@ -248,19 +173,6 @@ impl Broker {
             .get(queue)
             .map(|q| q.consumer())
             .ok_or_else(|| Error::Broker(format!("no such queue `{queue}`")))
-    }
-
-    /// Create an exclusive, auto-named queue bound to `exchange` under
-    /// `pattern` and subscribe to it — the publish-subscribe (anonymous
-    /// consumer group) model. Returns the consumer and the queue's name
-    /// (needed to delete it on scale-in).
-    pub fn subscribe_anonymous(&self, exchange: &str, pattern: &str) -> Result<(Consumer, String)> {
-        let n = self.anon_counter.fetch_add(1, Ordering::Relaxed);
-        let qname = format!("{exchange}.anonymous.{n}");
-        self.declare_queue(&qname, DEFAULT_QUEUE_CAPACITY)?;
-        self.bind(exchange, &qname, pattern)?;
-        let c = self.subscribe(&qname)?;
-        Ok((c, qname))
     }
 
     /// Unbind (from every exchange) and delete a queue. Consumers holding
@@ -278,11 +190,6 @@ impl Broker {
             obs.registry.unregister_labeled("queue", name);
         }
         Ok(())
-    }
-
-    /// True if the queue exists.
-    pub fn queue_exists(&self, name: &str) -> bool {
-        self.inner.read().queues.contains_key(name)
     }
 
     /// Management snapshot of every queue — the equivalent of the RabbitMQ
@@ -304,15 +211,6 @@ impl Broker {
                 .collect(),
         }
     }
-}
-
-/// Result of a non-blocking publish.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PublishOutcome {
-    /// Queues that accepted the message.
-    pub delivered: usize,
-    /// Queues that were full and shed the message.
-    pub dropped: usize,
 }
 
 /// Management view of the whole broker.
@@ -360,24 +258,6 @@ mod tests {
     }
 
     #[test]
-    fn stalled_queue_refuses_try_publish_then_heals() {
-        let b = broker_with_topic();
-        b.declare_queue("q", 8).unwrap();
-        b.bind("tuple.exchange", "q", "#").unwrap();
-        assert!(b.set_queue_stalled("ghost", true).is_err());
-
-        b.set_queue_stalled("q", true).unwrap();
-        let out = b.try_publish("tuple.exchange", Message::new("k", vec![1u8])).unwrap();
-        assert_eq!((out.delivered, out.dropped), (0, 1), "stall reads as at-capacity");
-
-        b.set_queue_stalled("q", false).unwrap();
-        let out = b.try_publish("tuple.exchange", Message::new("k", vec![2u8])).unwrap();
-        assert_eq!((out.delivered, out.dropped), (1, 0));
-        let c = b.subscribe("q").unwrap();
-        assert_eq!(c.drain().len(), 1, "only the post-stall publish landed");
-    }
-
-    #[test]
     fn publish_routes_by_topic_pattern() {
         let b = broker_with_topic();
         b.declare_queue("rstore", 8).unwrap();
@@ -388,26 +268,6 @@ mod tests {
         assert_eq!(missed, 0);
         let c = b.subscribe("rstore").unwrap();
         assert_eq!(c.drain().len(), 1);
-    }
-
-    #[test]
-    fn consumer_group_competes_anonymous_broadcasts() {
-        let b = broker_with_topic();
-        // Group queue: both consumers compete.
-        b.declare_queue("grp", 64).unwrap();
-        b.bind("tuple.exchange", "grp", "#").unwrap();
-        let g1 = b.subscribe("grp").unwrap();
-        let g2 = b.subscribe("grp").unwrap();
-        // Two anonymous subscribers: each gets its own copy.
-        let (a1, _) = b.subscribe_anonymous("tuple.exchange", "#").unwrap();
-        let (a2, _) = b.subscribe_anonymous("tuple.exchange", "#").unwrap();
-        for i in 0..10u8 {
-            b.publish("tuple.exchange", Message::new("k", vec![i])).unwrap();
-        }
-        let group_total = g1.drain().len() + g2.drain().len();
-        assert_eq!(group_total, 10, "group sees each message once");
-        assert_eq!(a1.drain().len(), 10, "anonymous sees all");
-        assert_eq!(a2.drain().len(), 10);
     }
 
     #[test]
@@ -422,10 +282,12 @@ mod tests {
     #[test]
     fn delete_queue_unbinds_and_disconnects() {
         let b = broker_with_topic();
-        let (c, qname) = b.subscribe_anonymous("tuple.exchange", "#").unwrap();
+        b.declare_queue("q", 8).unwrap();
+        b.bind("tuple.exchange", "q", "#").unwrap();
+        let c = b.subscribe("q").unwrap();
         b.publish("tuple.exchange", Message::new("k", vec![1])).unwrap();
-        b.delete_queue(&qname).unwrap();
-        assert!(!b.queue_exists(&qname));
+        b.delete_queue("q").unwrap();
+        assert!(b.subscribe("q").is_err());
         // Buffered message still drains, then disconnect.
         assert!(c.try_recv().is_some());
         assert_eq!(
@@ -434,17 +296,6 @@ mod tests {
         );
         // Publishing after deletion reaches zero queues, no error.
         assert_eq!(b.publish("tuple.exchange", Message::new("k", vec![2])).unwrap(), 0);
-    }
-
-    #[test]
-    fn try_publish_sheds_on_full() {
-        let b = broker_with_topic();
-        b.declare_queue("tiny", 1).unwrap();
-        b.bind("tuple.exchange", "tiny", "#").unwrap();
-        let first = b.try_publish("tuple.exchange", Message::new("k", vec![1])).unwrap();
-        assert_eq!((first.delivered, first.dropped), (1, 0));
-        let second = b.try_publish("tuple.exchange", Message::new("k", vec![2])).unwrap();
-        assert_eq!((second.delivered, second.dropped), (0, 1));
     }
 
     #[test]
@@ -460,23 +311,6 @@ mod tests {
         let q = &stats.queues[0];
         assert_eq!((q.depth, q.published, q.delivered), (1, 2, 1));
         assert_eq!(q.capacity, 8);
-    }
-
-    #[test]
-    fn unbind_and_purge() {
-        let b = broker_with_topic();
-        b.declare_queue("q", 8).unwrap();
-        b.bind("tuple.exchange", "q", "#").unwrap();
-        b.publish("tuple.exchange", Message::new("k", vec![1])).unwrap();
-        b.publish("tuple.exchange", Message::new("k", vec![2])).unwrap();
-        assert_eq!(b.purge_queue("q").unwrap(), 2);
-        assert_eq!(b.subscribe("q").unwrap().depth(), 0);
-        assert_eq!(b.unbind("tuple.exchange", "q").unwrap(), 1);
-        // No bindings left: publishes reach nothing, the queue survives.
-        assert_eq!(b.publish("tuple.exchange", Message::new("k", vec![3])).unwrap(), 0);
-        assert!(b.queue_exists("q"));
-        assert!(b.purge_queue("nope").is_err());
-        assert!(b.unbind("nope", "q").is_err());
     }
 
     #[test]
@@ -557,8 +391,8 @@ mod tests {
         assert_eq!(snap.gauge(bistream_types::metric_names::QUEUE_DEPTH, labels), Some(0));
         assert_eq!(
             snap.gauge(bistream_types::metric_names::QUEUE_DEPTH_MAX, labels),
-            Some(1),
-            "watermark survives the drain"
+            Some(2),
+            "watermark survives the drain; a publisher parked on the full queue counts"
         );
         assert_eq!(
             snap.counter(bistream_types::metric_names::QUEUE_BACKPRESSURE_BLOCKS_TOTAL, labels),
@@ -588,7 +422,7 @@ mod tests {
         let b = broker_with_topic();
         let b2 = b.clone();
         b2.declare_queue("q", 4).unwrap();
-        assert!(b.queue_exists("q"));
+        assert!(b.subscribe("q").is_ok());
     }
 
     #[test]

@@ -70,7 +70,7 @@ mod tests {
     use super::*;
 
     fn q(name: &str) -> Arc<QueueCore> {
-        QueueCore::new(name.into(), 8)
+        QueueCore::new(bistream_types::registry::QueueSeries::detached(name), 8, None)
     }
 
     fn bound(kind: ExchangeKind, binds: &[(&str, &Arc<QueueCore>)]) -> Exchange {

@@ -12,9 +12,7 @@
 //!   backpressure mechanism of the live runtime.
 //! - **Bindings** connect an exchange to a queue under a pattern.
 //! - **Consumer groups** are realised the Spring-Cloud-Stream way: one
-//!   shared queue per group (competing consumers — the *queuing* model),
-//!   or one exclusive auto-named queue per anonymous subscriber (the
-//!   *publish-subscribe* model).
+//!   shared queue per group (competing consumers — the *queuing* model).
 //!
 //! Delivery guarantees relevant to the join engine: a single queue is FIFO
 //! per producer (crossbeam channels preserve per-sender order), and a
@@ -34,4 +32,4 @@ pub mod queue;
 pub use broker::{Broker, BrokerStats, QueueStats};
 pub use exchange::ExchangeKind;
 pub use message::Message;
-pub use queue::{Consumer, Delivery, RecvError};
+pub use queue::{Consumer, RecvError};

@@ -18,9 +18,6 @@ pub struct Message {
     pub routing_key: Arc<str>,
     /// Opaque payload (the join engine puts encoded batch frames here).
     pub payload: Bytes,
-    /// True when this message was requeued after an unacknowledged
-    /// delivery (AMQP's `redelivered` flag).
-    pub redelivered: bool,
     /// Trace-sampling headers: the router sequence numbers of sampled
     /// tuples inside the payload, sorted ascending. Carried out-of-band so
     /// queues can record enqueue/dequeue spans without decoding the
@@ -34,18 +31,7 @@ impl Message {
     /// Build a message. Accepts `&str`, `String` or a pre-interned
     /// `Arc<str>` routing key.
     pub fn new(routing_key: impl Into<Arc<str>>, payload: impl Into<Bytes>) -> Message {
-        Message {
-            routing_key: routing_key.into(),
-            payload: payload.into(),
-            redelivered: false,
-            trace_seqs: None,
-        }
-    }
-
-    /// Attach a single trace-sampling header (see [`Message::trace_seqs`]).
-    /// Headers accumulate and stay sorted.
-    pub fn with_trace_seq(self, seq: u64) -> Message {
-        self.with_trace_seqs([seq])
+        Message { routing_key: routing_key.into(), payload: payload.into(), trace_seqs: None }
     }
 
     /// Attach trace-sampling headers for every sampled tuple in the
@@ -66,13 +52,6 @@ impl Message {
     /// The sorted trace-sampling headers (empty for unsampled traffic).
     pub fn trace_seqs(&self) -> &[u64] {
         self.trace_seqs.as_deref().unwrap_or(&[])
-    }
-
-    /// Cheap handle to the trace headers, shared with every clone of this
-    /// message — what the queues keep while the message itself is moved
-    /// into the channel.
-    pub(crate) fn trace_handle(&self) -> Option<Arc<[u64]>> {
-        self.trace_seqs.clone()
     }
 
     /// Payload length in bytes (used by broker throughput accounting).
@@ -108,7 +87,7 @@ mod tests {
 
     #[test]
     fn clone_shares_payload_and_key() {
-        let m = Message::new("k", vec![0u8; 1024]).with_trace_seq(7);
+        let m = Message::new("k", vec![0u8; 1024]).with_trace_seqs([7]);
         let c = m.clone();
         // Bytes clones share the same backing buffer; so do the key and
         // the trace headers.
@@ -127,7 +106,7 @@ mod tests {
 
     #[test]
     fn trace_headers_sort_dedup_and_accumulate() {
-        let m = Message::new("k", vec![]).with_trace_seqs([9, 3, 3]).with_trace_seq(5);
+        let m = Message::new("k", vec![]).with_trace_seqs([9, 3, 3]).with_trace_seqs([5]);
         assert_eq!(m.trace_seqs(), &[3, 5, 9]);
         let untouched = Message::new("k", vec![]).with_trace_seqs(std::iter::empty());
         assert!(untouched.trace_seqs().is_empty());

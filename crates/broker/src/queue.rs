@@ -6,15 +6,19 @@
 //! property the ordering protocol requires.
 
 use crate::message::Message;
-use bistream_types::audit::Auditor;
 use bistream_types::journal::{EventJournal, EventKind};
-use bistream_types::metrics::{Counter, Gauge};
+use bistream_types::registry::QueueSeries;
 use bistream_types::time::Clock;
 use bistream_types::trace::{HopKind, Tracer};
 use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender, TrySendError};
 use parking_lot::{Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
+
+/// How often a publisher parked on an injected stall wakes to re-check the
+/// flag and charge its park time so far.
+const STALL_TICK: Duration = Duration::from_millis(10);
 
 /// Why a receive returned without a message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,69 +29,33 @@ pub enum RecvError {
     Disconnected,
 }
 
-/// Registry-backed handles for one queue, built by the broker when an
-/// [`bistream_types::registry::Observability`] is attached before the
-/// queue is declared.
+/// What a queue declared on a broker with an
+/// [`bistream_types::registry::Observability`] attached reports to, beyond
+/// its [`QueueSeries`].
+#[derive(Debug)]
 pub(crate) struct QueueObs {
-    /// `bistream_queue_published_total{queue=…}` — adopted by the meta.
-    pub(crate) published: Arc<Counter>,
-    /// `bistream_queue_delivered_total{queue=…}`.
-    pub(crate) delivered: Arc<Counter>,
-    /// `bistream_queue_redelivered_total{queue=…}`.
-    pub(crate) redelivered: Arc<Counter>,
-    /// `bistream_queue_depth{queue=…}` — kept current on push/recv/purge.
-    pub(crate) depth: Arc<Gauge>,
-    /// `bistream_queue_depth_max{queue=…}` — high-watermark of `depth`.
-    pub(crate) depth_max: Arc<Gauge>,
-    /// `bistream_queue_backpressure_blocks_total{queue=…}`.
-    pub(crate) blocked: Arc<Counter>,
-    /// `bistream_queue_stall_ms_total{queue=…}` — publisher park time.
-    pub(crate) stall_ms: Arc<Counter>,
     /// Journal receiving [`EventKind::BackpressureStall`] events.
     pub(crate) journal: EventJournal,
-    /// Timebase for stall events (the live pipeline's wall clock).
+    /// Timebase for stall events and spans (the pipeline's wall clock).
     pub(crate) clock: Arc<dyn Clock>,
     /// Per-tuple tracer recording enqueue/dequeue spans for messages that
     /// carry [`Message::trace_seqs`] headers (disabled tracers are inert).
     pub(crate) tracer: Tracer,
-    /// Protocol-invariant auditor checking queue message conservation
-    /// (deliveries never exceed publishes), when one is attached.
-    pub(crate) auditor: Option<Auditor>,
 }
 
-impl std::fmt::Debug for QueueObs {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("QueueObs").finish_non_exhaustive()
-    }
-}
-
-/// Name, bound and counters shared by the queue and all its consumers.
+/// Name, bound and accounting shared by the queue and all its consumers.
 #[derive(Debug)]
 struct QueueMeta {
-    name: String,
+    /// The queue's name, `bistream_queue_*` series and conservation
+    /// events (private counters when the broker is unobserved).
+    series: QueueSeries,
     capacity: usize,
-    published: Arc<Counter>,
-    delivered: Arc<Counter>,
-    redelivered: Arc<Counter>,
-    /// Depth gauge, stall counter and journal — present only when the
-    /// broker had observability attached at declaration time.
-    depth_gauge: Option<Arc<Gauge>>,
-    depth_max: Option<Arc<Gauge>>,
-    blocked: Option<Arc<Counter>>,
-    stall_ms: Option<Arc<Counter>>,
-    stall_journal: Option<(EventJournal, Arc<dyn Clock>)>,
-    /// Tracer plus its timebase — present only when the broker had
-    /// observability attached at declaration time.
-    trace: Option<(Tracer, Arc<dyn Clock>)>,
-    /// Invariant auditor — present only when the broker had one attached
-    /// (alongside observability) at declaration time.
-    auditor: Option<Auditor>,
+    obs: Option<QueueObs>,
     /// Fault-injection stall: while set, publishes behave as if the queue
-    /// were at capacity (non-blocking pushes refuse, blocking pushes
-    /// park) without touching buffered messages. Flipped by
-    /// [`crate::Broker::set_queue_stalled`]; chaos drills use it to model
-    /// a wedged broker queue as backpressure, never as loss.
-    stalled: std::sync::atomic::AtomicBool,
+    /// were at capacity (they park) without touching buffered messages.
+    /// Flipped by [`crate::Broker::set_queue_stalled`]; chaos drills use it
+    /// to model a wedged broker queue as backpressure, never as loss.
+    stalled: AtomicBool,
     /// Parking spot for publishers blocked on an injected stall: they
     /// wait on this condvar instead of sleep-spinning, and
     /// [`QueueCore::set_stalled`] notifies when the fault window closes.
@@ -97,77 +65,50 @@ struct QueueMeta {
 }
 
 impl QueueMeta {
-    #[inline]
-    fn note_enqueued(&self, trace_seqs: Option<&[u64]>) {
-        if let Some(g) = &self.depth_gauge {
-            g.add(1);
-            if let Some(m) = &self.depth_max {
-                // Racy read-then-set, but monotone in practice: a lost
-                // race only delays the watermark until the next enqueue.
-                let d = g.get();
-                if d > m.get() {
-                    m.set(d);
-                }
-            }
-        }
-        if let Some(a) = &self.auditor {
-            a.queue_enqueue(&self.name);
-        }
-        self.note_hop(trace_seqs, HopKind::Enqueue);
-    }
-
-    #[inline]
-    fn note_dequeued(&self, trace_seqs: Option<&[u64]>) {
-        if let Some(g) = &self.depth_gauge {
-            g.sub(1);
-        }
-        if let Some(a) = &self.auditor {
-            a.queue_dequeue(&self.name);
-        }
-        self.note_hop(trace_seqs, HopKind::Dequeue);
-    }
-
     /// Record one queue-hop span per sampled tuple in the frame. The
     /// headers travel out-of-band on the message, so a batched payload
     /// never needs decoding here; one clock read covers the whole frame.
-    fn note_hop(&self, trace_seqs: Option<&[u64]>, kind: HopKind) {
-        let (Some(seqs), Some((tracer, clock))) = (trace_seqs, &self.trace) else { return };
-        if seqs.is_empty() {
+    fn note_hop(&self, trace_seqs: &[u64], kind: HopKind) {
+        let Some(obs) = &self.obs else { return };
+        if trace_seqs.is_empty() {
             return;
         }
-        let now = clock.now();
-        for &seq in seqs {
-            if tracer.sampled(seq) {
-                tracer.span(seq, kind, &self.name, now, now);
+        let now = obs.clock.now();
+        for &seq in trace_seqs {
+            if obs.tracer.sampled(seq) {
+                obs.tracer.span(seq, kind, self.series.name(), now, now);
             }
         }
     }
 
-    fn note_stall(&self) {
-        if let Some(c) = &self.blocked {
-            c.inc();
-        }
-        if let Some((journal, clock)) = &self.stall_journal {
-            journal.record(clock.now(), EventKind::BackpressureStall { queue: self.name.clone() });
-        }
+    fn note_dequeued(&self, msg: &Message) {
+        self.series.dequeued();
+        self.note_hop(msg.trace_seqs(), HopKind::Dequeue);
     }
 
-    /// Clock read for stall-duration accounting (None when unobserved).
-    fn stall_clock_now(&self) -> Option<u64> {
-        self.stall_journal.as_ref().map(|(_, clock)| clock.now())
+    /// A publisher is about to park: count it, journal it, and start the
+    /// stall clock (`None` when unobserved).
+    fn note_stall(&self) -> Option<u64> {
+        self.series.blocks.inc();
+        let obs = self.obs.as_ref()?;
+        let now = obs.clock.now();
+        let queue = self.series.name().to_owned();
+        obs.journal.record(now, EventKind::BackpressureStall { queue });
+        Some(now)
     }
 
-    /// Charge the elapsed park time since `started` to the stall-time
-    /// counter.
-    fn charge_stall(&self, started: Option<u64>) {
-        let (Some(c), Some(start)) = (&self.stall_ms, started) else { return };
-        let now = self.stall_clock_now().unwrap_or(start);
-        c.add(now.saturating_sub(start));
+    /// Charge the park time elapsed since `started` to the stall-time
+    /// counter; returns the new starting point for a caller still parked.
+    fn charge_stall(&self, started: Option<u64>) -> Option<u64> {
+        let (Some(obs), Some(start)) = (&self.obs, started) else { return started };
+        let now = obs.clock.now();
+        self.series.stall_ms.add(now.saturating_sub(start));
+        Some(now)
     }
 
     #[inline]
     fn is_stalled(&self) -> bool {
-        self.stalled.load(std::sync::atomic::Ordering::Acquire)
+        self.stalled.load(Ordering::Acquire)
     }
 }
 
@@ -186,55 +127,26 @@ pub(crate) struct QueueCore {
 }
 
 impl QueueCore {
-    pub(crate) fn new(name: String, capacity: usize) -> Arc<QueueCore> {
-        Self::build(name, capacity, None)
-    }
-
-    pub(crate) fn observed(name: String, capacity: usize, obs: QueueObs) -> Arc<QueueCore> {
-        Self::build(name, capacity, Some(obs))
-    }
-
-    fn build(name: String, capacity: usize, obs: Option<QueueObs>) -> Arc<QueueCore> {
+    /// A queue of `capacity` accounting into `series`; `obs` adds stall
+    /// journal events, stall timing and queue-hop spans.
+    pub(crate) fn new(
+        series: QueueSeries,
+        capacity: usize,
+        obs: Option<QueueObs>,
+    ) -> Arc<QueueCore> {
         let (tx, rx) = channel::bounded(capacity);
-        let meta = match obs {
-            Some(obs) => QueueMeta {
-                name,
-                capacity,
-                published: obs.published,
-                delivered: obs.delivered,
-                redelivered: obs.redelivered,
-                depth_gauge: Some(obs.depth),
-                depth_max: Some(obs.depth_max),
-                blocked: Some(obs.blocked),
-                stall_ms: Some(obs.stall_ms),
-                stall_journal: Some((obs.journal, Arc::clone(&obs.clock))),
-                trace: Some((obs.tracer, obs.clock)),
-                auditor: obs.auditor,
-                stalled: std::sync::atomic::AtomicBool::new(false),
-                stall_wait: (Mutex::new(()), Condvar::new()),
-            },
-            None => QueueMeta {
-                name,
-                capacity,
-                published: Counter::shared(),
-                delivered: Counter::shared(),
-                redelivered: Counter::shared(),
-                depth_gauge: None,
-                depth_max: None,
-                blocked: None,
-                stall_ms: None,
-                stall_journal: None,
-                trace: None,
-                auditor: None,
-                stalled: std::sync::atomic::AtomicBool::new(false),
-                stall_wait: (Mutex::new(()), Condvar::new()),
-            },
+        let meta = QueueMeta {
+            series,
+            capacity,
+            obs,
+            stalled: AtomicBool::new(false),
+            stall_wait: (Mutex::new(()), Condvar::new()),
         };
         Arc::new(QueueCore { meta: Arc::new(meta), tx, rx })
     }
 
     pub(crate) fn name(&self) -> &str {
-        &self.meta.name
+        self.meta.series.name()
     }
 
     /// Enqueue, blocking while full (live-runtime backpressure). A stall
@@ -244,54 +156,37 @@ impl QueueCore {
         if self.meta.is_stalled() {
             // An injected stall is backpressure: journal it once, then
             // park until the fault window closes (never drop the frame).
-            self.meta.note_stall();
-            let started = self.meta.stall_clock_now();
+            let mut since = self.meta.note_stall();
             let (lock, cv) = &self.meta.stall_wait;
             let mut guard = lock.lock();
             // Re-check under the lock: `set_stalled` flips the flag while
             // holding it, so a heal can never slip between this check and
-            // the wait. The timeout is a backstop only.
+            // the wait. The timeout is a backstop, and the tick at which
+            // park time is charged: the stall-ms series has to grow
+            // *while* the stall lasts, or a scrape in the middle of a long
+            // stall reads as an idle queue.
             while self.meta.is_stalled() {
-                cv.wait_for(&mut guard, Duration::from_millis(50));
+                cv.wait_for(&mut guard, STALL_TICK);
+                since = self.meta.charge_stall(since);
             }
-            drop(guard);
-            self.meta.charge_stall(started);
         }
-        self.meta.published.inc();
-        let trace = msg.trace_handle();
-        match self.tx.try_send(msg) {
-            Ok(()) => {
-                self.meta.note_enqueued(trace.as_deref());
-                Ok(())
-            }
+        // Accounted before it is visible (see `QueueSeries::enqueued`).
+        self.meta.series.enqueued();
+        self.meta.note_hop(msg.trace_seqs(), HopKind::Enqueue);
+        let sent = match self.tx.try_send(msg) {
+            Ok(()) => Ok(()),
             Err(TrySendError::Disconnected(m)) => Err(m),
             Err(TrySendError::Full(m)) => {
-                self.meta.note_stall();
-                let started = self.meta.stall_clock_now();
+                let started = self.meta.note_stall();
                 let r = self.tx.send(m).map_err(|e| e.0);
                 self.meta.charge_stall(started);
-                if r.is_ok() {
-                    self.meta.note_enqueued(trace.as_deref());
-                }
                 r
             }
+        };
+        if sent.is_err() {
+            self.meta.series.refused();
         }
-    }
-
-    /// Enqueue without blocking; returns the message back if full/closed
-    /// (an injected stall reads as full).
-    pub(crate) fn try_push(&self, msg: Message) -> Result<(), TrySendError<Message>> {
-        if self.meta.is_stalled() {
-            self.meta.note_stall();
-            return Err(TrySendError::Full(msg));
-        }
-        let trace = msg.trace_handle();
-        let r = self.tx.try_send(msg);
-        if r.is_ok() {
-            self.meta.published.inc();
-            self.meta.note_enqueued(trace.as_deref());
-        }
-        r
+        sent
     }
 
     /// Messages currently buffered.
@@ -305,15 +200,10 @@ impl QueueCore {
     pub(crate) fn set_stalled(&self, on: bool) {
         let (lock, cv) = &self.meta.stall_wait;
         let _guard = lock.lock();
-        self.meta.stalled.store(on, std::sync::atomic::Ordering::Release);
+        self.meta.stalled.store(on, Ordering::Release);
         if !on {
             cv.notify_all();
         }
-    }
-
-    /// Whether a fault-injection stall is currently active.
-    pub(crate) fn is_stalled(&self) -> bool {
-        self.meta.is_stalled()
     }
 
     pub(crate) fn capacity(&self) -> usize {
@@ -321,43 +211,15 @@ impl QueueCore {
     }
 
     pub(crate) fn published(&self) -> u64 {
-        self.meta.published.get()
+        self.meta.series.published.get()
     }
 
     pub(crate) fn delivered(&self) -> u64 {
-        self.meta.delivered.get()
+        self.meta.series.delivered.get()
     }
 
-    /// Discard everything buffered; returns the count.
-    pub(crate) fn purge(&self) -> usize {
-        let mut n = 0;
-        while self.rx.try_recv().is_ok() {
-            n += 1;
-            self.meta.note_dequeued(None);
-        }
-        n
-    }
-
-    pub(crate) fn consumer(self: &Arc<Self>) -> Consumer {
-        Consumer {
-            meta: Arc::clone(&self.meta),
-            rx: self.rx.clone(),
-            requeue: Arc::downgrade(self),
-        }
-    }
-
-    /// Requeue an unacknowledged delivery (at the tail — crossbeam
-    /// channels cannot push-front; AMQP makes no strict position promise
-    /// either). Returns false when the queue is full (the message is then
-    /// dropped, as a full queue would also have rejected a publish).
-    pub(crate) fn requeue(&self, msg: Message) -> bool {
-        let trace = msg.trace_handle();
-        let ok = self.tx.try_send(msg).is_ok();
-        if ok {
-            self.meta.redelivered.inc();
-            self.meta.note_enqueued(trace.as_deref());
-        }
-        ok
+    pub(crate) fn consumer(&self) -> Consumer {
+        Consumer { meta: Arc::clone(&self.meta), rx: self.rx.clone() }
     }
 }
 
@@ -371,23 +233,19 @@ impl QueueCore {
 pub struct Consumer {
     meta: Arc<QueueMeta>,
     rx: Receiver<Message>,
-    /// Weak so an outstanding consumer/delivery never keeps a deleted
-    /// queue alive (deletion semantics depend on the Sender dropping).
-    requeue: std::sync::Weak<QueueCore>,
 }
 
 impl Consumer {
     /// The queue this consumer reads from.
     pub fn queue_name(&self) -> &str {
-        &self.meta.name
+        self.meta.series.name()
     }
 
     /// Receive the next message, blocking up to `timeout`.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<Message, RecvError> {
         match self.rx.recv_timeout(timeout) {
             Ok(m) => {
-                self.meta.delivered.inc();
-                self.meta.note_dequeued(Some(m.trace_seqs()));
+                self.meta.note_dequeued(&m);
                 Ok(m)
             }
             Err(RecvTimeoutError::Timeout) => Err(RecvError::Timeout),
@@ -397,78 +255,27 @@ impl Consumer {
 
     /// Receive, blocking until a message arrives or the queue is deleted.
     pub fn recv(&self) -> Result<Message, RecvError> {
-        match self.rx.recv() {
-            Ok(m) => {
-                self.meta.delivered.inc();
-                self.meta.note_dequeued(Some(m.trace_seqs()));
-                Ok(m)
-            }
-            Err(_) => Err(RecvError::Disconnected),
-        }
+        let m = self.rx.recv().map_err(|_| RecvError::Disconnected)?;
+        self.meta.note_dequeued(&m);
+        Ok(m)
     }
 
     /// Receive without blocking.
     pub fn try_recv(&self) -> Option<Message> {
         let m = self.rx.try_recv().ok()?;
-        self.meta.delivered.inc();
-        self.meta.note_dequeued(Some(m.trace_seqs()));
+        self.meta.note_dequeued(&m);
         Some(m)
     }
 
     /// Drain everything currently buffered (used by drain-then-stop
     /// shutdown in the live runtime and by tests).
     pub fn drain(&self) -> Vec<Message> {
-        let mut out = Vec::new();
-        while let Some(m) = self.try_recv() {
-            out.push(m);
-        }
-        out
+        std::iter::from_fn(|| self.try_recv()).collect()
     }
 
     /// Number of messages currently waiting in the queue.
     pub fn depth(&self) -> usize {
         self.rx.len()
-    }
-
-    /// Receive with **manual acknowledgement**: the returned [`Delivery`]
-    /// must be [`Delivery::ack`]ed; dropping it unacknowledged requeues
-    /// the message (with its `redelivered` flag set) — the AMQP
-    /// at-least-once consumption mode. Requeueing is best-effort: it is
-    /// skipped if the queue has been deleted, and the message is dropped
-    /// if the queue is full.
-    pub fn recv_acked(&self, timeout: Duration) -> Result<Delivery, RecvError> {
-        let msg = self.recv_timeout(timeout)?;
-        Ok(Delivery { msg: Some(msg), queue: self.requeue.clone() })
-    }
-}
-
-/// An unacknowledged delivery (see [`Consumer::recv_acked`]).
-#[derive(Debug)]
-pub struct Delivery {
-    msg: Option<Message>,
-    queue: std::sync::Weak<QueueCore>,
-}
-
-impl Delivery {
-    /// The delivered message.
-    pub fn message(&self) -> &Message {
-        self.msg.as_ref().expect("present until ack/drop")
-    }
-
-    /// Acknowledge: the message is consumed for good.
-    pub fn ack(mut self) -> Message {
-        self.msg.take().expect("present until ack/drop")
-    }
-}
-
-impl Drop for Delivery {
-    fn drop(&mut self) {
-        if let Some(mut msg) = self.msg.take() {
-            msg.redelivered = true;
-            if let Some(q) = self.queue.upgrade() {
-                let _ = q.requeue(msg);
-            }
-        }
     }
 }
 
@@ -477,7 +284,7 @@ mod tests {
     use super::*;
 
     fn q(cap: usize) -> Arc<QueueCore> {
-        QueueCore::new("q".into(), cap)
+        QueueCore::new(QueueSeries::detached("q"), cap, None)
     }
 
     #[test]
@@ -515,14 +322,6 @@ mod tests {
     }
 
     #[test]
-    fn try_push_reports_full() {
-        let core = q(1);
-        core.try_push(Message::new("k", vec![1])).unwrap();
-        assert!(matches!(core.try_push(Message::new("k", vec![2])), Err(TrySendError::Full(_))));
-        assert_eq!(core.depth(), 1);
-    }
-
-    #[test]
     fn counters_track_published_and_delivered() {
         let core = q(8);
         core.push_blocking(Message::new("k", vec![1])).unwrap();
@@ -545,70 +344,6 @@ mod tests {
         assert!(c.recv_timeout(Duration::from_millis(5)).is_ok());
         // …then disconnect is observed.
         assert_eq!(c.recv_timeout(Duration::from_millis(5)), Err(RecvError::Disconnected));
-    }
-
-    #[test]
-    fn ack_consumes_for_good() {
-        let core = q(8);
-        core.push_blocking(Message::new("k", vec![1])).unwrap();
-        let c = core.consumer();
-        let d = c.recv_acked(Duration::from_millis(5)).unwrap();
-        assert_eq!(d.message().payload[0], 1);
-        assert!(!d.message().redelivered);
-        let msg = d.ack();
-        assert_eq!(msg.payload[0], 1);
-        assert_eq!(c.depth(), 0, "acked messages never come back");
-    }
-
-    #[test]
-    fn dropped_delivery_is_redelivered() {
-        let core = q(8);
-        core.push_blocking(Message::new("k", vec![7])).unwrap();
-        let c = core.consumer();
-        {
-            let _unacked = c.recv_acked(Duration::from_millis(5)).unwrap();
-            // Consumer "crashes" here: delivery dropped without ack.
-        }
-        let again = c.recv_acked(Duration::from_millis(5)).unwrap();
-        assert!(again.message().redelivered, "requeued copy carries the flag");
-        assert_eq!(again.ack().payload[0], 7);
-    }
-
-    #[test]
-    fn redelivery_reaches_a_competing_consumer() {
-        let core = q(8);
-        core.push_blocking(Message::new("k", vec![9])).unwrap();
-        let crashing = core.consumer();
-        let healthy = core.consumer();
-        drop(crashing.recv_acked(Duration::from_millis(5)).unwrap());
-        let d = healthy.recv_acked(Duration::from_millis(5)).unwrap();
-        assert!(d.message().redelivered);
-        d.ack();
-    }
-
-    #[test]
-    fn requeue_after_queue_deletion_is_silent() {
-        let core = q(8);
-        core.push_blocking(Message::new("k", vec![1])).unwrap();
-        let c = core.consumer();
-        let d = c.recv_acked(Duration::from_millis(5)).unwrap();
-        drop(core); // queue deleted while a delivery is outstanding
-        drop(d); // must not panic; the message is gone with the queue
-        assert_eq!(c.recv_timeout(Duration::from_millis(5)), Err(RecvError::Disconnected));
-    }
-
-    #[test]
-    fn injected_stall_refuses_try_push_without_losing_messages() {
-        let core = q(8);
-        core.push_blocking(Message::new("k", vec![1])).unwrap();
-        core.set_stalled(true);
-        assert!(core.is_stalled());
-        assert!(matches!(core.try_push(Message::new("k", vec![2])), Err(TrySendError::Full(_))));
-        assert_eq!(core.depth(), 1, "stall refuses new frames, never drops buffered ones");
-        core.set_stalled(false);
-        core.try_push(Message::new("k", vec![2])).unwrap();
-        let c = core.consumer();
-        assert_eq!(c.drain().len(), 2);
     }
 
     #[test]

@@ -20,11 +20,12 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
 
-/// The unified execution-substrate seam: every delivery fabric the engine
-/// can run on — the simulated [`ChannelNet`], the fault-injecting
-/// [`ChaosNet`](crate::chaos::ChaosNet), and (via the same contract,
-/// adapted to per-thread handles) the sharded runtime's SPSC rings —
-/// speaks this trait.
+/// The delivery seam of the virtual-time engine: the fabrics a
+/// [`BicliqueEngine`](crate::engine::BicliqueEngine) can run on — the
+/// simulated [`ChannelNet`] and the fault-injecting
+/// [`ChaosNet`](crate::chaos::ChaosNet) — implement this trait. The live
+/// pipeline's threads do not: they keep the same pairwise-FIFO contract
+/// through their own per-thread seam (`crate::exec`, "transport").
 ///
 /// # Contract
 ///

@@ -1,41 +1,38 @@
-//! The live pipeline facade: one [`Pipeline`] API over pluggable
-//! execution [`Backend`]s, each running routers and joiners as OS threads
-//! inside one process.
+//! The live pipeline: routers and joiners as OS threads inside one
+//! process, behind one [`Pipeline`] API.
 //!
-//! Both backends realise the same dataflow — ingest edge feeding a
-//! competing-consumer router tier, one pairwise-FIFO channel per
-//! router→joiner pair, joiners running the ordering protocol and the
-//! store/join branches — and register the same observability series, so
-//! callers, dashboards, the SLO engine and the auditor are
-//! backend-agnostic:
+//! There is one worker driver ([`driver`]): a router loop, a joiner loop,
+//! a result sink and a shutdown sequence, generic over a small transport
+//! seam. A [`Backend`] only selects which transport carries items across
+//! the two hops (feeder → routers, routers → joiners):
 //!
-//! - [`Backend::Broker`]: the AMQP-model broker — a topic **ingest**
-//!   exchange plus a direct **units** exchange fanning byte-encoded
-//!   frames out to mutex-guarded bounded queues. The deployment shape of
-//!   the original systems, scaled down into one process.
-//! - [`Backend::Sharded`]: the lock-free sharded runtime
-//!   ([`crate::sharded`]) — one worker thread per router/joiner unit over
-//!   hand-rolled bounded rings, moving frames as in-memory values.
+//! - [`Backend::Broker`]: queues of the AMQP-model broker, items
+//!   byte-encoded per hop (`exec/broker.rs`). The deployment shape of the
+//!   original systems, scaled down into one process.
+//! - [`Backend::Sharded`]: lock-free bounded rings, items handed over as
+//!   in-memory values ([`crate::sharded`]).
+//!
+//! Both run the same cores through the same loops and register the same
+//! observability series, so callers, dashboards, the SLO engine and the
+//! auditor are backend-agnostic; a further transport (a socket, say) is one
+//! more implementation of the seam, not another runtime.
 //!
 //! The pipeline topology is fixed for its lifetime (dynamic scaling is the
 //! simulator's job); this runtime exists to measure real wall-clock
-//! throughput and latency (experiments E3, E10 and the criterion benches).
+//! throughput and latency (experiments E3, E10 and the repo benchmark).
+
+mod broker;
+pub(crate) mod driver;
 
 use crate::adaptive::AdaptiveShared;
-use crate::config::EngineConfig;
-use crate::joiner::{JoinerCore, JoinerStats};
+use crate::config::{EngineConfig, RoutingStrategy};
+use crate::joiner::JoinerStats;
 use crate::layout::{JoinerId, Layout};
-use crate::router::{RoutedBatch, RouterCore};
-use crate::sharded::ShardedRuntime;
 use crate::stats::{EngineSnapshot, EngineStats};
-use bistream_broker::{Broker, ExchangeKind, Message, RecvError};
 use bistream_cluster::CostModel;
 use bistream_types::audit::Auditor;
-use bistream_types::batch::BatchMessage;
 use bistream_types::error::{Error, Result};
-use bistream_types::hash::FxHashMap;
 use bistream_types::perf::PerfReport;
-use bistream_types::punct::{RouterId, SeqNo};
 use bistream_types::recorder::RunHealth;
 use bistream_types::registry::{Observability, RegistrySnapshot};
 use bistream_types::slo::SloSpec;
@@ -43,20 +40,22 @@ use bistream_types::time::{Clock, Ts, WallClock};
 use bistream_types::trace::Trace;
 use bistream_types::tuple::{JoinResult, Tuple};
 use bistream_types::watchdog::WatchdogConfig;
+use driver::{Handle, Parts, WorkerCtx, Workers};
 use parking_lot::Mutex;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Exchange receiving raw input tuples.
-const INGEST_EXCHANGE: &str = "tuple.exchange";
-/// Queue making routers a competing-consumer group (crate-visible so the
-/// chaos drills can target it with seeded stall windows).
+/// Name of the ingest edge's queue series on every backend (crate-visible
+/// so the chaos drills can target it with seeded stall windows).
 pub(crate) const INGEST_QUEUE: &str = "tuple.exchange.routers";
-/// Direct exchange fanning copies to unit queues.
-const UNITS_EXCHANGE: &str = "units.exchange";
 
-/// Which execution substrate carries frames from routers to joiners.
+/// Name of a unit's inbox queue series on every backend.
+pub(crate) fn unit_queue(id: JoinerId) -> String {
+    format!("unit.{}", id.0)
+}
+
+/// Which transport carries items between the feeder, the routers and the
+/// joiners.
 ///
 /// Both backends present the identical [`Pipeline`] surface and emit the
 /// same results, metric series, trace spans and audit events; they differ
@@ -67,8 +66,7 @@ pub enum Backend {
     /// byte-encoded per hop. The fidelity-first default.
     #[default]
     Broker,
-    /// Lock-free sharded runtime: one core-pinnable worker thread per
-    /// router/joiner unit, frames handed over bounded SPSC/MPMC rings as
+    /// Lock-free rings: frames handed over bounded SPSC/MPMC rings as
     /// in-memory values (see [`crate::sharded`]). The throughput backend.
     Sharded,
 }
@@ -83,7 +81,9 @@ pub struct PipelineConfig {
     pub routers: usize,
     /// Ingest queue bound (backpressure point for the feeder).
     pub ingest_capacity: usize,
-    /// Per-unit queue bound (backpressure point for routers).
+    /// Per-unit channel bound in tuple copies (backpressure point for
+    /// routers): what a channel may hold does not grow with `batch_size`,
+    /// see [`PipelineConfig::unit_frames`].
     pub unit_capacity: usize,
     /// CPU cost model charged to joiner meters (observability only in
     /// live mode — real CPU is spent regardless).
@@ -102,8 +102,8 @@ pub struct PipelineConfig {
     pub slo: Option<SloSpec>,
     /// Progress-watchdog tuning (stall-tick threshold).
     pub watchdog: WatchdogConfig,
-    /// Which execution substrate to run (broker queues or the sharded
-    /// ring runtime). Defaults to [`Backend::Broker`].
+    /// Which transport to run over (broker queues or lock-free rings).
+    /// Defaults to [`Backend::Broker`].
     pub backend: Backend,
     /// Capture every emitted [`JoinResult`] and return them in
     /// [`PipelineReport::captured`] (per-joiner emission order,
@@ -114,8 +114,8 @@ pub struct PipelineConfig {
 }
 
 impl PipelineConfig {
-    /// Defaults: 1 router, 8K/4K queue bounds, default cost model, no
-    /// tracing.
+    /// Defaults: 1 router, edges bounded at 8K tuples / 4K copies, default
+    /// cost model, no tracing.
     pub fn new(engine: EngineConfig) -> PipelineConfig {
         PipelineConfig {
             engine,
@@ -130,6 +130,15 @@ impl PipelineConfig {
             backend: Backend::default(),
             capture_results: false,
         }
+    }
+
+    /// Frames one unit channel holds on either transport: `unit_capacity`
+    /// counts tuple copies and a frame carries up to `batch_size` of them.
+    /// (Were the bound in frames, a batch of 64 would let a channel hold
+    /// 64× the copies, and how much of a flat-out run sits queued — and
+    /// resident — would be up to the scheduler.)
+    pub(crate) fn unit_frames(&self) -> usize {
+        (self.unit_capacity / self.engine.batch_size.max(1)).max(2)
     }
 }
 
@@ -162,32 +171,13 @@ pub struct PipelineReport {
     pub captured: Vec<JoinResult>,
 }
 
-/// The running execution substrate behind a [`Pipeline`]: everything that
-/// differs between backends (how frames move, how teardown drains) lives
-/// behind this enum; everything else in [`Pipeline`] is shared.
-enum Inner {
-    /// Broker substrate: the broker itself plus the thread handles and
-    /// the unit-queue names teardown must delete in punctuation order.
-    Broker {
-        broker: Broker,
-        router_handles: Vec<JoinHandle<Result<()>>>,
-        joiner_handles: Vec<JoinHandle<Result<(JoinerStats, Vec<JoinResult>)>>>,
-        unit_queues: Vec<String>,
-    },
-    /// Sharded ring substrate (owns its own worker handles).
-    Sharded(ShardedRuntime),
-}
-
 /// A running live pipeline.
 pub struct Pipeline {
-    inner: Inner,
-    stats: Arc<EngineStats>,
-    obs: Observability,
-    /// Shared adaptive-routing state when the engine runs
-    /// [`crate::config::RoutingStrategy::Adaptive`]; `None` otherwise.
-    adaptive: Option<Arc<AdaptiveShared>>,
-    auditor: Option<Auditor>,
-    clock: Arc<WallClock>,
+    /// The transport's launch-side handle: everything that differs between
+    /// backends lives behind it.
+    handle: Box<dyn Handle>,
+    workers: Workers,
+    parts: Parts,
     started: Instant,
     /// Registry scrapes collected while running: the launch baseline,
     /// every [`Pipeline::sample`] call, and (appended by
@@ -195,291 +185,69 @@ pub struct Pipeline {
     /// series the queueing model, the SLO engine and the stall watchdog
     /// all grade.
     samples: Mutex<Vec<RegistrySnapshot>>,
-    slo: Option<SloSpec>,
-    watchdog: WatchdogConfig,
 }
 
 impl Pipeline {
-    /// Build the configured backend's topology and launch all threads.
+    /// Wire the configured backend's transport and launch all workers.
     pub fn launch(config: PipelineConfig) -> Result<Pipeline> {
         config.engine.validate()?;
-        let subgroups = match config.engine.routing {
-            crate::config::RoutingStrategy::ContRand { subgroups }
-            | crate::config::RoutingStrategy::Adaptive { subgroups } => subgroups,
-            _ => 1,
-        };
-        let layout =
-            Arc::new(Layout::new(config.engine.r_joiners, config.engine.s_joiners, subgroups)?);
+        let engine = &config.engine;
+        let subgroups = engine.routing.subgroups();
+        let layout = Arc::new(Layout::new(engine.r_joiners, engine.s_joiners, subgroups)?);
         // Adaptive routing: one shared tuner spanning every router thread,
         // built before launch so each thread gets its handle up front.
         // Superseded probe coverage outlives the window, in punct ticks.
-        let adaptive = match config.engine.routing {
-            crate::config::RoutingStrategy::Adaptive { subgroups } => {
-                let punct = config.engine.punctuation_interval_ms.max(1);
-                let retire_ticks = match config.engine.window.size() {
-                    Some(w) => (w / punct).saturating_add(2),
-                    None => u64::MAX / 2,
-                };
-                let max_subgroups =
-                    config.engine.r_joiners.min(config.engine.s_joiners).max(1);
-                Some(AdaptiveShared::new(
-                    config.engine.adaptive,
-                    config.routers.max(1),
-                    subgroups,
-                    max_subgroups,
-                    retire_ticks,
-                    config.engine.seed,
-                ))
-            }
-            _ => None,
-        };
-        let obs = match config.trace_one_in {
-            Some(n) => Observability::with_tracing(n),
-            None => Observability::new(),
-        };
-        let clock = Arc::new(WallClock::new());
+        let adaptive = matches!(engine.routing, RoutingStrategy::Adaptive { .. }).then(|| {
+            let punct = engine.punctuation_interval_ms.max(1);
+            let retire_ticks =
+                engine.window.size().map_or(u64::MAX / 2, |w| (w / punct).saturating_add(2));
+            AdaptiveShared::new(
+                engine.adaptive,
+                config.routers.max(1),
+                subgroups,
+                engine.r_joiners.min(engine.s_joiners).max(1),
+                retire_ticks,
+                engine.seed,
+            )
+        });
+        let obs = config.trace_one_in.map_or_else(Observability::new, Observability::with_tracing);
         let auditor = config.auditor.clone().or_else(Auditor::new_if_debug);
         if let Some(a) = &auditor {
             a.attach_journal(obs.journal.clone());
         }
-        let stats = EngineStats::shared();
-        stats.register_into(&obs.registry, &[("engine", "live")]);
-
-        let inner = match config.backend {
-            Backend::Broker => {
-                launch_broker(&config, &layout, &obs, &auditor, &stats, &clock, &adaptive)?
-            }
-            Backend::Sharded => Inner::Sharded(ShardedRuntime::launch(
-                &config,
-                &layout,
-                &obs,
-                auditor.clone(),
-                Arc::clone(&stats),
-                Arc::clone(&clock),
-                config.capture_results,
-                adaptive.clone(),
-            )?),
+        let ctx = WorkerCtx {
+            stats: EngineStats::shared(),
+            clock: Arc::new(WallClock::new()),
+            punct_interval: Duration::from_millis(engine.punctuation_interval_ms),
         };
+        ctx.stats.register_into(&obs.registry, &[("engine", "live")]);
 
-        let launch_scrape = obs.registry.scrape(clock.now());
-        Ok(Pipeline {
-            inner,
-            stats,
-            obs,
-            adaptive,
-            auditor,
-            clock,
-            started: Instant::now(),
-            samples: Mutex::new(vec![launch_scrape]),
-            slo: config.slo,
-            watchdog: config.watchdog,
-        })
-    }
-}
-
-/// Declare the broker topology and launch its router/joiner threads —
-/// the [`Backend::Broker`] arm of [`Pipeline::launch`].
-fn launch_broker(
-    config: &PipelineConfig,
-    layout: &Arc<Layout>,
-    obs: &Observability,
-    auditor: &Option<Auditor>,
-    stats: &Arc<EngineStats>,
-    clock: &Arc<WallClock>,
-    adaptive: &Option<Arc<AdaptiveShared>>,
-) -> Result<Inner> {
-    let broker = Broker::new();
-    // Attach observability before any queue exists so every queue gets
-    // depth/publish/deliver series and backpressure journal events.
-    broker.attach_observability(obs.clone(), Arc::clone(clock) as Arc<dyn Clock>);
-    if let Some(a) = auditor {
-        broker.attach_auditor(a.clone());
-    }
-    broker.declare_exchange(INGEST_EXCHANGE, ExchangeKind::Topic)?;
-    broker.declare_exchange(UNITS_EXCHANGE, ExchangeKind::Direct)?;
-    broker.declare_queue(INGEST_QUEUE, config.ingest_capacity)?;
-    broker.bind(INGEST_EXCHANGE, INGEST_QUEUE, "#")?;
-
-    // Engine-wide sequence counter shared by all routers.
-    let seq = Arc::new(std::sync::atomic::AtomicU64::new(0));
-    let router_ids: Vec<(RouterId, SeqNo)> =
-        (0..config.routers.max(1)).map(|i| (i as RouterId, 0)).collect();
-
-    // Interned routing keys: one `Arc<str>` per unit, shared by every
-    // router thread so the publish hot path never re-allocates the key.
-    let unit_keys: Arc<FxHashMap<JoinerId, Arc<str>>> = Arc::new(
-        layout.all_units().map(|(_, id)| (id, Arc::<str>::from(unit_key(id)))).collect(),
-    );
-
-    // Unit queues + joiner threads.
-    let mut unit_queues = Vec::new();
-    let mut joiner_handles = Vec::new();
-    for (side, id) in layout.all_units() {
-        let qname = unit_queue(id);
-        broker.declare_queue(&qname, config.unit_capacity)?;
-        broker.bind(UNITS_EXCHANGE, &qname, &unit_key(id))?;
-        unit_queues.push(qname.clone());
-        let consumer = broker.subscribe(&qname)?;
-        let mut joiner = JoinerCore::new(
-            id,
-            side,
-            config.engine.predicate.clone(),
-            config.engine.window,
-            config.engine.archive_period_ms,
-            config.engine.ordering,
-            &router_ids,
-            config.cost,
-        );
-        joiner.attach_obs(obs);
-        joiner.set_batch_size(config.engine.batch_size);
-        if let Some(a) = auditor {
-            joiner.set_auditor(a.clone());
-        }
-        let per_joiner_latency = joiner.latency_histogram();
-        let stats = Arc::clone(stats);
-        let clock = Arc::clone(clock);
-        let capture = config.capture_results;
-        joiner_handles.push(std::thread::spawn(
-            move || -> Result<(JoinerStats, Vec<JoinResult>)> {
-                let mut captured: Vec<JoinResult> = Vec::new();
-                let mut on_result = |result: JoinResult| {
-                    stats.results.inc();
-                    let latency = clock.now().saturating_sub(result.ts);
-                    stats.latency_ms.record(latency);
-                    if let Some(h) = &per_joiner_latency {
-                        h.record(latency);
-                    }
-                    if capture {
-                        captured.push(result);
-                    }
-                };
-                loop {
-                    match consumer.recv_timeout(Duration::from_millis(50)) {
-                        Ok(m) => {
-                            let mut payload = m.payload;
-                            let msg = BatchMessage::decode(&mut payload)?;
-                            joiner.set_now(clock.now());
-                            joiner.handle_batch(msg, &mut on_result)?;
-                        }
-                        Err(RecvError::Timeout) => continue,
-                        Err(RecvError::Disconnected) => break,
-                    }
-                }
-                // Channel closed and drained: terminally flush whatever
-                // the final punctuations left buffered.
-                joiner.set_now(clock.now());
-                joiner.flush(&mut on_result)?;
-                drop(on_result);
-                Ok((joiner.stats(), captured))
-            },
-        ));
+        let parts = Parts { config, layout, obs, auditor, adaptive, ctx };
+        let (handle, workers) = match parts.config.backend {
+            Backend::Broker => driver::spawn(broker::wire(&parts)?, &parts),
+            Backend::Sharded => driver::spawn(crate::sharded::ring::wire(&parts)?, &parts),
+        }?;
+        let samples = Mutex::new(vec![parts.obs.registry.scrape(parts.ctx.clock.now())]);
+        Ok(Pipeline { handle, workers, parts, started: Instant::now(), samples })
     }
 
-    // Router threads.
-    let mut router_handles = Vec::new();
-    for (rid, _) in &router_ids {
-        let consumer = broker.subscribe(INGEST_QUEUE)?;
-        let mut core = RouterCore::new(
-            *rid,
-            config.engine.routing,
-            config.engine.predicate.clone(),
-            config.engine.seed,
-            Arc::clone(&seq),
-        );
-        core.attach_registry(&obs.registry);
-        core.attach_tracer(obs.tracer.clone());
-        core.set_batch_size(config.engine.batch_size);
-        if let Some(a) = auditor {
-            core.set_auditor(a.clone());
-        }
-        if let Some(sh) = adaptive {
-            core.attach_adaptive(sh.handle(*rid));
-        }
-        let tracer = obs.tracer.clone();
-        let layout = Arc::clone(layout);
-        let broker = broker.clone();
-        let stats = Arc::clone(stats);
-        let unit_keys = Arc::clone(&unit_keys);
-        let punct_interval = Duration::from_millis(config.engine.punctuation_interval_ms);
-        router_handles.push(std::thread::spawn(move || -> Result<()> {
-            let mut frames: Vec<RoutedBatch> = Vec::new();
-            let mut last_punct = Instant::now();
-            let publish = |frames: &mut Vec<RoutedBatch>| -> Result<()> {
-                for f in frames.drain(..) {
-                    let key = Arc::clone(&unit_keys[&f.dest]);
-                    match &f.msg {
-                        BatchMessage::Batch(b) => {
-                            stats.copies.add(b.len() as u64);
-                            // Out-of-band headers: queues record
-                            // enqueue/dequeue spans for every sampled
-                            // tuple in the frame without decoding it.
-                            let sampled: Vec<u64> = b
-                                .entries()
-                                .iter()
-                                .map(|e| e.seq)
-                                .filter(|&s| tracer.sampled(s))
-                                .collect();
-                            let mut m = Message::new(key, f.msg.encode()?);
-                            if !sampled.is_empty() {
-                                m = m.with_trace_seqs(sampled);
-                            }
-                            broker.publish(UNITS_EXCHANGE, m)?;
-                        }
-                        BatchMessage::Punct(_) => {
-                            stats.punctuations.inc();
-                            broker
-                                .publish(UNITS_EXCHANGE, Message::new(key, f.msg.encode()?))?;
-                        }
-                    }
-                }
-                Ok(())
-            };
-            loop {
-                match consumer.recv_timeout(punct_interval) {
-                    Ok(m) => {
-                        let mut payload = m.payload;
-                        let tuple = Tuple::decode(&mut payload)?;
-                        stats.ingested.inc();
-                        core.route_batched(&tuple, &layout, &[], &mut frames)?;
-                        publish(&mut frames)?;
-                    }
-                    Err(RecvError::Timeout) => {}
-                    Err(RecvError::Disconnected) => {
-                        core.punctuate_batched(&layout, &mut frames);
-                        publish(&mut frames)?;
-                        return Ok(());
-                    }
-                }
-                if last_punct.elapsed() >= punct_interval {
-                    core.punctuate_batched(&layout, &mut frames);
-                    publish(&mut frames)?;
-                    last_punct = Instant::now();
-                }
-            }
-        }));
-    }
-
-    Ok(Inner::Broker { broker, router_handles, joiner_handles, unit_queues })
-}
-
-impl Pipeline {
     /// The pipeline's observability bundle: one registry scrape covers
     /// engine, per-router, per-joiner, per-pod and per-queue series, and
     /// the journal records store/join/punctuation/backpressure events from
     /// the same code paths the simulator exercises.
     pub fn observability(&self) -> &Observability {
-        &self.obs
+        &self.parts.obs
     }
 
     /// Wall-clock "now" of this pipeline (for stamping input tuples so
     /// latency is measurable).
     pub fn now(&self) -> Ts {
-        self.clock.now()
+        self.parts.ctx.clock.now()
     }
 
     /// The protocol-invariant auditor observing this pipeline, if any.
     pub fn auditor(&self) -> Option<&Auditor> {
-        self.auditor.as_ref()
+        self.parts.auditor.as_ref()
     }
 
     /// The shared adaptive-routing state when running
@@ -488,38 +256,26 @@ impl Pipeline {
     /// and arm [`AdaptiveShared::force_flip_every_tick`]; the router
     /// threads observe the flag at their next punctuation tick.
     pub fn adaptive_state(&self) -> Option<&Arc<AdaptiveShared>> {
-        self.adaptive.as_ref()
+        self.parts.adaptive.as_ref()
     }
 
     /// Feed one tuple (blocking when the ingest edge is full). On the
     /// broker backend the tuple is byte-encoded into a published message;
     /// on the sharded backend it moves into the ingest ring as a value.
     pub fn ingest(&self, tuple: &Tuple) -> Result<()> {
-        match &self.inner {
-            Inner::Broker { broker, .. } => {
-                let key = format!("{}.in", tuple.rel());
-                broker.publish(INGEST_EXCHANGE, Message::new(key, tuple.encode()))?;
-                Ok(())
-            }
-            Inner::Sharded(rt) => rt.ingest(tuple),
-        }
+        self.handle.ingest(tuple)
     }
 
     /// Live counters (sampleable while running).
     pub fn stats(&self) -> EngineSnapshot {
-        self.stats.snapshot()
+        self.parts.ctx.stats.snapshot()
     }
 
     /// Broker management view (queue depths etc.). The sharded backend
     /// has no broker — it reports empty stats; its ring depths live in
     /// the registry's `bistream_queue_*` series instead.
     pub fn broker_stats(&self) -> bistream_broker::BrokerStats {
-        match &self.inner {
-            Inner::Broker { broker, .. } => broker.stats(),
-            Inner::Sharded(_) => {
-                bistream_broker::BrokerStats { exchanges: Vec::new(), queues: Vec::new() }
-            }
-        }
+        self.handle.broker_stats()
     }
 
     /// Take one registry scrape now and append it to the run's sample
@@ -527,21 +283,18 @@ impl Pipeline {
     /// SLO evaluation interval); [`Pipeline::finish`] grades the SLO spec
     /// and the stall watchdog over the collected series.
     pub fn sample(&self) {
-        let snap = self.obs.registry.scrape(self.clock.now());
+        let snap = self.parts.obs.registry.scrape(self.now());
         self.samples.lock().push(snap);
     }
 
     /// Stall or resume one named queue — the chaos drills use this to
     /// inject stalls into a live run on either backend. On the broker,
     /// publishers park while consumers keep draining (see
-    /// [`Broker::set_queue_stalled`]); on the sharded runtime the unit's
-    /// consumer holds and frames pile up in its rings. Both charge the
-    /// same backpressure/stall series.
+    /// [`bistream_broker::Broker::set_queue_stalled`]); on the rings the
+    /// unit's consumer holds and frames pile up. Both charge the same
+    /// backpressure/stall series.
     pub fn set_queue_stalled(&self, queue: &str, on: bool) -> Result<()> {
-        match &self.inner {
-            Inner::Broker { broker, .. } => broker.set_queue_stalled(queue, on),
-            Inner::Sharded(rt) => rt.set_queue_stalled(queue, on),
-        }
+        self.handle.set_stalled(queue, on)
     }
 
     /// Point-in-time Prometheus text exposition of every registered series
@@ -549,48 +302,46 @@ impl Pipeline {
     /// runs. Rendering goes through [`bistream_types::telemetry`], the
     /// single exposition-format emitter.
     pub fn telemetry_text(&self) -> String {
-        bistream_types::telemetry::prometheus_text(&self.obs.registry, self.clock.now())
+        bistream_types::telemetry::prometheus_text(&self.parts.obs.registry, self.now())
     }
 
     /// Stop feeding, drain everything, join all threads and report.
     pub fn finish(self) -> Result<PipelineReport> {
-        // Terminal scrape *before* teardown: deleting a queue retires its
-        // series, and both the Little's-law rows and the watchdog need the
-        // queue gauges. Work drained after this point is excluded from
-        // `perf` (it still counts in `snapshot`).
+        let Pipeline { handle, workers, parts, started, samples } = self;
+        let Parts { config, layout, obs, auditor, ctx, .. } = parts;
+        // Terminal scrape *before* teardown: closing a broker queue
+        // retires its series, and both the Little's-law rows and the
+        // watchdog need the queue gauges. Work drained after this point is
+        // excluded from `perf` (it still counts in `snapshot`).
         let series = bistream_types::metrics::finalize_scrape_series(
-            &self.obs.registry,
-            self.clock.now(),
-            std::mem::take(&mut *self.samples.lock()),
+            &obs.registry,
+            ctx.clock.now(),
+            samples.into_inner(),
         );
-        let (joiners, captured) = match self.inner {
-            Inner::Broker { broker, router_handles, joiner_handles, unit_queues } => {
-                // 1. Close the ingest tier: routers drain then see
-                //    Disconnected and emit a final punctuation.
-                broker.delete_queue(INGEST_QUEUE)?;
-                for h in router_handles {
-                    h.join().map_err(|_| Error::Closed)??;
-                }
-                // 2. Close the unit tier: joiners drain (data + puncts).
-                for q in &unit_queues {
-                    broker.delete_queue(q)?;
-                }
-                let mut joiners = Vec::new();
-                let mut captured = Vec::new();
-                for h in joiner_handles {
-                    let (stats, mut results) = h.join().map_err(|_| Error::Closed)??;
-                    joiners.push(stats);
-                    captured.append(&mut results);
-                }
-                (joiners, captured)
-            }
-            // The sharded runtime's own two-phase shutdown mirrors the
-            // same punctuation-ordered drain.
-            Inner::Sharded(rt) => rt.shutdown()?,
-        };
+        // The one shutdown sequence, draining in punctuation order:
+        // 1. heal injected stalls, so nothing below waits on a held unit;
+        // 2. close the ingest edge: each router drains it, sends its final
+        //    punctuation behind all its data, and returns;
+        // 3. close the unit edges: each joiner drains its inbox (per-channel
+        //    FIFO puts every final punctuation last) and terminally flushes.
+        for (_, id) in layout.all_units() {
+            handle.set_stalled(&unit_queue(id), false)?;
+        }
+        handle.close_ingest()?;
+        for h in workers.routers {
+            h.join().map_err(|_| Error::Closed)??;
+        }
+        handle.close_units()?;
+        // Per-joiner counters and captured results, both in unit order.
+        let (mut joiners, mut captured) = (Vec::new(), Vec::new());
+        for h in workers.joiners {
+            let (stats, mut results) = h.join().map_err(|_| Error::Closed)??;
+            joiners.push(stats);
+            captured.append(&mut results);
+        }
         // Every joiner has flushed, so open branches can never close now.
-        self.obs.tracer.flush_pending();
-        let mut traces = self.obs.tracer.drain();
+        obs.tracer.flush_pending();
+        let mut traces = obs.tracer.drain();
         traces.sort_by_key(|t| t.id);
         // The launch and terminal scrapes bracket the whole run (plus any
         // mid-run `sample()` scrapes): the analyzer calibrates and
@@ -599,20 +350,20 @@ impl Pipeline {
         // evidence. The journal is snapshotted, not drained — the report
         // must not steal events from a caller holding the bundle.
         let perf = bistream_types::perf::analyze(&series);
-        let events = self.obs.journal.snapshot();
+        let events = obs.journal.snapshot();
         let health = bistream_types::recorder::grade_run(
-            self.slo.as_ref(),
-            &self.watchdog,
+            config.slo.as_ref(),
+            &config.watchdog,
             &series,
             &events,
             &traces,
         );
         Ok(PipelineReport {
-            snapshot: self.stats.snapshot(),
+            snapshot: ctx.stats.snapshot(),
             joiners,
-            elapsed_ms: self.started.elapsed().as_millis() as u64,
+            elapsed_ms: started.elapsed().as_millis() as u64,
             traces,
-            auditor: self.auditor,
+            auditor,
             perf,
             health,
             captured,
@@ -620,28 +371,26 @@ impl Pipeline {
     }
 }
 
-fn unit_queue(id: JoinerId) -> String {
-    format!("unit.{}", id.0)
-}
-
-fn unit_key(id: JoinerId) -> String {
-    format!("{}", id.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::RoutingStrategy;
+    use bistream_types::metric_names as names;
     use bistream_types::rel::Rel;
+    use bistream_types::trace::HopKind;
     use bistream_types::value::Value;
 
-    fn config(routing: RoutingStrategy, ordering: bool) -> PipelineConfig {
+    const BACKENDS: [Backend; 2] = [Backend::Broker, Backend::Sharded];
+
+    fn config(backend: Backend, routing: RoutingStrategy, ordering: bool) -> PipelineConfig {
         let mut engine = EngineConfig::default_equi();
         engine.routing = routing;
         engine.ordering = ordering;
         engine.window = bistream_types::window::WindowSpec::sliding(60_000);
         let mut c = PipelineConfig::new(engine);
         c.routers = 2;
+        c.backend = backend;
+        // Armed in release builds too: these tests assert on it.
+        c.auditor = Some(Auditor::new());
         c
     }
 
@@ -653,68 +402,91 @@ mod tests {
         }
     }
 
+    /// Feed `pairs` matching pairs, let a few punctuation cycles pass, finish.
+    fn run(c: PipelineConfig, pairs: usize) -> PipelineReport {
+        let p = Pipeline::launch(c).unwrap();
+        feed_pairs(&p, pairs);
+        std::thread::sleep(Duration::from_millis(150));
+        p.finish().unwrap()
+    }
+
+    fn clean(report: &PipelineReport) {
+        report.auditor.as_ref().expect("armed by config()").assert_clean();
+    }
+
     #[test]
     fn live_pipeline_produces_every_match_exactly_once() {
-        let p = Pipeline::launch(config(RoutingStrategy::Hash, true)).unwrap();
-        feed_pairs(&p, 500);
-        // Allow punctuation cycles to flush.
-        std::thread::sleep(Duration::from_millis(150));
-        let report = p.finish().unwrap();
-        assert_eq!(report.snapshot.ingested, 1_000);
-        assert_eq!(report.snapshot.results, 500, "exactly one result per pair");
-        let total_stored: u64 = report.joiners.iter().map(|j| j.stored).sum();
-        assert_eq!(total_stored, 1_000);
-        assert!(report.snapshot.latency.count > 0);
-        if let Some(a) = &report.auditor {
-            a.assert_clean();
+        for backend in BACKENDS {
+            let report = run(config(backend, RoutingStrategy::Hash, true), 500);
+            assert_eq!(report.snapshot.ingested, 1_000, "{backend:?}");
+            assert_eq!(report.snapshot.results, 500, "{backend:?}: exactly one result per pair");
+            let total_stored: u64 = report.joiners.iter().map(|j| j.stored).sum();
+            assert_eq!(total_stored, 1_000, "{backend:?}");
+            assert!(report.snapshot.latency.count > 0, "{backend:?}");
+            clean(&report);
         }
     }
 
     #[test]
-    fn batched_framing_produces_every_match_exactly_once() {
-        let mut c = config(RoutingStrategy::Hash, true);
-        c.engine.batch_size = 16;
-        c.trace_one_in = Some(7);
-        let p = Pipeline::launch(c).unwrap();
-        feed_pairs(&p, 500);
-        std::thread::sleep(Duration::from_millis(150));
-        let report = p.finish().unwrap();
-        assert_eq!(report.snapshot.ingested, 1_000);
-        assert_eq!(report.snapshot.results, 500, "batching must not change results");
-        assert_eq!(report.snapshot.copies, 2_000, "hash equi: store + join copy per tuple");
-        // Sampled tuples still trace through router → queue → joiner even
-        // when they share a frame with unsampled neighbours.
-        let complete: Vec<_> = report.traces.iter().filter(|t| t.complete).collect();
-        assert!(!complete.is_empty());
-        for t in &complete {
-            assert!(t.has_hop(bistream_types::trace::HopKind::Enqueue));
-            assert!(t.has_hop(bistream_types::trace::HopKind::Dequeue));
+    fn batched_framing_and_tracing_keep_results_and_spans() {
+        for backend in BACKENDS {
+            let mut c = config(backend, RoutingStrategy::Hash, true);
+            c.engine.batch_size = 16;
+            c.trace_one_in = Some(7);
+            let report = run(c, 500);
+            assert_eq!(report.snapshot.ingested, 1_000, "{backend:?}");
+            assert_eq!(report.snapshot.results, 500, "{backend:?}: batching keeps results");
+            assert_eq!(report.snapshot.copies, 2_000, "{backend:?}: store + join copy per tuple");
+            // Sampled tuples trace through router → queue → joiner even
+            // when they share a frame with unsampled neighbours; ring
+            // hand-offs record the same spans the broker queues do.
+            let complete: Vec<_> = report.traces.iter().filter(|t| t.complete).collect();
+            assert!(!complete.is_empty(), "{backend:?}");
+            for t in &complete {
+                assert!(t.has_hop(HopKind::Route), "{backend:?}");
+                assert!(t.has_hop(HopKind::Enqueue), "{backend:?}");
+                assert!(t.has_hop(HopKind::Dequeue), "{backend:?}");
+                assert!(t.has_hop(HopKind::Store) || t.has_hop(HopKind::Probe), "{backend:?}");
+            }
+            clean(&report);
         }
-        if let Some(a) = &report.auditor {
-            a.assert_clean();
+    }
+
+    #[test]
+    fn unit_channels_are_bounded_in_copies_and_block_without_loss() {
+        let mut c = config(Backend::Broker, RoutingStrategy::Hash, true);
+        assert_eq!(c.unit_frames(), c.unit_capacity, "one copy per frame unbatched");
+        c.engine.batch_size = 64;
+        assert_eq!(c.unit_frames() * 64, c.unit_capacity, "same copies whatever the framing");
+        // Two frames per channel: routers block on full channels all run.
+        c.unit_capacity = 1;
+        assert_eq!(c.unit_frames(), 2);
+        for backend in BACKENDS {
+            c.backend = backend;
+            c.auditor = Some(Auditor::new());
+            let report = run(c.clone(), 2_000);
+            assert_eq!(report.snapshot.results, 2_000, "{backend:?}: backpressure, not loss");
+            clean(&report);
         }
     }
 
     #[test]
     fn random_routing_matches_too() {
-        let p = Pipeline::launch(config(RoutingStrategy::Random, true)).unwrap();
-        feed_pairs(&p, 200);
-        std::thread::sleep(Duration::from_millis(150));
-        let report = p.finish().unwrap();
-        assert_eq!(report.snapshot.results, 200);
-        // Random join stream broadcasts: copies/tuple = 1 + 2.
-        assert!((report.snapshot.copies_per_tuple() - 3.0).abs() < 1e-9);
+        for backend in BACKENDS {
+            let report = run(config(backend, RoutingStrategy::Random, true), 200);
+            assert_eq!(report.snapshot.results, 200, "{backend:?}");
+            // Random join stream broadcasts: copies/tuple = 1 + 2.
+            assert!((report.snapshot.copies_per_tuple() - 3.0).abs() < 1e-9, "{backend:?}");
+            clean(&report);
+        }
     }
 
     #[test]
     fn contrand_routing_works_live() {
-        let mut c = config(RoutingStrategy::ContRand { subgroups: 2 }, true);
+        let mut c = config(Backend::Broker, RoutingStrategy::ContRand { subgroups: 2 }, true);
         c.engine.r_joiners = 4;
         c.engine.s_joiners = 4;
-        let p = Pipeline::launch(c).unwrap();
-        feed_pairs(&p, 300);
-        std::thread::sleep(Duration::from_millis(150));
-        let report = p.finish().unwrap();
+        let report = run(c, 300);
         assert_eq!(report.snapshot.results, 300);
         // ContRand d=2 over 4 units/side: 1 store + 2 join copies.
         assert!((report.snapshot.copies_per_tuple() - 3.0).abs() < 1e-9);
@@ -725,53 +497,121 @@ mod tests {
 
     #[test]
     fn ordering_disabled_still_flows_live() {
-        // Without the protocol the live pipeline is best-effort; with one
-        // router and uncontended queues the happy path still joins.
-        let p = Pipeline::launch(config(RoutingStrategy::Hash, false)).unwrap();
-        feed_pairs(&p, 100);
-        std::thread::sleep(Duration::from_millis(100));
-        let report = p.finish().unwrap();
+        // Without the protocol the live pipeline is best-effort; with
+        // uncontended queues the happy path still joins.
+        let report = run(config(Backend::Broker, RoutingStrategy::Hash, false), 100);
         assert!(report.snapshot.results > 0);
     }
 
     #[test]
     fn finish_drains_without_feeding() {
-        let p = Pipeline::launch(config(RoutingStrategy::Hash, true)).unwrap();
-        let report = p.finish().unwrap();
-        assert_eq!(report.snapshot.ingested, 0);
-        assert_eq!(report.snapshot.results, 0);
+        for backend in BACKENDS {
+            let p = Pipeline::launch(config(backend, RoutingStrategy::Hash, true)).unwrap();
+            let report = p.finish().unwrap();
+            assert_eq!(report.snapshot.ingested, 0, "{backend:?}");
+            assert_eq!(report.snapshot.results, 0, "{backend:?}");
+            clean(&report);
+        }
+    }
+
+    #[test]
+    fn queue_depth_reads_zero_and_the_auditor_is_clean_after_finish() {
+        // An item is accounted before it becomes visible to its consumer:
+        // were it the other way round, a dequeue could be counted first,
+        // the auditor would see a delivery nobody published and the
+        // saturating depth gauge would stay one too high for good.
+        for backend in BACKENDS {
+            let mut c = config(backend, RoutingStrategy::Hash, true);
+            c.routers = 1;
+            let p = Pipeline::launch(c).unwrap();
+            let obs = p.observability().clone();
+            feed_pairs(&p, 2_000);
+            // Everything fed has been routed and handled once the joiners
+            // have seen every copy; the broker retires its series at
+            // finish, so its gauges are read here.
+            let drained = |snap: &RegistrySnapshot| {
+                snap.counter(names::QUEUE_DELIVERED_TOTAL, &[("queue", INGEST_QUEUE)])
+                    == Some(4_000)
+                    && (0..4).all(|u| {
+                        let q = format!("unit.{u}");
+                        let labels: &[(&str, &str)] = &[("queue", &q)];
+                        snap.counter(names::QUEUE_PUBLISHED_TOTAL, labels)
+                            == snap.counter(names::QUEUE_DELIVERED_TOTAL, labels)
+                    })
+            };
+            let mut snap = obs.registry.scrape(p.now());
+            for _ in 0..200 {
+                if drained(&snap) {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(10));
+                snap = obs.registry.scrape(p.now());
+            }
+            assert!(drained(&snap), "{backend:?}: pipeline went quiet");
+            // Punctuations keep flowing, so a unit queue may hold one.
+            let depth = |snap: &RegistrySnapshot, q: &str| {
+                snap.gauge(names::QUEUE_DEPTH, &[("queue", q)]).expect("registered")
+            };
+            assert_eq!(depth(&snap, INGEST_QUEUE), 0, "{backend:?}");
+            for u in 0..4 {
+                assert!(depth(&snap, &format!("unit.{u}")) <= 1, "{backend:?} unit.{u}");
+            }
+            let report = p.finish().unwrap();
+            assert_eq!(report.snapshot.results, 2_000, "{backend:?}");
+            clean(&report);
+            if backend == Backend::Sharded {
+                // Ring series outlive the run and must read empty.
+                let after = obs.registry.scrape(0);
+                assert_eq!(depth(&after, INGEST_QUEUE), 0);
+                for u in 0..4 {
+                    assert_eq!(depth(&after, &format!("unit.{u}")), 0, "unit.{u}");
+                }
+            }
+        }
     }
 
     #[test]
     fn observability_scrape_covers_queues_joiners_routers_and_engine() {
-        let p = Pipeline::launch(config(RoutingStrategy::Hash, true)).unwrap();
-        feed_pairs(&p, 100);
-        std::thread::sleep(Duration::from_millis(150));
-        let snap = p.observability().registry.scrape(p.now());
-        // 200 publishes into the ingest queue happened before the scrape.
-        assert_eq!(
-            snap.counter("bistream_queue_published_total", &[("queue", INGEST_QUEUE)]),
-            Some(200)
-        );
-        assert!(snap.get("bistream_queue_depth", &[("queue", "unit.0")]).is_some());
-        let stored: u64 = ["R0", "R1"]
-            .iter()
-            .map(|u| snap.counter("bistream_joiner_stored_total", &[("joiner", u)]).unwrap())
-            .sum();
-        assert!(stored > 0, "stores visible per joiner");
-        assert!(snap
-            .get("bistream_router_route_decisions_total", &[("router", "r0"), ("strategy", "hash")])
-            .is_some());
-        assert!(snap.get("bistream_pod_cpu_busy_us_total", &[("pod", "S2")]).is_some());
-        assert!(snap.counter("bistream_tuples_ingested_total", &[("engine", "live")]).is_some());
-        let events = p.observability().journal.drain();
-        assert!(events.iter().any(|e| e.kind.tag() == "TupleStored"));
-        p.finish().unwrap();
+        for backend in BACKENDS {
+            let p = Pipeline::launch(config(backend, RoutingStrategy::Hash, true)).unwrap();
+            feed_pairs(&p, 100);
+            std::thread::sleep(Duration::from_millis(150));
+            let snap = p.observability().registry.scrape(p.now());
+            // 200 tuples entered the ingest edge before the scrape, under
+            // the same series names on either backend.
+            assert_eq!(
+                snap.counter(names::QUEUE_PUBLISHED_TOTAL, &[("queue", INGEST_QUEUE)]),
+                Some(200),
+                "{backend:?}"
+            );
+            assert!(snap.get(names::QUEUE_DEPTH, &[("queue", "unit.0")]).is_some(), "{backend:?}");
+            let stored: u64 = ["R0", "R1"]
+                .iter()
+                .map(|u| snap.counter("bistream_joiner_stored_total", &[("joiner", u)]).unwrap())
+                .sum();
+            assert!(stored > 0, "{backend:?}: stores visible per joiner");
+            assert!(snap
+                .get(
+                    "bistream_router_route_decisions_total",
+                    &[("router", "r0"), ("strategy", "hash")]
+                )
+                .is_some());
+            assert!(snap.get("bistream_pod_cpu_busy_us_total", &[("pod", "S2")]).is_some());
+            assert!(snap
+                .counter("bistream_tuples_ingested_total", &[("engine", "live")])
+                .is_some());
+            let events = p.observability().journal.drain();
+            assert!(events.iter().any(|e| e.kind.tag() == "TupleStored"), "{backend:?}");
+            let report = p.finish().unwrap();
+            assert_eq!(report.snapshot.results, 100, "{backend:?}");
+            // Queue series exist in live mode, so Little's-law rows appear.
+            assert!(!report.perf.queues.is_empty(), "{backend:?}");
+        }
     }
 
     #[test]
     fn telemetry_export_and_perf_report_cover_the_run() {
-        let p = Pipeline::launch(config(RoutingStrategy::Hash, true)).unwrap();
+        let p = Pipeline::launch(config(Backend::Broker, RoutingStrategy::Hash, true)).unwrap();
         feed_pairs(&p, 200);
         std::thread::sleep(Duration::from_millis(150));
         let text = p.telemetry_text();
@@ -784,172 +624,72 @@ mod tests {
             assert!(u.arrivals > 0, "unit {} processed tuples", u.unit);
             assert!(u.utilization_observed >= 0.0);
         }
-        // Queue series exist in live mode, so Little's-law rows appear.
         assert!(!report.perf.queues.is_empty());
     }
 
     #[test]
     fn live_tracing_produces_multi_hop_traces() {
-        use bistream_types::trace::HopKind;
-        let mut c = config(RoutingStrategy::Hash, true);
+        let mut c = config(Backend::Broker, RoutingStrategy::Hash, true);
         c.trace_one_in = Some(5);
-        let p = Pipeline::launch(c).unwrap();
-        feed_pairs(&p, 100);
-        std::thread::sleep(Duration::from_millis(150));
-        let report = p.finish().unwrap();
+        let report = run(c, 100);
         assert!(!report.traces.is_empty(), "1-in-5 over 200 tuples");
-        let complete: Vec<_> = report.traces.iter().filter(|t| t.complete).collect();
-        assert!(!complete.is_empty(), "drained pipeline closes every branch");
-        for t in &complete {
-            assert!(t.has_hop(HopKind::Route), "trace {} starts at a router", t.id);
-            assert!(t.has_hop(HopKind::Enqueue), "broker queues record enqueues");
-            assert!(t.has_hop(HopKind::Dequeue));
-            assert!(t.has_hop(HopKind::Store) || t.has_hop(HopKind::Probe));
-        }
+        assert!(report.traces.iter().any(|t| t.complete), "drained pipeline closes branches");
         for w in report.traces.windows(2) {
             assert!(w[0].id < w[1].id, "sorted by trace id");
         }
     }
 
     #[test]
-    fn broker_stats_visible_while_running() {
-        let p = Pipeline::launch(config(RoutingStrategy::Hash, true)).unwrap();
+    fn broker_stats_show_the_topology_only_on_the_broker() {
+        let p = Pipeline::launch(config(Backend::Broker, RoutingStrategy::Hash, true)).unwrap();
         let stats = p.broker_stats();
         // ingest queue + 4 unit queues.
         assert_eq!(stats.queues.len(), 5);
-        assert!(stats.exchanges.contains(&INGEST_EXCHANGE.to_string()));
+        assert!(stats.exchanges.contains(&"tuple.exchange".to_string()));
         p.finish().unwrap();
-    }
-
-    fn sharded_config(routing: RoutingStrategy, ordering: bool) -> PipelineConfig {
-        let mut c = config(routing, ordering);
-        c.backend = Backend::Sharded;
-        c
-    }
-
-    #[test]
-    fn sharded_backend_produces_every_match_exactly_once() {
-        let p = Pipeline::launch(sharded_config(RoutingStrategy::Hash, true)).unwrap();
-        feed_pairs(&p, 500);
-        std::thread::sleep(Duration::from_millis(150));
-        let report = p.finish().unwrap();
-        assert_eq!(report.snapshot.ingested, 1_000);
-        assert_eq!(report.snapshot.results, 500, "exactly one result per pair");
-        let total_stored: u64 = report.joiners.iter().map(|j| j.stored).sum();
-        assert_eq!(total_stored, 1_000);
-        assert!(report.snapshot.latency.count > 0);
-        if let Some(a) = &report.auditor {
-            a.assert_clean();
-        }
-    }
-
-    #[test]
-    fn sharded_batched_framing_and_tracing_match_the_broker_contract() {
-        let mut c = sharded_config(RoutingStrategy::Hash, true);
-        c.engine.batch_size = 16;
-        c.trace_one_in = Some(7);
-        let p = Pipeline::launch(c).unwrap();
-        feed_pairs(&p, 500);
-        std::thread::sleep(Duration::from_millis(150));
-        let report = p.finish().unwrap();
-        assert_eq!(report.snapshot.results, 500, "batching must not change results");
-        assert_eq!(report.snapshot.copies, 2_000, "hash equi: store + join copy per tuple");
-        // Ring hand-offs record the same enqueue/dequeue spans the broker
-        // queues do.
-        let complete: Vec<_> = report.traces.iter().filter(|t| t.complete).collect();
-        assert!(!complete.is_empty());
-        for t in &complete {
-            assert!(t.has_hop(bistream_types::trace::HopKind::Route));
-            assert!(t.has_hop(bistream_types::trace::HopKind::Enqueue));
-            assert!(t.has_hop(bistream_types::trace::HopKind::Dequeue));
-            assert!(
-                t.has_hop(bistream_types::trace::HopKind::Store)
-                    || t.has_hop(bistream_types::trace::HopKind::Probe)
-            );
-        }
-        if let Some(a) = &report.auditor {
-            a.assert_clean();
-        }
-    }
-
-    #[test]
-    fn sharded_random_routing_matches_too() {
-        let p = Pipeline::launch(sharded_config(RoutingStrategy::Random, true)).unwrap();
-        feed_pairs(&p, 200);
-        std::thread::sleep(Duration::from_millis(150));
-        let report = p.finish().unwrap();
-        assert_eq!(report.snapshot.results, 200);
-        assert!((report.snapshot.copies_per_tuple() - 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn sharded_finish_drains_without_feeding() {
-        let p = Pipeline::launch(sharded_config(RoutingStrategy::Hash, true)).unwrap();
-        let report = p.finish().unwrap();
-        assert_eq!(report.snapshot.ingested, 0);
-        assert_eq!(report.snapshot.results, 0);
+        let p = Pipeline::launch(config(Backend::Sharded, RoutingStrategy::Hash, true)).unwrap();
+        assert!(p.broker_stats().queues.is_empty());
+        p.finish().unwrap();
     }
 
     #[test]
     fn capture_returns_the_result_stream_on_both_backends() {
-        for backend in [Backend::Broker, Backend::Sharded] {
-            let mut c = config(RoutingStrategy::Hash, true);
-            c.backend = backend;
+        for backend in BACKENDS {
+            let mut c = config(backend, RoutingStrategy::Hash, true);
             c.capture_results = true;
-            let p = Pipeline::launch(c).unwrap();
-            feed_pairs(&p, 100);
-            std::thread::sleep(Duration::from_millis(100));
-            let report = p.finish().unwrap();
+            let report = run(c, 100);
             assert_eq!(report.snapshot.results, 100);
-            assert_eq!(
-                report.captured.len(),
-                100,
-                "{backend:?}: every emitted result is captured"
-            );
+            assert_eq!(report.captured.len(), 100, "{backend:?}: every emitted result is captured");
         }
     }
 
     #[test]
-    fn sharded_observability_scrape_covers_ring_queues() {
-        let p = Pipeline::launch(sharded_config(RoutingStrategy::Hash, true)).unwrap();
-        feed_pairs(&p, 100);
-        std::thread::sleep(Duration::from_millis(150));
-        let snap = p.observability().registry.scrape(p.now());
-        // 200 tuples entered the ingest ring before the scrape, under the
-        // same series names the broker's ingest queue would register.
-        assert_eq!(
-            snap.counter("bistream_queue_published_total", &[("queue", INGEST_QUEUE)]),
-            Some(200)
-        );
-        assert!(snap.get("bistream_queue_depth", &[("queue", "unit.0")]).is_some());
-        assert!(snap.counter("bistream_tuples_ingested_total", &[("engine", "live")]).is_some());
-        let report = p.finish().unwrap();
-        assert_eq!(report.snapshot.results, 100);
-        // Little's-law rows appear because ring series mirror queue series.
-        assert!(!report.perf.queues.is_empty());
+    fn stall_injection_holds_a_unit_and_recovers() {
+        for backend in BACKENDS {
+            let p = Pipeline::launch(config(backend, RoutingStrategy::Hash, true)).unwrap();
+            assert!(p.set_queue_stalled("no.such.queue", true).is_err(), "{backend:?}");
+            p.set_queue_stalled("unit.0", true).unwrap();
+            feed_pairs(&p, 100);
+            std::thread::sleep(Duration::from_millis(60));
+            p.set_queue_stalled("unit.0", false).unwrap();
+            std::thread::sleep(Duration::from_millis(100));
+            let snap = p.observability().registry.scrape(p.now());
+            let stalled_ms =
+                snap.counter(names::QUEUE_STALL_MS_TOTAL, &[("queue", "unit.0")]).unwrap_or(0);
+            assert!(stalled_ms > 0, "{backend:?}: held unit charges the stall series");
+            let report = p.finish().unwrap();
+            assert_eq!(report.snapshot.results, 100, "{backend:?}: stall delays, never drops");
+        }
     }
 
     #[test]
-    fn sharded_stall_injection_holds_a_unit_and_recovers() {
-        let p = Pipeline::launch(sharded_config(RoutingStrategy::Hash, true)).unwrap();
-        assert!(p.set_queue_stalled("no.such.queue", true).is_err());
-        p.set_queue_stalled("unit.0", true).unwrap();
-        feed_pairs(&p, 100);
-        std::thread::sleep(Duration::from_millis(60));
-        p.set_queue_stalled("unit.0", false).unwrap();
-        std::thread::sleep(Duration::from_millis(100));
-        let snap = p.observability().registry.scrape(p.now());
-        let stalled_ms =
-            snap.counter("bistream_queue_stall_ms_total", &[("queue", "unit.0")]).unwrap_or(0);
-        assert!(stalled_ms > 0, "held unit charges the stall series");
-        let report = p.finish().unwrap();
-        assert_eq!(report.snapshot.results, 100, "stall delays but never drops");
-    }
-
-    #[test]
-    fn sharded_broker_stats_are_empty() {
-        let p = Pipeline::launch(sharded_config(RoutingStrategy::Hash, true)).unwrap();
-        assert!(p.broker_stats().queues.is_empty());
-        p.finish().unwrap();
+    fn finish_heals_a_stall_left_open() {
+        for backend in BACKENDS {
+            let p = Pipeline::launch(config(backend, RoutingStrategy::Hash, true)).unwrap();
+            p.set_queue_stalled("unit.0", true).unwrap();
+            feed_pairs(&p, 50);
+            let report = p.finish().unwrap();
+            assert_eq!(report.snapshot.results, 50, "{backend:?}: shutdown heals, then drains");
+        }
     }
 }

@@ -136,12 +136,6 @@ pub struct JoinerCore {
     /// Invariant auditor (test/debug harnesses): checks channel FIFO and
     /// release order on every message, and Theorem 1 via the index.
     auditor: Option<Auditor>,
-    /// Epoch-gated expiry (the sharded runtime's per-shard mode): expiry
-    /// scans go through [`ChainedIndex::advance_epoch`] — at most one
-    /// chain walk per archive period — instead of scanning on every
-    /// store/probe run. Results are unaffected (probes window-check every
-    /// candidate); only state-residency timing changes.
-    epoch_expiry: bool,
 }
 
 impl JoinerCore {
@@ -188,23 +182,13 @@ impl JoinerCore {
             now: 0,
             batch_size: 1,
             auditor: None,
-            epoch_expiry: false,
         }
     }
 
-    /// Switch Theorem-1 discarding to epoch-gated mode (see the
-    /// `epoch_expiry` field). The sharded runtime enables this per shard;
-    /// the broker pipeline and the simulator keep eager per-run expiry.
-    pub fn set_epoch_expiry(&mut self, on: bool) {
-        self.epoch_expiry = on;
-    }
-
-    /// One Theorem-1 expiry pass witnessed by `ts`, honouring the
-    /// configured expiry mode and charged to the unit's counters and
-    /// meter. Returns the number of tuples discarded.
+    /// One Theorem-1 expiry pass witnessed by `ts`, charged to the unit's
+    /// counters and meter. Returns the number of tuples discarded.
     fn expire_at(&mut self, ts: Ts) -> usize {
-        let dropped =
-            if self.epoch_expiry { self.index.advance_epoch(ts) } else { self.index.discard(ts) };
+        let dropped = self.index.discard(ts);
         self.stats.expired += dropped.tuples as u64;
         if dropped.sub_indexes > 0 {
             self.meter.charge_cpu_us(self.cost.expire_subindex_us * dropped.sub_indexes as f64);
@@ -386,8 +370,8 @@ impl JoinerCore {
                 };
                 if let Some(a) = &self.auditor {
                     match &msg {
-                        StreamMessage::Data { router, seq, .. } => {
-                            a.channel_recv(&self.unit_label, *router, *seq)
+                        StreamMessage::Data { router, seq, purpose, .. } => {
+                            a.channel_recv(&self.unit_label, *router, *purpose, *seq)
                         }
                         StreamMessage::Punct(p) => {
                             a.channel_punct(&self.unit_label, p.router, p.seq)
@@ -470,7 +454,7 @@ impl JoinerCore {
                         let purpose = b.purpose();
                         for e in b.into_entries() {
                             if let Some(a) = &self.auditor {
-                                a.channel_recv(&self.unit_label, router, e.seq);
+                                a.channel_recv(&self.unit_label, router, purpose, e.seq);
                             }
                             buf.offer(
                                 StreamMessage::Data { router, seq: e.seq, purpose, tuple: e.tuple },

@@ -27,16 +27,18 @@
 //!   in-memory index, Theorem-1 discarding, result emission, resource
 //!   charging.
 //! - [`delivery`] — simulated pairwise-FIFO channels with pluggable
-//!   (in-order or adversarial) schedulers.
+//!   (in-order or adversarial) schedulers: the virtual-time engine's
+//!   delivery seam.
 //! - [`engine`] — the assembled biclique for deterministic in-process
 //!   execution, including elastic scaling operations.
 //! - [`sim`] — the virtual-time driver for long-horizon experiments
 //!   (dynamic scaling, memory behaviour).
-//! - [`exec`] — the live pipeline facade: one [`exec::Pipeline`] API over
-//!   pluggable execution backends (broker or sharded), for wall-clock
+//! - [`exec`] — the live pipeline: [`exec::Pipeline`], one threaded worker
+//!   driver (router loop, joiner loop, result sink, shutdown) over a small
+//!   transport seam, and the broker transport; for wall-clock
 //!   throughput/latency measurements.
-//! - [`sharded`] — the lock-free sharded multi-core backend: one worker
-//!   thread per router/joiner unit over hand-rolled bounded rings.
+//! - [`sharded`] — the hand-rolled lock-free rings ([`sharded::spsc`]) and
+//!   the ring transport built on them.
 //! - [`chaos`] — deterministic fault injection: the plan-driven network
 //!   scheduler, the crash/recover trial runner and the failing-plan
 //!   minimiser behind the chaos exploration harness.

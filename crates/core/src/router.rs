@@ -1225,15 +1225,16 @@ mod tests {
         assert_eq!(q.earliest_due(), Some(1));
         // Not yet due at step 0.
         assert_eq!(q.drain_due(0, |_, _, _| true), 0);
-        // Still refused at step 1: attempts bump, due moves out with backoff.
+        // Refused at step 1 (attempt 0): attempt 1 is `delay(1)` = 2 out.
         assert_eq!(q.drain_due(1, |_, _, _| false), 0);
-        assert_eq!(q.earliest_due(), Some(2));
-        assert_eq!(q.drain_due(2, |_, _, _| false), 0);
-        assert_eq!(q.earliest_due(), Some(4), "exponential: 1, 2 then 4 steps out");
+        assert_eq!(q.earliest_due(), Some(3));
+        assert_eq!(q.drain_due(2, |_, _, _| true), 0, "backing off: not due yet");
+        assert_eq!(q.drain_due(3, |_, _, _| false), 0);
+        assert_eq!(q.earliest_due(), Some(7), "exponential: 1, 2 then 4 steps between attempts");
         // Healed: everything drains in per-channel FIFO order.
         let mut seen: Vec<(RouterId, u64)> = Vec::new();
         assert_eq!(
-            q.drain_due(4, |r, _, m| {
+            q.drain_due(7, |r, _, m| {
                 seen.push((
                     r,
                     match m {
@@ -1268,7 +1269,8 @@ mod tests {
         use crate::config::AdaptiveTuning;
         let layout = Layout::new(6, 6, 3).unwrap();
         let shared = AdaptiveShared::new(AdaptiveTuning::default(), 1, 3, 6, 8, 7);
-        let mut ad = RouterCore::standalone(0, RoutingStrategy::Adaptive { subgroups: 3 }, equi(), 7);
+        let mut ad =
+            RouterCore::standalone(0, RoutingStrategy::Adaptive { subgroups: 3 }, equi(), 7);
         ad.attach_adaptive(shared.handle(0));
         let mut cr =
             RouterCore::standalone(0, RoutingStrategy::ContRand { subgroups: 3 }, equi(), 7);
@@ -1319,10 +1321,7 @@ mod tests {
             Some(1),
             "flip adopted d=1 at the fence"
         );
-        assert_eq!(
-            snap.gauge(bistream_types::metric_names::ROUTER_HOT_KEYS, labels),
-            Some(0)
-        );
+        assert_eq!(snap.gauge(bistream_types::metric_names::ROUTER_HOT_KEYS, labels), Some(0));
         assert_eq!(
             snap.counter(bistream_types::metric_names::ROUTER_STRATEGY_SWITCHES_TOTAL, labels),
             Some(1)

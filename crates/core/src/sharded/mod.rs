@@ -1,24 +1,19 @@
-//! The lock-free sharded multi-core backend.
+//! The lock-free rings and the transport built on them.
 //!
-//! Where the broker pipeline (`crate::exec` with
-//! [`Backend::Broker`](crate::exec::Backend)) funnels every frame through
-//! mutex-guarded AMQP-model queues with byte-level encode/decode at each
-//! hop, this backend gives every router and joiner unit its own worker
-//! thread and connects them with hand-rolled bounded rings
-//! ([`spsc`](spsc::spsc) per router→joiner channel, a Vyukov-style
-//! [`mpmc`](spsc::mpmc) ring on the ingest edge). Frames move as in-memory
-//! [`BatchMessage`](bistream_types::batch::BatchMessage) values — tuple
-//! payloads inside a batch are refcounted, so a frame hand-off is a
-//! pointer move, never a serialisation pass.
+//! Where the broker transport funnels every frame through mutex-guarded
+//! AMQP-model queues with byte-level encode/decode at each hop, the
+//! [`Backend::Sharded`](crate::exec::Backend) transport connects the same
+//! router and joiner workers (`crate::exec`'s one driver) with hand-rolled
+//! bounded rings: an [`spsc`](spsc::spsc) ring per router→joiner channel
+//! and a Vyukov-style [`mpmc`](spsc::mpmc) ring on the ingest edge. Frames
+//! move as in-memory [`BatchMessage`](bistream_types::batch::BatchMessage)
+//! values — tuple payloads inside a batch are refcounted, so a hand-off is
+//! a pointer move, never a serialisation pass.
 //!
-//! The [`DataPlane`](crate::delivery::DataPlane) contract holds by
-//! construction: each `(router, joiner)` pair owns exactly one SPSC ring,
-//! so pairwise FIFO (Definition 8) and punctuation fencing are structural
-//! properties, and the two-phase shutdown (close ingest → routers flush a
-//! final punctuation and close their rings → joiners drain to
-//! end-of-stream and terminally flush) drains in punctuation order.
+//! Pairwise FIFO (Definition 8) holds by construction: each `(router,
+//! joiner)` pair owns exactly one SPSC ring. The shutdown order that makes
+//! every final punctuation the last frame of its channel is the driver's,
+//! shared with the broker transport (see `Pipeline::finish`).
 
-pub mod runtime;
+pub(crate) mod ring;
 pub mod spsc;
-
-pub use runtime::ShardedRuntime;

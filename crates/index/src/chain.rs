@@ -181,9 +181,6 @@ pub struct ChainedIndex {
     expired_tuples: u64,
     expired_bytes: u64,
     expired_sub_indexes: u64,
-    /// Last epoch an [`ChainedIndex::advance_epoch`] scan actually ran at
-    /// (0 until the first one).
-    last_epoch: Ts,
     obs: Option<IndexObs>,
     /// Invariant auditor plus the owning joiner's label (e.g. `"R3"`);
     /// every wholesale discard is checked against Theorem 1.
@@ -213,7 +210,6 @@ impl ChainedIndex {
             expired_tuples: 0,
             expired_bytes: 0,
             expired_sub_indexes: 0,
-            last_epoch: 0,
             obs: None,
             audit: None,
             #[cfg(test)]
@@ -403,24 +399,6 @@ impl ChainedIndex {
             self.sync_gauges();
         }
         dropped
-    }
-
-    /// **Epoch-based data discarding**: the sharded runtime's rate-limited
-    /// form of [`expire`](ChainedIndex::expire). An expiry scan only runs
-    /// when `epoch` has advanced at least one archive period `P` past the
-    /// last scan; in between, the call is a constant-time no-op.
-    ///
-    /// Deferring expiry never changes join results — probes window-check
-    /// every candidate — it only lets at most one period's worth of stale
-    /// links linger, which is the same residency bound the chain already
-    /// accepts by expiring at sub-index granularity. Returns what was
-    /// discarded (nothing when gated).
-    pub fn advance_epoch(&mut self, epoch: Ts) -> Discarded {
-        if epoch.saturating_sub(self.last_epoch) < self.period {
-            return Discarded::default();
-        }
-        self.last_epoch = epoch;
-        self.discard(epoch)
     }
 
     /// **Join processing**: visit every stored tuple that key-matches
@@ -663,55 +641,6 @@ mod tests {
         let after = c.stats();
         assert_eq!(after.tuples, before.tuples - dropped);
         assert_eq!(after.expired_tuples, dropped as u64);
-        epoch_checks(&mut c);
-    }
-
-    // Piggybacks on the expire test's chain: epoch gating is relative to
-    // the last epoch scan, not to wall or tuple time.
-    fn epoch_checks(c: &mut ChainedIndex) {
-        assert_eq!(
-            c.advance_epoch(401).tuples,
-            0,
-            "first epoch past the gate scans, finds nothing new"
-        );
-        assert_eq!(
-            c.advance_epoch(402).tuples,
-            0,
-            "within one period of the last scan: gated no-op"
-        );
-    }
-
-    #[test]
-    fn advance_epoch_gates_scans_to_one_per_period() {
-        let mut c = chain(100, 50);
-        for ts in (0..=300).step_by(25) {
-            c.insert(Value::Int(1), t(ts, 1));
-        }
-        // Epochs advancing less than one period since the last scan are
-        // no-ops even when stale links exist.
-        assert!(c.advance_epoch(400).tuples > 0, "first scan past the gate drops stale links");
-        let survivors = c.stats().tuples;
-        c.insert(Value::Int(1), t(400, 1));
-        assert_eq!(c.advance_epoch(449), Discarded::default(), "sub-period epoch advance is gated");
-        assert_eq!(c.stats().tuples, survivors + 1, "nothing dropped while gated");
-        // A full period later the scan runs and catches up with expire().
-        let dropped = c.advance_epoch(600);
-        assert!(
-            dropped.tuples > 0 && dropped.sub_indexes > 0,
-            "post-gate epoch scan drops the links expire() would"
-        );
-        let mut twin = chain(100, 50);
-        for ts in (0..=300).step_by(25) {
-            twin.insert(Value::Int(1), t(ts, 1));
-        }
-        twin.insert(Value::Int(1), t(400, 1));
-        twin.expire(600);
-        assert_eq!(c.stats().tuples, twin.stats().tuples, "epoch expiry converges with expire");
-        // Everything still stored is within `ts > 400 - 100 - P` roughly;
-        // at minimum, nothing younger than the window boundary was lost:
-        let mut live = Vec::new();
-        c.probe(&exact(1), 400, |t| live.push(t.ts()));
-        assert!(live.iter().all(|&ts| ts >= 300), "{live:?}");
     }
 
     #[test]

@@ -36,7 +36,7 @@
 //! benchmarks pay nothing.
 
 use crate::journal::{EventJournal, EventKind};
-use crate::punct::{RouterId, SeqNo};
+use crate::punct::{Purpose, RouterId, SeqNo};
 use crate::time::Ts;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
@@ -128,7 +128,11 @@ struct RouterState {
 
 #[derive(Debug, Default)]
 struct ChannelState {
-    last_seq: Option<SeqNo>,
+    /// Highest data seq seen per purpose (indexed by [`Purpose::as_byte`]).
+    /// A batching router keeps one pending frame per `(dest, purpose)`, so
+    /// a Store frame `[70, 72, …]` is lawfully followed by a Join frame
+    /// `[71, 73, …]` on the same channel: order is per purpose.
+    last_seq: [Option<SeqNo>; 2],
     last_punct: Option<SeqNo>,
     chain: Chain,
 }
@@ -322,22 +326,25 @@ impl Auditor {
 
     // ----------------------------------------------------------- channels
 
-    /// A joiner received a data message on its channel from `router`.
-    pub fn channel_recv(&self, joiner: &str, router: RouterId, seq: SeqNo) {
+    /// A joiner received a data message for `purpose` on its channel from
+    /// `router`. Data seqs must increase per `(channel, purpose)`; no data
+    /// of either purpose may follow a punctuation that covers it.
+    pub fn channel_recv(&self, joiner: &str, router: RouterId, purpose: Purpose, seq: SeqNo) {
         let mut st = self.lock();
         let state = st.channels.entry((joiner.to_string(), router)).or_default();
-        state.chain.push(format!("{joiner} <- router {router} data seq {seq}"));
+        state.chain.push(format!("{joiner} <- router {router} {purpose:?} data seq {seq}"));
         let chain = state.chain.snapshot();
-        let last_seq = state.last_seq;
+        let slot = &mut state.last_seq[purpose.as_byte() as usize];
+        let last_seq = *slot;
         let last_punct = state.last_punct;
-        state.last_seq = Some(last_seq.map_or(seq, |l| l.max(seq)));
+        *slot = Some(last_seq.map_or(seq, |l| l.max(seq)));
         if let Some(last) = last_seq {
             if seq <= last {
                 st.violate(
                     Rule::ChannelFifo,
                     format!(
-                        "channel router {router} -> {joiner}: data seq {seq} after {last} \
-                         (FIFO broken)"
+                        "channel router {router} -> {joiner}: {purpose:?} data seq {seq} after \
+                         {last} (FIFO broken)"
                     ),
                     chain,
                 );
@@ -364,7 +371,7 @@ impl Auditor {
         let state = st.channels.entry((joiner.to_string(), router)).or_default();
         state.chain.push(format!("{joiner} <- router {router} punct seq {seq}"));
         let chain = state.chain.snapshot();
-        let last_seq = state.last_seq;
+        let last_seq = state.last_seq.iter().flatten().max().copied();
         let last_punct = state.last_punct;
         state.last_punct = Some(last_punct.map_or(seq, |l| l.max(seq)));
         if let Some(p) = last_punct {
@@ -705,8 +712,8 @@ mod tests {
         }
         a.router_punct(0, 6);
         a.router_punct(1, 6);
-        a.channel_recv("R0", 0, 2);
-        a.channel_recv("R0", 0, 4);
+        a.channel_recv("R0", 0, Purpose::Store, 2);
+        a.channel_recv("R0", 0, Purpose::Store, 4);
         a.channel_punct("R0", 0, 6);
         a.release("R0", 0, 2, 6);
         a.release("R0", 0, 4, 6);
@@ -763,18 +770,39 @@ mod tests {
     #[test]
     fn channel_fifo_regression_is_caught() {
         let a = Auditor::new();
-        a.channel_recv("S1", 0, 5);
-        a.channel_recv("S1", 0, 3);
+        a.channel_recv("S1", 0, Purpose::Store, 5);
+        a.channel_recv("S1", 0, Purpose::Store, 3);
         let v = a.finish();
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].rule, Rule::ChannelFifo);
     }
 
     #[test]
+    fn interleaved_purposes_on_one_channel_are_fifo_per_purpose() {
+        // A batching router flushes its pending Store frame, then its
+        // pending Join frame: seqs interleave across the two frames.
+        let a = Auditor::new();
+        for seq in [70, 72, 74] {
+            a.channel_recv("R0", 0, Purpose::Store, seq);
+        }
+        for seq in [71, 73] {
+            a.channel_recv("R0", 0, Purpose::Join, seq);
+        }
+        a.channel_punct("R0", 0, 74);
+        assert!(a.finish().is_empty(), "{:?}", a.finish());
+        // The punctuation rule stays channel-wide: neither purpose may
+        // deliver at or below it afterwards.
+        a.channel_recv("R0", 0, Purpose::Join, 74);
+        let v = a.finish();
+        assert_eq!(v.len(), 1);
+        assert!(v[0].message.contains("after punctuation"), "{}", v[0].message);
+    }
+
+    #[test]
     fn data_after_channel_punctuation_is_caught() {
         let a = Auditor::new();
         a.channel_punct("S1", 2, 10);
-        a.channel_recv("S1", 2, 7);
+        a.channel_recv("S1", 2, Purpose::Store, 7);
         let v = a.finish();
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].rule, Rule::ChannelFifo);
@@ -784,19 +812,19 @@ mod tests {
     #[test]
     fn unit_restart_resets_channel_and_release_state() {
         let a = Auditor::new();
-        a.channel_recv("R0", 0, 5);
+        a.channel_recv("R0", 0, Purpose::Store, 5);
         a.channel_punct("R0", 0, 5);
         a.release("R0", 0, 5, 5);
-        a.channel_recv("S0", 0, 6);
+        a.channel_recv("S0", 0, Purpose::Store, 6);
         // Without the restart hook, re-delivering seq 3 and re-releasing
         // from scratch would both be violations.
         a.unit_restarted("R0");
-        a.channel_recv("R0", 0, 3);
+        a.channel_recv("R0", 0, Purpose::Store, 3);
         a.channel_punct("R0", 0, 5);
         a.release("R0", 0, 3, 5);
         assert!(a.finish().is_empty());
         // Other joiners' channels are untouched by the restart.
-        a.channel_recv("S0", 0, 6);
+        a.channel_recv("S0", 0, Purpose::Store, 6);
         let v = a.finish();
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].rule, Rule::ChannelFifo);
@@ -826,7 +854,7 @@ mod tests {
         let a = Auditor::new();
         // Data arrived on the channel but no punctuation ever did; a buffer
         // with a corrupt (inflated) watermark would release it anyway.
-        a.channel_recv("R0", 1, 7);
+        a.channel_recv("R0", 1, Purpose::Store, 7);
         a.release("R0", 1, 7, 10);
         let v = a.finish();
         assert_eq!(v.len(), 1);
@@ -940,8 +968,8 @@ mod tests {
         let journal = EventJournal::with_capacity(32);
         journal.record(1, EventKind::TupleStored { side: crate::rel::Rel::R, unit: 0, seq: 3 });
         a.attach_journal(journal);
-        a.channel_recv("R0", 0, 5);
-        a.channel_recv("R0", 0, 5);
+        a.channel_recv("R0", 0, Purpose::Store, 5);
+        a.channel_recv("R0", 0, Purpose::Store, 5);
         let v = a.finish();
         assert_eq!(v.len(), 1);
         assert!(

@@ -94,15 +94,6 @@ pub enum EventKind {
         /// Name of the full queue.
         queue: String,
     },
-    /// A one-time configuration caveat surfaced at launch (e.g. the
-    /// sharded backend's `pin_to_core` being a best-effort no-op because
-    /// no affinity syscall crate is vendored).
-    ConfigWarning {
-        /// Short machine-greppable topic, e.g. `pin_to_core`.
-        topic: String,
-        /// Human-readable description of the caveat.
-        detail: String,
-    },
     /// The invariant auditor detected a protocol violation
     /// (see [`crate::audit::Auditor`]).
     InvariantViolation {
@@ -124,7 +115,6 @@ impl EventKind {
             EventKind::SubIndexDiscarded { .. } => "SubIndexDiscarded",
             EventKind::ScaleDecision { .. } => "ScaleDecision",
             EventKind::BackpressureStall { .. } => "BackpressureStall",
-            EventKind::ConfigWarning { .. } => "ConfigWarning",
             EventKind::InvariantViolation { .. } => "InvariantViolation",
         }
     }
@@ -171,14 +161,6 @@ impl Event {
             }
             EventKind::BackpressureStall { queue } => {
                 let _ = write!(out, ",\"queue\":\"{}\"", escape_json(queue));
-            }
-            EventKind::ConfigWarning { topic, detail } => {
-                let _ = write!(
-                    out,
-                    ",\"topic\":\"{}\",\"detail\":\"{}\"",
-                    escape_json(topic),
-                    escape_json(detail)
-                );
             }
             EventKind::InvariantViolation { rule, detail } => {
                 let _ = write!(

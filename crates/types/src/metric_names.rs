@@ -93,8 +93,6 @@ pub const INDEX_PROBE_CANDIDATES: &str = "bistream_index_probe_candidates";
 pub const QUEUE_PUBLISHED_TOTAL: &str = "bistream_queue_published_total";
 /// Messages delivered from a queue.
 pub const QUEUE_DELIVERED_TOTAL: &str = "bistream_queue_delivered_total";
-/// Messages requeued after an unacknowledged delivery.
-pub const QUEUE_REDELIVERED_TOTAL: &str = "bistream_queue_redelivered_total";
 /// Messages currently buffered in a queue.
 pub const QUEUE_DEPTH: &str = "bistream_queue_depth";
 /// Publishes that blocked on a full queue.

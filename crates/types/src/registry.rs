@@ -14,6 +14,7 @@
 //! bundles a registry with an event journal as the single handle the
 //! engines thread through their components.
 
+use crate::audit::Auditor;
 use crate::journal::EventJournal;
 use crate::metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 use crate::time::Ts;
@@ -399,6 +400,97 @@ impl Observability {
         );
         tracer.attach_registry(&registry);
         Observability { registry, journal, tracer }
+    }
+}
+
+/// The accounting of one named queue — a broker queue, or the set of rings
+/// feeding one consumer: the `bistream_queue_*` series labeled
+/// `queue="<name>"` plus the auditor's message-conservation events. Every
+/// live transport keeps it through this one type, so the order of
+/// operations below is written once.
+#[derive(Debug)]
+pub struct QueueSeries {
+    name: String,
+    /// `bistream_queue_published_total`.
+    pub published: Arc<Counter>,
+    /// `bistream_queue_delivered_total`.
+    pub delivered: Arc<Counter>,
+    /// `bistream_queue_depth`.
+    pub depth: Arc<Gauge>,
+    /// `bistream_queue_depth_max` — high-watermark of `depth`.
+    pub depth_max: Arc<Gauge>,
+    /// `bistream_queue_backpressure_blocks_total`.
+    pub blocks: Arc<Counter>,
+    /// `bistream_queue_stall_ms_total`.
+    pub stall_ms: Arc<Counter>,
+    auditor: Option<Auditor>,
+}
+
+impl QueueSeries {
+    /// Register the series of queue `name` in `registry`; conservation
+    /// events go to `auditor` when one is given.
+    pub fn register(registry: &MetricsRegistry, auditor: Option<Auditor>, name: &str) -> Self {
+        use crate::metric_names as names;
+        let labels: &[(&str, &str)] = &[("queue", name)];
+        QueueSeries {
+            name: name.to_owned(),
+            published: registry.counter(names::QUEUE_PUBLISHED_TOTAL, labels),
+            delivered: registry.counter(names::QUEUE_DELIVERED_TOTAL, labels),
+            depth: registry.gauge(names::QUEUE_DEPTH, labels),
+            depth_max: registry.gauge(names::QUEUE_DEPTH_MAX, labels),
+            blocks: registry.counter(names::QUEUE_BACKPRESSURE_BLOCKS_TOTAL, labels),
+            stall_ms: registry.counter(names::QUEUE_STALL_MS_TOTAL, labels),
+            auditor,
+        }
+    }
+
+    /// The same counters, registered nowhere and audited by nobody (a
+    /// queue declared on a broker without observability).
+    pub fn detached(name: &str) -> Self {
+        QueueSeries::register(&MetricsRegistry::new(), None, name)
+    }
+
+    /// The queue's name.
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// Account one item entering the queue. Call this **before** the item
+    /// becomes visible to a consumer: a consumer may dequeue (and account)
+    /// it at once, and a dequeue accounted first would read as a delivery
+    /// nobody published to the auditor and leave the saturating depth
+    /// gauge one too high for good. If the queue then refuses the item,
+    /// call [`QueueSeries::refused`]. A producer waiting on a full queue is
+    /// therefore part of the depth (at most capacity + producers).
+    #[inline]
+    pub fn enqueued(&self) {
+        self.published.inc();
+        self.depth.add(1);
+        // Racy read-then-set, but monotone in practice: a lost race only
+        // delays the watermark until the next enqueue.
+        let d = self.depth.get();
+        if d > self.depth_max.get() {
+            self.depth_max.set(d);
+        }
+        if let Some(a) = &self.auditor {
+            a.queue_enqueue(&self.name);
+        }
+    }
+
+    /// The queue closed under an accounted item: it never became visible,
+    /// so take it back out of the depth.
+    pub fn refused(&self) {
+        self.depth.sub(1);
+    }
+
+    /// Account one item leaving the queue.
+    #[inline]
+    pub fn dequeued(&self) {
+        self.depth.sub(1);
+        self.delivered.inc();
+        if let Some(a) = &self.auditor {
+            a.queue_dequeue(&self.name);
+        }
     }
 }
 

@@ -173,8 +173,7 @@ impl SloReport {
     /// Availability over the series as a percentage: `100 · (1 − worst
     /// breach fraction)` across objectives; 100 when nothing breached.
     pub fn availability_pct(&self) -> f64 {
-        let worst =
-            self.objectives.iter().map(|o| o.breach_fraction).fold(0.0f64, |a, b| a.max(b));
+        let worst = self.objectives.iter().map(|o| o.breach_fraction).fold(0.0f64, |a, b| a.max(b));
         100.0 * (1.0 - worst)
     }
 }
@@ -186,18 +185,6 @@ fn counter_sum(snap: &RegistrySnapshot, name: &str) -> u64 {
         .filter(|s| s.key.name == name)
         .filter_map(|s| match &s.value {
             MetricValue::Counter(v) => Some(*v),
-            _ => None,
-        })
-        .sum()
-}
-
-/// Sum of every gauge named `name` across label sets in one snapshot.
-fn gauge_sum(snap: &RegistrySnapshot, name: &str) -> u64 {
-    snap.samples
-        .iter()
-        .filter(|s| s.key.name == name)
-        .filter_map(|s| match &s.value {
-            MetricValue::Gauge(v) => Some(*v),
             _ => None,
         })
         .sum()
@@ -237,9 +224,8 @@ fn lost_tuples(snap: &RegistrySnapshot) -> u64 {
             MetricValue::Counter(v) => *v,
             _ => continue,
         };
-        let delivered = snap
-            .counter(names::QUEUE_DELIVERED_TOTAL, &[("queue", queue)])
-            .unwrap_or(0);
+        let delivered =
+            snap.counter(names::QUEUE_DELIVERED_TOTAL, &[("queue", queue)]).unwrap_or(0);
         let depth = snap.gauge(names::QUEUE_DEPTH, &[("queue", queue)]).unwrap_or(0);
         lost += published.saturating_sub(delivered + depth);
     }
@@ -305,11 +291,8 @@ fn grade(
         verdict.worst = 0.0;
     }
     verdict.breached_windows = breaches.iter().filter(|b| **b).count() as u64;
-    verdict.breach_fraction = if windows > 0 {
-        verdict.breached_windows as f64 / windows as f64
-    } else {
-        0.0
-    };
+    verdict.breach_fraction =
+        if windows > 0 { verdict.breached_windows as f64 / windows as f64 } else { 0.0 };
 
     let budget = spec.budget.max(1e-9);
     let fast_w = spec.fast_window.max(1);
@@ -374,7 +357,15 @@ pub fn evaluate(spec: &SloSpec, series: &[RegistrySnapshot]) -> SloReport {
             let (p99, count) = histogram_p99(cur, names::RESULT_LATENCY_MS)?;
             (count > 0).then_some((p99 as f64, p99 > ceiling))
         };
-        grade(spec, series, &mut report, names::SLO_P99_LATENCY_MS, ceiling as f64, false, &measure);
+        grade(
+            spec,
+            series,
+            &mut report,
+            names::SLO_P99_LATENCY_MS,
+            ceiling as f64,
+            false,
+            &measure,
+        );
     }
     if let Some(floor) = spec.min_ingest_tps {
         let measure = move |prev: &RegistrySnapshot, cur: &RegistrySnapshot| {
@@ -396,7 +387,15 @@ pub fn evaluate(spec: &SloSpec, series: &[RegistrySnapshot]) -> SloReport {
             let lost = lost_tuples(cur);
             Some((lost as f64, lost > ceiling))
         };
-        grade(spec, series, &mut report, names::SLO_MAX_LOST_TUPLES, ceiling as f64, false, &measure);
+        grade(
+            spec,
+            series,
+            &mut report,
+            names::SLO_MAX_LOST_TUPLES,
+            ceiling as f64,
+            false,
+            &measure,
+        );
     }
     report.breached = !report.alerts.is_empty();
     report
@@ -516,8 +515,7 @@ mod tests {
         }
         let report = evaluate(&spec(), &series);
         assert!(report.breached);
-        let objectives: Vec<&str> =
-            report.alerts.iter().map(|a| a.objective.as_str()).collect();
+        let objectives: Vec<&str> = report.alerts.iter().map(|a| a.objective.as_str()).collect();
         assert!(objectives.contains(&names::SLO_P99_LATENCY_MS), "{objectives:?}");
         assert!(objectives.contains(&names::SLO_MAX_LOST_TUPLES), "{objectives:?}");
     }

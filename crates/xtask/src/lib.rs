@@ -660,8 +660,8 @@ mod tests {
     fn lockfree_rule_fires_only_in_tagged_files() {
         let src = "use parking_lot::Mutex;\nfn f(l: &RwLock<u32>) { let _m: Mutex<()>; }\n";
         let mut allow = Allowlist::default();
-        allow.lockfree.push("crates/core/src/sharded/runtime.rs".into());
-        let findings = lint_source("crates/core/src/sharded/runtime.rs", src, &allow);
+        allow.lockfree.push("crates/core/src/sharded/ring.rs".into());
+        let findings = lint_source("crates/core/src/sharded/ring.rs", src, &allow);
         assert_eq!(findings.len(), 3, "every Mutex/RwLock mention: {findings:?}");
         assert!(findings.iter().all(|f| f.rule == "lock-free"));
         // The same source in an untagged file is out of the rule's scope.

@@ -11,9 +11,6 @@
 //! * `chaos [args…]` — build and run the chaos exploration runner
 //!   (`bistream-bench --bin chaos`), forwarding all arguments; exits with
 //!   the runner's status.
-//! * `bench [args…]` — build and run the pipeline throughput harness
-//!   (`bistream-bench --bin perf`), forwarding all arguments; exits
-//!   non-zero when a case regresses past the baseline threshold.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -86,15 +83,14 @@ fn main() -> ExitCode {
             }
         }
         Some("chaos") => forward_to_bin("chaos", args.collect()),
-        Some("bench") => forward_to_bin("perf", args.collect()),
         Some(other) => {
-            eprintln!("xtask: unknown command {other:?} (try: lint, analyze, chaos, bench)");
+            eprintln!("xtask: unknown command {other:?} (try: lint, analyze, chaos)");
             ExitCode::FAILURE
         }
         None => {
             eprintln!(
                 "usage: cargo xtask lint [--root <path>] | cargo xtask analyze [--root <path>] \
-                 [--update-ledger] | cargo xtask chaos [args…] | cargo xtask bench [args…]"
+                 [--update-ledger] | cargo xtask chaos [args…]"
             );
             ExitCode::FAILURE
         }

@@ -370,11 +370,6 @@ BACKENDS:
   broker          live threaded pipeline over broker queues.
   sharded         live lock-free sharded runtime (one worker per unit
                   over bounded ring queues) — the throughput backend.
-                  CAVEAT: core pinning (pin_to_core) is currently a
-                  best-effort NO-OP — no CPU-affinity syscall crate is
-                  vendored, so worker threads are named per shard but
-                  placed by the OS scheduler. A one-time ConfigWarning
-                  journal event records this at launch.
   The live backends replay flat-out and re-stamp tuples with wall-clock
   arrival time, so --window-ms is interpreted on the wall clock.
 
@@ -441,7 +436,8 @@ mod tests {
         let base = "--r-schema o:id:int --s-schema p:ref:int --on-equal id=ref";
         let opts = parse_args(&argv(&format!("{base} --routing adaptive"))).unwrap();
         assert_eq!(opts.routing, Some(RoutingStrategy::Adaptive { subgroups: 2 }));
-        let opts = parse_args(&argv(&format!("{base} --joiners 4x4 --routing adaptive:4"))).unwrap();
+        let opts =
+            parse_args(&argv(&format!("{base} --joiners 4x4 --routing adaptive:4"))).unwrap();
         assert_eq!(opts.routing, Some(RoutingStrategy::Adaptive { subgroups: 4 }));
         let q = opts.into_query().unwrap();
         assert_eq!(q.config().routing, RoutingStrategy::Adaptive { subgroups: 4 });
@@ -452,10 +448,9 @@ mod tests {
     fn adaptive_tuning_flags_flow_into_the_config() {
         let base = "--r-schema o:id:int --s-schema p:ref:int --on-equal id=ref \
                     --routing adaptive";
-        let opts = parse_args(&argv(&format!(
-            "{base} --adaptive-tune-puncts 7 --adaptive-hot-ppm 50000"
-        )))
-        .unwrap();
+        let opts =
+            parse_args(&argv(&format!("{base} --adaptive-tune-puncts 7 --adaptive-hot-ppm 50000")))
+                .unwrap();
         assert_eq!(opts.adaptive_tune_puncts, Some(7));
         assert_eq!(opts.adaptive_hot_ppm, Some(50_000));
         let q = opts.into_query().unwrap();
@@ -468,10 +463,7 @@ mod tests {
     }
 
     #[test]
-    fn usage_documents_the_sharded_pinning_caveat() {
-        // The pin_to_core no-op must be loud in --backend sharded help.
-        assert!(USAGE.contains("pin_to_core"));
-        assert!(USAGE.contains("NO-OP"));
+    fn usage_documents_adaptive_routing() {
         assert!(USAGE.contains("adaptive[:D]"));
     }
 
