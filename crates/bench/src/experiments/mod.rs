@@ -68,8 +68,13 @@ pub fn dump_metrics(
     series: &[bistream_types::registry::RegistrySnapshot],
     events: &[bistream_types::journal::Event],
 ) {
-    let doc = serde_json::json!({ "series": series, "events": events });
-    let text = serde_json::to_string_pretty(&doc).expect("metrics serialize");
+    let series: Vec<String> = series.iter().map(|s| s.to_json()).collect();
+    let events: Vec<String> = events.iter().map(|e| e.to_json()).collect();
+    let text = format!(
+        "{{\"series\":[\n{}\n],\"events\":[\n{}\n]}}\n",
+        series.join(",\n"),
+        events.join(",\n")
+    );
     match std::fs::write(path, text) {
         Ok(()) => eprintln!(">> metrics written to {}", path.display()),
         Err(e) => eprintln!(">> could not write {}: {e}", path.display()),

@@ -1,12 +1,12 @@
 //! Table rendering and result persistence for the experiment harness.
 
-use serde::Serialize;
+use bistream_types::jsonlite::json_str;
 use std::fmt::Write as _;
 use std::path::Path;
 
 /// A simple aligned-column table that prints like the rows the paper's
-/// tables report, and serialises to JSON for post-processing.
-#[derive(Debug, Clone, Serialize)]
+/// tables report, and renders to JSON for post-processing.
+#[derive(Debug, Clone)]
 pub struct Table {
     /// Table title (experiment id + description).
     pub title: String,
@@ -58,6 +58,21 @@ impl Table {
         out
     }
 
+    /// Render as a JSON object with the keys `title`, `columns`, `rows`;
+    /// one row per line, every cell a string.
+    pub fn to_json(&self) -> String {
+        let array = |cells: &[String]| {
+            format!("[{}]", cells.iter().map(|c| json_str(c)).collect::<Vec<_>>().join(", "))
+        };
+        let rows: Vec<String> = self.rows.iter().map(|r| format!("    {}", array(r))).collect();
+        format!(
+            "{{\n  \"title\": {},\n  \"columns\": {},\n  \"rows\": [\n{}\n  ]\n}}\n",
+            json_str(&self.title),
+            array(&self.columns),
+            rows.join(",\n")
+        )
+    }
+
     /// Print to stdout and persist as JSON under `results/<name>.json`.
     pub fn emit(&self, name: &str) {
         println!("{}", self.render());
@@ -70,7 +85,7 @@ impl Table {
         let dir = Path::new("results");
         std::fs::create_dir_all(dir)?;
         let path = dir.join(format!("{name}.json"));
-        std::fs::write(&path, serde_json::to_string_pretty(self).expect("table is serialisable"))
+        std::fs::write(&path, self.to_json())
     }
 }
 

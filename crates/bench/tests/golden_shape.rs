@@ -4,9 +4,10 @@
 //! drift must fail a test, not a downstream pipeline.
 
 use bistream_bench::experiments::{self, ExpCtx};
+use bistream_types::jsonlite::Json;
 
 /// Run an experiment in a scratch dir and return its persisted table.
-fn run_and_load(id: &str, name: &str) -> serde_json::Value {
+fn run_and_load(id: &str, name: &str) -> Json {
     // One shared scratch dir per test binary; every test sets the
     // process-global cwd to the SAME directory, so concurrent #[test]s
     // never race on where `results/` lands (file names are disjoint).
@@ -15,29 +16,41 @@ fn run_and_load(id: &str, name: &str) -> serde_json::Value {
     std::env::set_current_dir(&tmp).unwrap();
     let ctx = ExpCtx { quick: true, seed: 7, ..ExpCtx::default() };
     assert!(experiments::run(id, &ctx), "experiment {id} unknown");
-    let text = std::fs::read_to_string(tmp.join(format!("results/{name}.json")))
-        .unwrap_or_else(|e| panic!("results/{name}.json not written: {e}"));
-    serde_json::from_str(&text).unwrap_or_else(|e| panic!("results/{name}.json invalid: {e}"))
+    load(&tmp.join(format!("results/{name}.json")))
 }
 
-fn assert_table_shape(doc: &serde_json::Value, name: &str, columns: &[&str]) {
-    let obj = doc.as_object().unwrap_or_else(|| panic!("{name}: top level must be an object"));
-    let mut keys: Vec<&str> = obj.keys().map(String::as_str).collect();
+fn load(path: &std::path::Path) -> Json {
+    let text = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| panic!("{} not written: {e}", path.display()));
+    Json::parse(&text).unwrap_or_else(|e| panic!("{} invalid: {e}", path.display()))
+}
+
+/// The table's rows, every cell a preformatted string.
+fn rows(doc: &Json) -> Vec<Vec<String>> {
+    let cells = |row: &Json| -> Vec<String> {
+        let row = row.as_array().expect("row is an array");
+        row.iter().map(|c| c.as_str().expect("cells are strings").to_owned()).collect()
+    };
+    doc.field("rows").and_then(Json::as_array).expect("rows array").iter().map(cells).collect()
+}
+
+fn assert_table_shape(doc: &Json, name: &str, columns: &[&str]) {
+    let Json::Obj(fields) = doc else { panic!("{name}: top level must be an object") };
+    let mut keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
     keys.sort_unstable();
     assert_eq!(keys, vec!["columns", "rows", "title"], "{name}: top-level keys are frozen");
-    let got: Vec<&str> = doc["columns"]
-        .as_array()
+    let got: Vec<&str> = doc
+        .field("columns")
+        .and_then(Json::as_array)
         .expect("columns array")
         .iter()
         .map(|c| c.as_str().unwrap())
         .collect();
     assert_eq!(got, columns, "{name}: column set/order is frozen");
-    let rows = doc["rows"].as_array().expect("rows array");
+    let rows = rows(doc);
     assert!(!rows.is_empty(), "{name}: at least one data row");
-    for row in rows {
-        let row = row.as_array().expect("row is an array");
+    for row in &rows {
         assert_eq!(row.len(), columns.len(), "{name}: row arity matches columns");
-        assert!(row.iter().all(|v| v.is_string()), "{name}: cells are preformatted strings");
     }
 }
 
@@ -51,19 +64,10 @@ fn e5_json_shapes_are_stable_and_adaptive_wins_the_shifting_ablation() {
         "e5_routing_skew",
         &["theta", "strategy", "copies/tuple", "imbalance(max/mean)", "results", "switches"],
     );
-    let strategies: Vec<String> = sweep["rows"]
-        .as_array()
-        .unwrap()
-        .iter()
-        .map(|r| r[1].as_str().unwrap().to_owned())
-        .collect();
+    let strategies: Vec<String> = rows(&sweep).into_iter().map(|r| r[1].clone()).collect();
     assert!(strategies.contains(&"adaptive(d0=2)".to_owned()), "strategies: {strategies:?}");
 
-    let load = |name: &str| -> serde_json::Value {
-        let text = std::fs::read_to_string(format!("results/{name}.json"))
-            .unwrap_or_else(|e| panic!("results/{name}.json not written: {e}"));
-        serde_json::from_str(&text).unwrap_or_else(|e| panic!("results/{name}.json invalid: {e}"))
-    };
+    let load = |name: &str| load(format!("results/{name}.json").as_ref());
 
     let ablation = load("e5_adaptive_ablation");
     assert_table_shape(
@@ -71,19 +75,18 @@ fn e5_json_shapes_are_stable_and_adaptive_wins_the_shifting_ablation() {
         "e5_adaptive_ablation",
         &["theta", "strategy", "copies/tuple", "peak_imbalance", "results", "switches", "audit"],
     );
-    let cell = |row: &serde_json::Value, i: usize| row[i].as_str().unwrap().to_owned();
     let mut contrand_peak = f64::NAN;
     let mut adaptive_peak = f64::NAN;
-    for row in ablation["rows"].as_array().unwrap() {
+    for row in rows(&ablation) {
         // Every ablation cell ran with an armed auditor and must be clean.
-        assert_eq!(cell(row, 6), "0", "audit violations in {row:?}");
-        if cell(row, 0) == "1.20" {
-            let peak: f64 = cell(row, 3).parse().unwrap();
-            match cell(row, 1).as_str() {
+        assert_eq!(row[6], "0", "audit violations in {row:?}");
+        if row[0] == "1.20" {
+            let peak: f64 = row[3].parse().unwrap();
+            match row[1].as_str() {
                 "contrand(d=2)" => contrand_peak = peak,
                 "adaptive(d0=2)" => {
                     adaptive_peak = peak;
-                    let switches: u64 = cell(row, 5).parse().unwrap();
+                    let switches: u64 = row[5].parse().unwrap();
                     assert!(switches > 0, "adaptive never re-tuned: {row:?}");
                 }
                 _ => {}
@@ -102,10 +105,10 @@ fn e5_json_shapes_are_stable_and_adaptive_wins_the_shifting_ablation() {
         "e5_adaptive_live",
         &["strategy", "thr_t/s", "copies/tuple", "results", "switches", "audit"],
     );
-    for row in live["rows"].as_array().unwrap() {
-        assert_eq!(cell(row, 5), "0", "live audit violations in {row:?}");
-        if cell(row, 0).starts_with("adaptive") {
-            let switches: u64 = cell(row, 4).parse().unwrap();
+    for row in rows(&live) {
+        assert_eq!(row[5], "0", "live audit violations in {row:?}");
+        if row[0].starts_with("adaptive") {
+            let switches: u64 = row[4].parse().unwrap();
             assert!(switches > 0, "live adaptive never re-tuned: {row:?}");
         }
     }
@@ -128,8 +131,7 @@ fn e14_and_e17_json_shapes_are_stable() {
         ],
     );
     // Both the recovered and the unrecovered control row are present.
-    let modes: Vec<String> =
-        e14["rows"].as_array().unwrap().iter().map(|r| r[0].as_str().unwrap().to_owned()).collect();
+    let modes: Vec<String> = rows(&e14).into_iter().map(|r| r[0].clone()).collect();
     assert!(modes.contains(&"snapshot+restore".to_owned()), "modes: {modes:?}");
     assert!(modes.contains(&"crash, no recovery".to_owned()), "modes: {modes:?}");
 
@@ -139,7 +141,7 @@ fn e14_and_e17_json_shapes_are_stable() {
         "e17_fault_sweep",
         &["scenario", "bug", "seeds", "failures", "min_events", "first_violation"],
     );
-    let rows = e17["rows"].as_array().unwrap();
+    let rows = rows(&e17);
     // One row per healthy scenario plus the seeded-bug row.
     assert_eq!(rows.len(), 6);
     for row in &rows[..5] {
@@ -167,7 +169,7 @@ fn e18_and_e19_json_shapes_are_stable() {
         "e19_slo_chaos",
         &["scenario", "mode", "seed", "results", "viol", "alerts", "stalls", "avail_%", "breached"],
     );
-    let rows = e19["rows"].as_array().unwrap();
+    let rows = rows(&e19);
     // Quick mode: 4 sim scenarios x 2 seeds + the live broker-stall drill.
     assert_eq!(rows.len(), 9);
     for row in &rows[..8] {

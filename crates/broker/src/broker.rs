@@ -10,7 +10,6 @@ use bistream_types::error::{Error, Result};
 use bistream_types::registry::{Observability, QueueSeries};
 use bistream_types::time::Clock;
 use parking_lot::RwLock;
-use serde::Serialize;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -214,7 +213,7 @@ impl Broker {
 }
 
 /// Management view of the whole broker.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct BrokerStats {
     /// Declared exchange names.
     pub exchanges: Vec<String>,
@@ -223,7 +222,7 @@ pub struct BrokerStats {
 }
 
 /// Management view of one queue.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct QueueStats {
     /// Queue name.
     pub name: String,

@@ -2,11 +2,10 @@
 
 use crate::pattern::topic_matches;
 use crate::queue::QueueCore;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// The routing discipline of an exchange.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExchangeKind {
     /// Route to bindings whose key equals the message's routing key.
     Direct,

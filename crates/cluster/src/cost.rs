@@ -11,10 +11,8 @@
 //! tuples/second saturate one pod, which E1 tunes to match the thesis's
 //! "300 t/s ≈ 145 % of one joiner" operating point.
 
-use serde::{Deserialize, Serialize};
-
 /// Per-operation CPU charges in microseconds of virtual CPU time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// Deserialising + dispatching one incoming message at a unit.
     pub ingest_us: f64,

@@ -12,11 +12,10 @@
 
 use crate::meter::PodSample;
 use bistream_types::time::{Ts, MINUTE};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// What the autoscaler targets.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MetricTarget {
     /// Mean CPU utilization across pods, as a fraction (0.8 = 80 %).
     CpuUtilization(f64),
@@ -32,7 +31,7 @@ pub enum MetricTarget {
 }
 
 /// Autoscaler configuration (one per deployment).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HpaConfig {
     /// Minimum replicas.
     pub min_replicas: usize,
@@ -80,7 +79,7 @@ impl HpaConfig {
 }
 
 /// One autoscaling decision.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HpaDecision {
     /// Time of the decision.
     pub at: Ts,

@@ -3,7 +3,6 @@
 use bistream_types::metrics::{Counter, Gauge};
 use bistream_types::registry::MetricsRegistry;
 use bistream_types::time::Ts;
-use serde::Serialize;
 use std::sync::Arc;
 
 /// The resource account of one pod. Engine units charge CPU-µs and set
@@ -64,7 +63,7 @@ impl ResourceMeter {
 }
 
 /// One pod's utilization sample for a control period.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PodSample {
     /// Busy fraction of one vCPU over the period (1.0 = 100 %; may exceed
     /// 1.0 when a pod is oversubscribed — the sim has no hard CPU cap,

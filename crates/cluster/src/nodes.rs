@@ -9,10 +9,9 @@
 //! honest `max_replicas` from infrastructure instead of hard-coding it.
 
 use bistream_types::error::{Error, Result};
-use serde::{Deserialize, Serialize};
 
 /// Resources offered by one node (or requested by one pod).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Resources {
     /// CPU in millicores (1000 = one vCPU).
     pub cpu_millis: u64,

@@ -4,7 +4,6 @@ use crate::hpa::Hpa;
 use crate::meter::{PodSample, ResourceMeter, UtilizationTracker};
 use bistream_types::error::Result;
 use bistream_types::time::Ts;
-use serde::Serialize;
 
 /// Anything whose replica count the autoscaler may change — in this
 /// workspace, one side of the biclique engine (its joiner deployment).
@@ -23,7 +22,7 @@ pub trait ScaleTarget {
 }
 
 /// One row of the autoscaling timeline (experiment output).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScaleEvent {
     /// When.
     pub at: Ts,

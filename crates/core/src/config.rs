@@ -4,10 +4,9 @@ use bistream_types::error::{Error, Result};
 use bistream_types::predicate::JoinPredicate;
 use bistream_types::time::Ts;
 use bistream_types::window::WindowSpec;
-use serde::{Deserialize, Serialize};
 
 /// How the router distributes tuples over the biclique.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RoutingStrategy {
     /// Store on a uniformly random unit of the own side; broadcast the
     /// join copy to *every* unit of the opposite side. Correct for any
@@ -67,7 +66,7 @@ impl RoutingStrategy {
 /// Tuning knobs of the adaptive router (see
 /// [`core::adaptive`](crate::adaptive)). All thresholds are integers so
 /// configs stay `Eq`-comparable and byte-stable as JSON.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AdaptiveTuning {
     /// Punctuation rounds between tuning steps.
     pub tune_every_puncts: u32,
@@ -97,7 +96,7 @@ impl Default for AdaptiveTuning {
 }
 
 /// Full configuration of a biclique engine instance.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Initial number of R-side joiners (`n`).
     pub r_joiners: usize,
@@ -123,21 +122,13 @@ pub struct EngineConfig {
     /// punctuation never overtakes the data it covers). `1` reproduces
     /// per-tuple framing exactly; larger values amortise framing, queue
     /// hand-off and index-probe overhead without touching sequence
-    /// assignment or results. Old configs without the field deserialize
-    /// to `1`.
-    #[serde(default = "default_batch_size")]
+    /// assignment or results.
     pub batch_size: usize,
     /// Tuning knobs of [`RoutingStrategy::Adaptive`]; ignored by the
-    /// static strategies. Old configs without the field deserialize to
-    /// the defaults.
-    #[serde(default)]
+    /// static strategies.
     pub adaptive: AdaptiveTuning,
     /// Seed for the router's random placement decisions.
     pub seed: u64,
-}
-
-fn default_batch_size() -> usize {
-    1
 }
 
 impl EngineConfig {

@@ -32,11 +32,10 @@ use bistream_types::trace::{HopKind, Tracer};
 use bistream_types::tuple::{JoinResult, Tuple};
 use bistream_types::value::Value;
 use bistream_types::window::WindowSpec;
-use serde::Serialize;
 use std::sync::Arc;
 
 /// Counters of one joiner.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct JoinerStats {
     /// Tuples stored.
     pub stored: u64,

@@ -12,11 +12,10 @@
 
 use bistream_types::error::{Error, Result};
 use bistream_types::rel::Rel;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Stable identifier of one joiner unit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct JoinerId(pub u32);
 
 impl fmt::Display for JoinerId {
@@ -26,7 +25,7 @@ impl fmt::Display for JoinerId {
 }
 
 /// The current biclique shape.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Layout {
     r_units: Vec<JoinerId>,
     s_units: Vec<JoinerId>,

@@ -20,7 +20,6 @@
 use bistream_types::hash::FxHashMap;
 use bistream_types::punct::{Purpose, RouterId, SeqNo, StreamMessage};
 use bistream_types::tuple::Tuple;
-use serde::Serialize;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -61,7 +60,7 @@ pub struct Released {
 }
 
 /// Observability counters for the buffer.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReorderStats {
     /// Messages buffered over the lifetime.
     pub buffered: u64,

@@ -22,7 +22,6 @@ use bistream_types::trace::{HopKind, Tracer};
 use bistream_types::tuple::Tuple;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::Serialize;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -46,7 +45,7 @@ pub struct RoutedBatch {
 }
 
 /// Communication-cost counters (experiment E11).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RouterStats {
     /// Tuples ingested and routed.
     pub tuples: u64,

@@ -20,7 +20,6 @@ use bistream_types::time::Ts;
 use bistream_types::trace::Trace;
 use bistream_types::tuple::Tuple;
 use bistream_types::watchdog::WatchdogConfig;
-use serde::Serialize;
 
 /// A source of timestamped tuples for the driver (implemented by the
 /// workload crate's interleaver via a thin adapter; defined here so the
@@ -93,7 +92,7 @@ impl Default for SimConfig {
 }
 
 /// One row of the simulation time series.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimSample {
     /// Sample time (ms of virtual time).
     pub t_ms: Ts,
@@ -120,7 +119,7 @@ pub struct SimSample {
 }
 
 /// Outcome of a simulation run.
-#[derive(Debug, Serialize)]
+#[derive(Debug)]
 pub struct SimOutcome {
     /// The sampled time series.
     pub samples: Vec<SimSample>,

@@ -2,7 +2,6 @@
 
 use bistream_types::metrics::{Counter, Histogram, HistogramSnapshot};
 use bistream_types::registry::MetricsRegistry;
-use serde::Serialize;
 use std::sync::Arc;
 
 /// Shared counters for one engine instance (live or simulated). All fields
@@ -69,7 +68,7 @@ impl EngineStats {
 }
 
 /// Serializable summary of [`EngineStats`].
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EngineSnapshot {
     /// Tuples ingested.
     pub ingested: u64,

@@ -11,7 +11,6 @@ use bistream_types::time::Ts;
 use bistream_types::tuple::Tuple;
 use bistream_types::value::Value;
 use bistream_types::window::WindowSpec;
-use serde::Serialize;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -58,7 +57,7 @@ pub struct Discarded {
 }
 
 /// Cost/result statistics of one probe, fed to the joiner's CPU model.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProbeStats {
     /// Key-matched candidates visited (incl. out-of-window ones).
     pub candidates: usize,
@@ -69,7 +68,7 @@ pub struct ProbeStats {
 }
 
 /// Point-in-time statistics of the chain, fed to memory metrics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ChainStats {
     /// Live tuples stored (active + archived).
     pub tuples: usize,

@@ -23,13 +23,12 @@ use bistream_types::predicate::ProbePlan;
 use bistream_types::time::Ts;
 use bistream_types::tuple::Tuple;
 use bistream_types::value::Value;
-use serde::{Deserialize, Serialize};
 use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
 
 /// Which sub-index flavour a joiner uses; derived from the predicate class
 /// via [`IndexKind::for_predicate`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IndexKind {
     /// Hash map keyed by join attribute — equi predicates.
     Hash,

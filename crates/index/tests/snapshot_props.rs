@@ -4,12 +4,12 @@
 //! mis-restored or panicked on.
 
 use bistream_index::{restore, snapshot, ChainedIndex, IndexKind};
+use bistream_types::cases::{for_cases, Gen};
 use bistream_types::predicate::ProbePlan;
 use bistream_types::rel::Rel;
 use bistream_types::tuple::Tuple;
 use bistream_types::value::Value;
 use bistream_types::window::WindowSpec;
-use proptest::prelude::*;
 
 const WINDOW: u64 = 1_000;
 const PERIOD: u64 = 100;
@@ -20,8 +20,8 @@ fn fresh(kind: IndexKind) -> ChainedIndex {
 
 /// Stored entries: (key, timestamp) with timestamps kept inside one
 /// window so nothing expires during the build phase.
-fn arb_entries() -> impl Strategy<Value = Vec<(i64, u64)>> {
-    proptest::collection::vec((-8i64..8, 0u64..WINDOW / 2), 0..64)
+fn arb_entries(g: &mut Gen) -> Vec<(i64, u64)> {
+    g.vec(0..64, |g| (g.int(-8..8), g.uint(0..WINDOW / 2)))
 }
 
 fn build(kind: IndexKind, entries: &[(i64, u64)]) -> ChainedIndex {
@@ -40,80 +40,93 @@ fn probe_all(idx: &ChainedIndex, plan: &ProbePlan, probe_ts: u64) -> Vec<String>
     out
 }
 
-proptest! {
-    /// Snapshot → fresh index → restore reproduces the exact probe
-    /// results of the original, for exact-key and full-scan plans, on
-    /// both sub-index kinds.
-    #[test]
-    fn restore_is_probe_equivalent(entries in arb_entries(), key in -8i64..8) {
-        for kind in [IndexKind::Hash, IndexKind::Ordered] {
-            let original = build(kind, &entries);
-            let mut restored = fresh(kind);
-            let n = restore(&mut restored, snapshot(&original)).expect("clean snapshot");
-            prop_assert_eq!(n, entries.len());
-            prop_assert_eq!(restored.len(), original.len());
-            let probe_ts = WINDOW / 2;
-            for plan in [ProbePlan::ExactKey(Value::Int(key)), ProbePlan::FullScan] {
-                prop_assert_eq!(
-                    probe_all(&restored, &plan, probe_ts),
-                    probe_all(&original, &plan, probe_ts)
-                );
-            }
+/// Snapshot → fresh index → restore reproduces the exact probe results of
+/// the original, for exact-key and full-scan plans, on both sub-index
+/// kinds.
+fn check_restore_is_probe_equivalent(entries: &[(i64, u64)], key: i64) {
+    for kind in [IndexKind::Hash, IndexKind::Ordered] {
+        let original = build(kind, entries);
+        let mut restored = fresh(kind);
+        let n = restore(&mut restored, snapshot(&original)).expect("clean snapshot");
+        assert_eq!(n, entries.len());
+        assert_eq!(restored.len(), original.len());
+        let probe_ts = WINDOW / 2;
+        for plan in [ProbePlan::ExactKey(Value::Int(key)), ProbePlan::FullScan] {
+            assert_eq!(
+                probe_all(&restored, &plan, probe_ts),
+                probe_all(&original, &plan, probe_ts)
+            );
         }
     }
+}
 
-    /// Theorem-1 discarding is *behaviourally* identical on the restored
-    /// index: after expiring both sides against the same incoming
-    /// timestamp, every probe sees the same in-window tuples. (Exact
-    /// drop counts may differ — restore re-inserts in timestamp order,
-    /// so the physical link segmentation can be tighter than the
-    /// original's — but discarding is only ever of fully-expired links,
-    /// so the visible live set must agree.)
-    #[test]
-    fn restore_preserves_theorem_one_expiry(
-        entries in arb_entries(),
-        advance in 0u64..3 * WINDOW,
-    ) {
-        for kind in [IndexKind::Hash, IndexKind::Ordered] {
-            let mut original = build(kind, &entries);
-            let mut restored = fresh(kind);
-            restore(&mut restored, snapshot(&original)).expect("clean snapshot");
-            let incoming = WINDOW / 2 + advance;
-            let dropped = restored.expire(incoming);
-            original.expire(incoming);
-            // Conservation: every entry is either still stored or was
-            // counted as dropped — expiry never silently loses state.
-            prop_assert_eq!(restored.len() + dropped, entries.len());
-            for probe_ts in [incoming, incoming + WINDOW / 4] {
-                prop_assert_eq!(
-                    probe_all(&restored, &ProbePlan::FullScan, probe_ts),
-                    probe_all(&original, &ProbePlan::FullScan, probe_ts)
-                );
-            }
+#[test]
+fn restore_is_probe_equivalent() {
+    // The empty snapshot round-trips.
+    check_restore_is_probe_equivalent(&[], 0);
+    for_cases("restore_is_probe_equivalent", 256, |g| {
+        let entries = arb_entries(g);
+        check_restore_is_probe_equivalent(&entries, g.int(-8..8));
+    });
+}
+
+/// Theorem-1 discarding is *behaviourally* identical on the restored
+/// index: after expiring both sides against the same incoming timestamp,
+/// every probe sees the same in-window tuples. (Exact drop counts may
+/// differ — restore re-inserts in timestamp order, so the physical link
+/// segmentation can be tighter than the original's — but discarding is
+/// only ever of fully-expired links, so the visible live set must agree.)
+fn check_restore_preserves_theorem_one_expiry(entries: &[(i64, u64)], advance: u64) {
+    for kind in [IndexKind::Hash, IndexKind::Ordered] {
+        let mut original = build(kind, entries);
+        let mut restored = fresh(kind);
+        restore(&mut restored, snapshot(&original)).expect("clean snapshot");
+        let incoming = WINDOW / 2 + advance;
+        let dropped = restored.expire(incoming);
+        original.expire(incoming);
+        // Conservation: every entry is either still stored or was counted
+        // as dropped — expiry never silently loses state.
+        assert_eq!(restored.len() + dropped, entries.len());
+        for probe_ts in [incoming, incoming + WINDOW / 4] {
+            assert_eq!(
+                probe_all(&restored, &ProbePlan::FullScan, probe_ts),
+                probe_all(&original, &ProbePlan::FullScan, probe_ts)
+            );
         }
     }
+}
 
-    /// Arbitrary corruption never panics: restore either succeeds on a
-    /// byte-identical snapshot or reports a codec error — and a flipped
-    /// byte is never silently accepted as a *different* entry count.
-    #[test]
-    fn corruption_is_rejected_not_panicked(
-        entries in arb_entries(),
-        flip in 0usize..4096,
-        xor in 1u8..,
-    ) {
+#[test]
+fn restore_preserves_theorem_one_expiry() {
+    // One entry whose age is one short of, exactly on and one past the
+    // window edge.
+    for advance in [WINDOW - 1, WINDOW, WINDOW + 1] {
+        check_restore_preserves_theorem_one_expiry(&[(0, WINDOW / 2)], advance);
+    }
+    for_cases("restore_preserves_theorem_one_expiry", 256, |g| {
+        let entries = arb_entries(g);
+        check_restore_preserves_theorem_one_expiry(&entries, g.uint(0..3 * WINDOW));
+    });
+}
+
+/// Arbitrary corruption never panics: restore either succeeds on a
+/// byte-identical snapshot or reports a codec error — and a flipped byte
+/// is never silently accepted as a *different* entry count.
+#[test]
+fn corruption_is_rejected_not_panicked() {
+    for_cases("corruption_is_rejected_not_panicked", 256, |g| {
+        let entries = arb_entries(g);
         let original = build(IndexKind::Hash, &entries);
-        let blob = snapshot(&original);
-        let mut bytes = blob.to_vec();
-        let i = flip % bytes.len();
-        bytes[i] ^= xor;
+        let mut bytes = snapshot(&original).to_vec();
+        let i = g.index(0..bytes.len());
+        bytes[i] ^= g.uint(1..256) as u8;
         let mut target = fresh(IndexKind::Hash);
         // Must not panic; on Ok the decoded entries must at least parse
         // back into the index (count bounded by what the blob can hold).
         if let Ok(n) = restore(&mut target, bytes::Bytes::from(bytes)) {
-            prop_assert_eq!(n, target.len());
+            assert_eq!(n, target.len());
         }
-    }
+    });
 }
 
 #[test]

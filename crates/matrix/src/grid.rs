@@ -17,11 +17,10 @@ use bistream_types::value::Value;
 use bistream_types::window::WindowSpec;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Configuration of a join-matrix instance.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MatrixConfig {
     /// Matrix rows (R's partitioning axis).
     pub rows: usize,
@@ -130,7 +129,7 @@ impl Cell {
 }
 
 /// What a matrix resize had to move.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MigrationReport {
     /// Tuples copied into newly created cells.
     pub tuples_moved: u64,

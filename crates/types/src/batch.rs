@@ -211,7 +211,9 @@ impl TupleBatch {
         if count == 0 {
             return Err(Error::Codec("batch frame with zero entries".into()));
         }
-        let mut entries = Vec::with_capacity(count);
+        // Every entry takes at least its 8-byte header: a frame cannot
+        // make the decoder reserve more than its own length pays for.
+        let mut entries = Vec::with_capacity(count.min(buf.remaining() / 8));
         for _ in 0..count {
             if buf.remaining() < 8 {
                 return Err(Error::Codec("batch entry header truncated".into()));
@@ -430,6 +432,33 @@ mod tests {
         buf.put_u16(1);
         buf.put_u64(0);
         assert!(TupleBatch::decode(&mut buf.freeze()).is_err());
+    }
+
+    #[test]
+    fn hostile_frames_are_an_error_never_a_panic() {
+        use crate::cases::for_cases;
+
+        let valid = BatchMessage::Batch(batch3()).encode().unwrap().to_vec();
+        for_cases("hostile_frames_are_an_error_never_a_panic", 512, |g| {
+            // Arbitrary bytes behind each kind byte.
+            let mut noise = g.bytes(0..64);
+            if let Some(kind) = noise.first_mut() {
+                *kind = *g.pick(&[KIND_PUNCT, KIND_BATCH, *kind]);
+            }
+            let _ = BatchMessage::decode(&mut Bytes::from(noise));
+            // A valid frame with one byte changed: an error, or a frame
+            // that still holds what its count field says.
+            let mut flipped = valid.clone();
+            let i = g.index(0..flipped.len());
+            flipped[i] ^= g.uint(1..256) as u8;
+            if let Ok(BatchMessage::Batch(b)) = BatchMessage::decode(&mut Bytes::from(flipped)) {
+                assert!(!b.is_empty() && b.len() <= MAX_BATCH_LEN);
+            }
+        });
+        // A header that promises 65 535 entries and carries none.
+        let mut liar = valid[..16].to_vec();
+        liar[6..8].copy_from_slice(&u16::MAX.to_be_bytes());
+        assert!(BatchMessage::decode(&mut Bytes::from(liar)).is_err());
     }
 
     #[test]

@@ -10,15 +10,15 @@
 //!
 //! The ring is a fixed-capacity `crossbeam` [`ArrayQueue`]; when full, the
 //! oldest event is evicted (and counted) so recording never blocks a hot
-//! path. Events serialize to JSON without pulling `serde_json` into this
-//! crate — the writer is hand-rolled and only has to handle our own shapes.
+//! path. Events render to JSON through [`crate::jsonlite`], one flat object
+//! per event.
 
+use crate::jsonlite::json_str;
 use crate::metrics::Gauge;
 use crate::punct::{RouterId, SeqNo};
 use crate::rel::Rel;
 use crate::time::Ts;
 use crossbeam::queue::ArrayQueue;
-use serde::Serialize;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -26,7 +26,7 @@ use std::sync::Arc;
 ///
 /// Unit identity is carried as `(side, unit)` — e.g. joiner `R3` is
 /// `(Rel::R, 3)` — matching the registry's `joiner="R3"` label scheme.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EventKind {
     /// A joiner installed a tuple into its window index (store copy).
     TupleStored {
@@ -122,7 +122,7 @@ impl EventKind {
 
 /// One journal entry: an [`EventKind`] stamped with the time it happened
 /// (virtual ms in the simulator, wall ms since pipeline start when live).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Event {
     /// When it happened, in the recording harness's timebase.
     pub ts: Ts,
@@ -131,7 +131,7 @@ pub struct Event {
 }
 
 impl Event {
-    /// Serialize this event as one flat JSON object, e.g.
+    /// Render this event as one flat JSON object, e.g.
     /// `{"ts":42,"kind":"TupleStored","side":"R","unit":3,"seq":17}`.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(96);
@@ -160,39 +160,15 @@ impl Event {
                 let _ = write!(out, ",\"side\":\"{side}\",\"from\":{from},\"to\":{to}");
             }
             EventKind::BackpressureStall { queue } => {
-                let _ = write!(out, ",\"queue\":\"{}\"", escape_json(queue));
+                let _ = write!(out, ",\"queue\":{}", json_str(queue));
             }
             EventKind::InvariantViolation { rule, detail } => {
-                let _ = write!(
-                    out,
-                    ",\"rule\":\"{}\",\"detail\":\"{}\"",
-                    escape_json(rule),
-                    escape_json(detail)
-                );
+                let _ = write!(out, ",\"rule\":{},\"detail\":{}", json_str(rule), json_str(detail));
             }
         }
         out.push('}');
         out
     }
-}
-
-/// Escape a string for embedding in a JSON string literal.
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// The bounded, shared, lock-free event journal.

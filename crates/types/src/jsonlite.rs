@@ -1,12 +1,13 @@
-//! Dependency-free JSON codec shared by the artifact formats.
+//! The workspace's one JSON codec.
 //!
-//! `types` deliberately avoids `serde_json`, so the replayable artifacts it
-//! emits — chaos plans ([`crate::fault`]) and flight-recorder breach
-//! bundles ([`crate::recorder`]) — share this hand-rolled value type and
-//! parser instead. It is not a general-purpose JSON implementation: it
-//! covers objects, arrays, strings, non-negative integers and finite
-//! floats, which is exactly what the codecs emit, and it rejects anything
-//! else so a corrupt artifact is an `Err`, never a panic.
+//! Everything that writes JSON — chaos plans ([`crate::fault`]), breach
+//! bundles ([`crate::recorder`]), journal events, Chrome traces, registry
+//! scrapes and the experiment tables — builds it from [`json_str`] and
+//! [`fmt_f64`], and everything that reads it back uses [`Json::parse`]. It
+//! is not a general-purpose JSON implementation: it covers objects,
+//! arrays, strings, non-negative integers and finite floats, which is
+//! exactly what the writers emit, and it rejects anything else so a
+//! corrupt artifact is an `Err`, never a panic.
 //!
 //! Byte stability contract: [`fmt_f64`] renders every finite `f64` in the
 //! one canonical form that `str::parse::<f64>` maps back to the same bits
@@ -15,6 +16,10 @@
 //! identity on all artifact output.
 
 use crate::error::{Error, Result};
+
+/// Deepest nesting [`Json::parse`] accepts. The writers nest five levels
+/// at most; the cap keeps a hostile `[[[[…` from overflowing the stack.
+const MAX_DEPTH: usize = 64;
 
 /// Escape and double-quote a string for JSON output.
 pub fn json_str(s: &str) -> String {
@@ -54,6 +59,7 @@ pub fn fmt_f64(v: f64) -> String {
 /// Minimal JSON value for parsing our own artifact output. Not a
 /// general-purpose parser: enough for objects, arrays, strings,
 /// non-negative integers and finite floats, which is all the codecs emit.
+#[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// A non-negative integer token.
     Num(u64),
@@ -72,7 +78,7 @@ impl Json {
     pub fn parse(text: &str) -> Result<Json> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let v = parse_value(bytes, &mut pos)?;
+        let v = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(Error::Fault(format!("trailing bytes at offset {pos}")));
@@ -150,7 +156,10 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<()> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json> {
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json> {
+    if depth > MAX_DEPTH {
+        return Err(Error::Fault(format!("nested deeper than {MAX_DEPTH} at offset {pos}")));
+    }
     skip_ws(b, pos);
     match b.get(*pos) {
         Some(b'{') => {
@@ -165,7 +174,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json> {
                 skip_ws(b, pos);
                 let key = parse_string(b, pos)?;
                 expect(b, pos, b':')?;
-                let value = parse_value(b, pos)?;
+                let value = parse_value(b, pos, depth + 1)?;
                 fields.push((key, value));
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -187,7 +196,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -329,5 +338,33 @@ mod tests {
         for bad in ["-", "1.2.3", "1e", "--4", "1e999"] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn hostile_text_is_an_error_never_a_panic() {
+        use crate::cases::for_cases;
+
+        // Nesting is capped, so a deep document cannot exhaust the stack.
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&nested(MAX_DEPTH + 2)).is_err());
+        assert!(Json::parse(&"[".repeat(1_000_000)).is_err());
+        assert!(Json::parse(&"{\"k\":".repeat(100_000)).is_err());
+
+        let valid = "{\"at\":7,\"xs\":[1,2.5,-3,\"a\\n\\u00e9\"],\"o\":{\"k\":\"v\"}}";
+        assert!(Json::parse(valid).is_ok());
+        for_cases("hostile_text_is_an_error_never_a_panic", 512, |g| {
+            // Arbitrary bytes, JSON-shaped noise and a valid document with
+            // one byte changed: each parses or errs; none may panic.
+            let _ = Json::parse(&String::from_utf8_lossy(&g.bytes(0..64)));
+            let _ = Json::parse(&g.string("{}[]\",:\\u0129.eE+- \né", 0..48));
+            let mut flipped = valid.as_bytes().to_vec();
+            let i = g.index(0..flipped.len());
+            flipped[i] ^= g.uint(1..256) as u8;
+            if let Ok(doc) = Json::parse(&String::from_utf8_lossy(&flipped)) {
+                // Whatever still parses is a value the accessors handle.
+                let _ = (doc.field_u64("at"), doc.field("xs").and_then(Json::as_array));
+            }
+        });
     }
 }

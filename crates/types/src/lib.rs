@@ -18,6 +18,8 @@
 pub mod audit;
 /// Micro-batch frames: multi-tuple messages byte-compatible at batch 1.
 pub mod batch;
+/// Seeded case runner for property tests: generators, size ramp, replay.
+pub mod cases;
 /// The shared error and result types.
 pub mod error;
 /// Seeded fault plans for deterministic chaos testing.
@@ -26,8 +28,8 @@ pub mod fault;
 pub mod hash;
 /// Bounded lock-free journal of typed runtime events.
 pub mod journal;
-/// Dependency-free byte-stable JSON codec shared by the artifact formats
-/// (fault plans, breach bundles, the static analyzer's unsafe ledger).
+/// The one JSON codec: byte-stable writers' helpers and the parser that
+/// reads their output back.
 pub mod jsonlite;
 /// The single source of truth for metric series names.
 pub mod metric_names;
@@ -75,13 +77,13 @@ pub use predicate::JoinPredicate;
 pub use punct::{Punctuation, RouterId, SeqNo, StreamMessage};
 pub use recorder::{BreachBundle, FlightRecorder, RunHealth};
 pub use registry::{MetricsRegistry, Observability, RegistrySnapshot, Sampler};
-pub use slo::{BurnAlert, SloReport, SloSpec};
-pub use watchdog::{StallVerdict, WatchdogConfig};
 pub use rel::Rel;
 pub use schema::{Schema, TupleBuilder};
+pub use slo::{BurnAlert, SloReport, SloSpec};
 pub use telemetry::TextExporter;
 pub use time::{Clock, Ts, VirtualClock};
 pub use trace::{chrome_trace_json, HopKind, Span, Trace, TraceId, Tracer};
 pub use tuple::Tuple;
 pub use value::Value;
+pub use watchdog::{StallVerdict, WatchdogConfig};
 pub use window::WindowSpec;

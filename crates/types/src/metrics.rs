@@ -5,7 +5,6 @@
 //! scraping live in the [`crate::registry`] module; components just hold
 //! `Arc`s to these primitives and bump them on the hot path.
 
-use serde::Serialize;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -286,7 +285,7 @@ pub fn finalize_scrape_series(
 }
 
 /// A point-in-time summary of a [`Histogram`].
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HistogramSnapshot {
     /// Number of samples.
     pub count: u64,

@@ -20,13 +20,12 @@
 
 use crate::metric_names as names;
 use crate::registry::{MetricValue, RegistrySnapshot};
-use serde::Serialize;
 use std::collections::BTreeSet;
 
 /// The analyzer's output: per-unit queueing estimates, per-hop latency
 /// decomposition and per-queue Little's-law checks. Attached to
 /// `SimOutcome` and `PipelineReport`.
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PerfReport {
     /// Wall/virtual span covered by the analyzed series (ms).
     pub elapsed_ms: u64,
@@ -40,7 +39,7 @@ pub struct PerfReport {
 }
 
 /// Queueing estimates for one joiner unit (pod).
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct UnitPerf {
     /// Unit label, e.g. `R0` (the `pod=`/`joiner=` label value).
     pub unit: String,
@@ -61,7 +60,7 @@ pub struct UnitPerf {
 }
 
 /// Wait/service latency summary for one trace hop kind.
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct HopPerf {
     /// Hop label (`route`, `enqueue`, `dequeue`, `store`, `probe`, `emit`).
     pub hop: String,
@@ -80,7 +79,7 @@ pub struct HopPerf {
 /// Little's-law check for one broker queue: with time-averaged depth L
 /// and throughput λ, the implied mean sojourn W = L/λ should match the
 /// tracer's observed dequeue-hop wait.
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct QueueLaw {
     /// Queue name (the `queue=` label value).
     pub queue: String,

@@ -13,13 +13,12 @@ use crate::error::{Error, Result};
 use crate::rel::Rel;
 use crate::tuple::Tuple;
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 use std::ops::Bound;
 
 /// Comparison operators for theta joins, applied as `r.attr OP s.attr`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CmpOp {
     /// `r.attr < s.attr`
     Lt,
@@ -74,7 +73,7 @@ impl fmt::Display for CmpOp {
 }
 
 /// A binary join predicate over one attribute of each relation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum JoinPredicate {
     /// `r[r_attr] == s[s_attr]` — the low-selectivity class routed
     /// content-sensitively.

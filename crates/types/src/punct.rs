@@ -18,7 +18,6 @@
 use crate::error::{Error, Result};
 use crate::tuple::Tuple;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a router instance.
@@ -28,7 +27,7 @@ pub type RouterId = u32;
 pub type SeqNo = u64;
 
 /// Why a tuple copy is being delivered to a joiner.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Purpose {
     /// Add the tuple to this unit's stored window state.
     Store,
@@ -57,7 +56,7 @@ impl Purpose {
 
 /// A punctuation: "router `router` has assigned all counters up to and
 /// including `seq`".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Punctuation {
     /// Emitting router.
     pub router: RouterId,

@@ -22,7 +22,6 @@ use crate::registry::{MetricValue, RegistrySnapshot};
 use crate::slo::{BurnAlert, SloReport, SloSpec, WindowEvidence};
 use crate::trace::Trace;
 use crate::watchdog::{StallKind, StallVerdict, WatchdogConfig};
-use serde::Serialize;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 
@@ -47,7 +46,7 @@ impl Default for RecorderConfig {
 }
 
 /// A scraped metric value, flattened for the bundle codec.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum RecordedValue {
     /// Counter reading.
     Counter(u64),
@@ -58,7 +57,7 @@ pub enum RecordedValue {
 }
 
 /// One retained scrape: the stamp plus every `rendered-key → value` pair.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RecordedScrape {
     /// Scrape time (ms).
     pub at: u64,
@@ -88,7 +87,7 @@ impl RecordedScrape {
 }
 
 /// A compact summary of one completed (or abandoned) trace.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceSummary {
     /// Trace id.
     pub id: u64,
@@ -202,7 +201,7 @@ fn push_bounded<T>(q: &mut VecDeque<T>, item: T, bound: usize) {
 
 /// The health verdicts of one finished run, as both harnesses attach them
 /// to their reports (`SimOutcome` / `PipelineReport`).
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunHealth {
     /// SLO verdicts and alerts (`None` when no spec was configured).
     pub slo: Option<SloReport>,
@@ -246,7 +245,7 @@ pub fn grade_run(
 
 /// The emitted diagnostic: alerts plus the flight-recorder tail, as one
 /// byte-stable JSON document.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BreachBundle {
     /// Bundle schema version ([`BUNDLE_VERSION`]).
     pub version: u32,
@@ -443,7 +442,7 @@ fn alert_from_json(j: &Json) -> Result<BurnAlert> {
     })
 }
 
-fn scrape_json(sc: &RecordedScrape, s: &mut String) {
+pub(crate) fn scrape_json(sc: &RecordedScrape, s: &mut String) {
     let _ = write!(s, "{{\"at\": {}, \"series\": [", sc.at);
     for (i, (k, v)) in sc.series.iter().enumerate() {
         if i > 0 {

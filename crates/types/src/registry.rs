@@ -17,16 +17,16 @@
 use crate::audit::Auditor;
 use crate::journal::EventJournal;
 use crate::metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
+use crate::recorder::{scrape_json, RecordedScrape};
 use crate::time::Ts;
 use crate::trace::Tracer;
 use parking_lot::RwLock;
-use serde::Serialize;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// A metric's identity: its name plus a sorted list of `label=value` pairs.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct MetricKey {
     /// Metric family name, e.g. `bistream_router_copies_total`.
     pub name: String,
@@ -91,7 +91,7 @@ pub(crate) enum Handle {
 }
 
 /// A scraped value — the point-in-time reading of one handle.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum MetricValue {
     /// Monotonic counter reading.
     Counter(u64),
@@ -105,7 +105,7 @@ pub enum MetricValue {
 ///
 /// The key is an `Arc` shared with the registry's own map, so scraping a
 /// series costs no string allocation — only the value is read fresh.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MetricSample {
     /// The metric's identity (shared with the registry).
     pub key: Arc<MetricKey>,
@@ -114,7 +114,7 @@ pub struct MetricSample {
 }
 
 /// A full scrape stamped with the (virtual or wall) time it was taken.
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RegistrySnapshot {
     /// Scrape time in ms.
     pub at: Ts,
@@ -123,6 +123,14 @@ pub struct RegistrySnapshot {
 }
 
 impl RegistrySnapshot {
+    /// Render as one JSON object, `{"at": …, "series": [{"k": …, "t": …, …}]}`:
+    /// the form a breach bundle records a scrape in ([`crate::recorder`]).
+    pub fn to_json(&self) -> String {
+        let mut out = String::new();
+        scrape_json(&RecordedScrape::from_snapshot(self), &mut out);
+        out
+    }
+
     /// Look up a sample by name and exact label set.
     pub fn get(&self, name: &str, labels: &[(&str, &str)]) -> Option<&MetricValue> {
         let key = MetricKey::new(name, labels);

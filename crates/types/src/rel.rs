@@ -1,6 +1,5 @@
 //! The two streaming relations `R` and `S` joined by the biclique.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Which streaming relation a tuple (or processing unit) belongs to.
@@ -8,7 +7,7 @@ use std::fmt;
 /// The join-biclique model is symmetric in `R` and `S`; code that treats
 /// one side specially should take a `Rel` parameter and use
 /// [`Rel::opposite`] rather than hard-coding a side.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Rel {
     /// The left streaming relation.
     R,

@@ -3,11 +3,10 @@
 
 use crate::error::{Error, Result};
 use crate::value::{Value, ValueType};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// One attribute of a schema.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Attribute {
     /// Attribute name, unique within the schema.
     pub name: String,
@@ -17,7 +16,7 @@ pub struct Attribute {
 
 /// An immutable tuple schema. Cheap to clone (`Arc` inside) because every
 /// tuple of a stream shares one schema instance.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schema {
     name: String,
     attrs: Arc<Vec<Attribute>>,

@@ -25,11 +25,10 @@
 
 use crate::metric_names as names;
 use crate::registry::{MetricValue, RegistrySnapshot};
-use serde::Serialize;
 
 /// A declarative service-level-objective spec. Objectives left `None` are
 /// not evaluated; the windows and budget shape the burn-rate alert rule.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SloSpec {
     /// p99 end-to-end result latency ceiling (ms), from the cumulative
     /// `bistream_result_latency_ms` histogram.
@@ -96,7 +95,7 @@ impl SloSpec {
 }
 
 /// The trailing-window evidence attached to one side of a burn alert.
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct WindowEvidence {
     /// Scrape time at the start of the window (ms).
     pub from_ms: u64,
@@ -110,7 +109,7 @@ pub struct WindowEvidence {
 
 /// One fired burn-rate alert: an objective exceeded the burn threshold in
 /// both the fast and the slow trailing window.
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct BurnAlert {
     /// Alert identifier ([`crate::metric_names::ALERT_SLO_BURN`]).
     pub alert: String,
@@ -133,7 +132,7 @@ pub struct BurnAlert {
 }
 
 /// The per-objective verdict over the whole series.
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ObjectiveVerdict {
     /// Objective identifier (`slo_*`).
     pub objective: String,
@@ -157,7 +156,7 @@ pub struct ObjectiveVerdict {
 /// The SLO engine's output: one verdict per configured objective, the
 /// alerts that fired, and the overall breach flag. Attached to
 /// `SimOutcome` and `PipelineReport` alongside the perf report.
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SloReport {
     /// Span covered by the evaluated series (ms).
     pub elapsed_ms: u64,

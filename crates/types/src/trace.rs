@@ -28,12 +28,12 @@
 //! loadable in `chrome://tracing` or Perfetto.
 
 use crate::hash::FxHashMap;
+use crate::jsonlite::json_str;
 use crate::metrics::{Counter, Histogram};
 use crate::registry::MetricsRegistry;
 use crate::time::Ts;
 use crossbeam::queue::ArrayQueue;
 use parking_lot::Mutex;
-use serde::Serialize;
 use std::sync::Arc;
 
 /// Identity of one traced tuple: the global sequence number the router
@@ -45,7 +45,7 @@ pub type TraceId = u64;
 pub const DEFAULT_TRACE_CAPACITY: usize = 4_096;
 
 /// What kind of hop a span covers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HopKind {
     /// The router picked destinations and stamped the sequence number.
     Route,
@@ -88,7 +88,7 @@ impl HopKind {
 }
 
 /// One hop of a traced tuple's journey.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Span {
     /// The hop kind.
     pub kind: HopKind,
@@ -109,7 +109,7 @@ impl Span {
 }
 
 /// Wait/service attribution for one hop, derived from the span chain.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HopTiming {
     /// The hop kind.
     pub kind: HopKind,
@@ -123,7 +123,7 @@ pub struct HopTiming {
 }
 
 /// The recorded journey of one sampled tuple.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Trace {
     /// The tuple's global sequence number.
     pub id: TraceId,
@@ -435,13 +435,13 @@ pub fn chrome_trace_json(traces: &[Trace]) -> String {
             let span = &trace.spans[i];
             let ev = format!(
                 "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\
-                 \"ts\":{},\"dur\":{},\"args\":{{\"unit\":\"{}\",\"seq\":{},\"wait_ms\":{}}}}}",
+                 \"ts\":{},\"dur\":{},\"args\":{{\"unit\":{},\"seq\":{},\"wait_ms\":{}}}}}",
                 hop.kind.label(),
                 hop.kind.label(),
                 tid,
                 span.enter.saturating_mul(1_000),
                 span.service().saturating_mul(1_000),
-                escape_json(&hop.unit),
+                json_str(&hop.unit),
                 trace.id,
                 hop.wait,
             );
@@ -465,22 +465,6 @@ fn push_event(out: &mut String, first: &mut bool, ev: &str) {
     }
     *first = false;
     out.push_str(ev);
-}
-
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

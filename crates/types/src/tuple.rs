@@ -100,7 +100,8 @@ impl Tuple {
             Rel::from_byte(buf.get_u8()).ok_or_else(|| Error::Codec("bad relation byte".into()))?;
         let ts = buf.get_u64();
         let arity = buf.get_u16() as usize;
-        let mut values = Vec::with_capacity(arity);
+        // Every value takes at least its tag byte.
+        let mut values = Vec::with_capacity(arity.min(buf.remaining()));
         for _ in 0..arity {
             values.push(Value::decode(buf)?);
         }

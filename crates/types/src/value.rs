@@ -7,7 +7,6 @@
 
 use crate::error::{Error, Result};
 use bytes::{Buf, BufMut};
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -16,7 +15,7 @@ use std::fmt;
 /// `Float` is stored as `f64` but compares with a total order (NaN sorts
 /// last, like `f64::total_cmp`), so values are usable as B-tree keys in the
 /// ordered sub-index.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum Value {
     /// 64-bit signed integer.
     Int(i64),
@@ -31,7 +30,7 @@ pub enum Value {
 }
 
 /// The type of a [`Value`], used by schemas to declare attribute domains.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ValueType {
     /// 64-bit signed integer domain.
     Int,

@@ -21,11 +21,10 @@
 
 use crate::metric_names as names;
 use crate::registry::{MetricValue, RegistrySnapshot};
-use serde::Serialize;
 use std::collections::BTreeSet;
 
 /// Watchdog tuning: how many consecutive no-progress ticks make a stall.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WatchdogConfig {
     /// Consecutive scrape intervals without progress (while work is
     /// buffered) required to flag a stall.
@@ -39,7 +38,7 @@ impl Default for WatchdogConfig {
 }
 
 /// What kind of progress froze.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StallKind {
     /// A joiner's watermark froze while its reorder buffer held tuples.
     FrontierStall,
@@ -68,7 +67,7 @@ impl StallKind {
 
 /// One detected stall episode, with the evidence that distinguishes it
 /// from idleness.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StallVerdict {
     /// What froze.
     pub kind: StallKind,

@@ -7,11 +7,10 @@
 //! of each other (the pairwise window check during join processing).
 
 use crate::time::Ts;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The scope of stream state retained for joining.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WindowSpec {
     /// Time-based sliding window of `ws` milliseconds: a stored tuple `x`
     /// joins an incoming tuple `y` iff `|y.ts − x.ts| <= ws`.

@@ -3,10 +3,9 @@
 use crate::schedule::RateSchedule;
 use bistream_types::time::Ts;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// How inter-arrival gaps are drawn for a stream.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum ArrivalProcess {
     /// Deterministic gaps: exactly `rate` tuples per second, evenly spaced.
     Constant {

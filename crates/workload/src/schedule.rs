@@ -5,10 +5,9 @@
 //! 10 min, 300 t/s for 10 min). A `RateSchedule` is that step function.
 
 use bistream_types::time::{Ts, MINUTE};
-use serde::{Deserialize, Serialize};
 
 /// A step function from time to arrival rate (tuples/second).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RateSchedule {
     /// `(from_ts, rate)` steps, sorted by `from_ts`, first at 0.
     steps: Vec<(Ts, f64)>,

@@ -39,8 +39,8 @@
 //!    reintroduces exactly the broker contention the backend exists to
 //!    remove, so it must happen in the facade or not at all.
 //!
-//! Test code is exempt everywhere: `tests/`, `benches/`, `examples/`
-//! directories and anything at or below a file's first `#[cfg(test)]`.
+//! Test code is exempt everywhere: `tests/` and `examples/` directories
+//! and anything at or below a file's first `#[cfg(test)]`.
 //!
 //! [`Clock`]: https://docs.rs/bistream-types/latest/bistream_types/time/trait.Clock.html
 
@@ -415,7 +415,7 @@ fn is_field_decl(rest: &str) -> bool {
 
 /// Recursively collect the workspace's production `.rs` files: everything
 /// under `crates/*/src` and the facade's `src/`, excluding `tests/`,
-/// `benches/`, `examples/` and the xtask crate itself.
+/// `examples/` and the xtask crate itself.
 pub fn workspace_sources(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     let mut out = Vec::new();
     let mut roots = vec![root.join("src")];
@@ -442,7 +442,7 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
         let path = entry.path();
         let name = entry.file_name();
         if path.is_dir() {
-            if name != "tests" && name != "benches" && name != "examples" {
+            if name != "tests" && name != "examples" {
                 collect_rs(&path, out)?;
             }
         } else if path.extension().is_some_and(|e| e == "rs") {

@@ -44,18 +44,8 @@ fn audited_engine_run_with_oracle_is_clean() {
     auditor.enable_oracle(Some(W));
     let mut engine = BicliqueEngine::builder(config()).auditor(auditor.clone()).build().unwrap();
     assert!(engine.auditor().is_some());
-    let mut next_punct = 10;
-    for i in 0..200u64 {
-        let ts = i * 3;
-        while next_punct <= ts {
-            engine.punctuate(next_punct).unwrap();
-            next_punct += 10;
-        }
-        let rel = if i % 2 == 0 { Rel::R } else { Rel::S };
-        engine.ingest(&t(rel, ts, (i % 6) as i64), ts).unwrap();
-    }
-    engine.punctuate(700).unwrap();
-    engine.flush().unwrap();
+    drive_stream(&mut engine, 200, |_| {});
+    assert!(engine.stats().results > 0, "the stream must produce joins");
     auditor.assert_clean();
 }
 
@@ -103,16 +93,20 @@ fn adaptive_config() -> EngineConfig {
 
 /// Drive a deterministic alternating R/S stream with punctuation on the
 /// configured 10 ms interval through `steps` virtual-time steps of 3 ms.
-fn drive_storm(engine: &mut BicliqueEngine, steps: u64) {
+/// Seven keys against two sides: an odd modulus, so both sides see every
+/// key and the stream joins. `before_punct(n)` runs ahead of the `n`-th
+/// punctuation round.
+fn drive_stream(engine: &mut BicliqueEngine, steps: u64, mut before_punct: impl FnMut(u64)) {
     let mut next_punct = 10;
     for i in 0..steps {
         let ts = i * 3;
         while next_punct <= ts {
+            before_punct(next_punct / 10);
             engine.punctuate(next_punct).unwrap();
             next_punct += 10;
         }
         let rel = if i % 2 == 0 { Rel::R } else { Rel::S };
-        engine.ingest(&t(rel, ts, (i % 6) as i64), ts).unwrap();
+        engine.ingest(&t(rel, ts, (i % 7) as i64), ts).unwrap();
     }
     engine.punctuate(steps * 3 + 10).unwrap();
     engine.flush().unwrap();
@@ -138,7 +132,7 @@ fn switch_storm_under_shuffled_delivery_is_clean() {
         .unwrap();
     let shared = std::sync::Arc::clone(engine.adaptive_state().expect("adaptive engine"));
     shared.force_flip_every_tick(true);
-    drive_storm(&mut engine, 400);
+    drive_stream(&mut engine, 400, |_| {});
     assert!(
         shared.switches() >= 20,
         "the storm must actually flip strategies: {} switches",
@@ -148,12 +142,19 @@ fn switch_storm_under_shuffled_delivery_is_clean() {
     auditor.assert_clean();
 }
 
-/// The fence matters: the same storm with the test-only
+/// The fence matters: the same stream with the test-only
 /// `debug_skip_fence` hook armed — routers adopt each new plan mid-stream
 /// and immediately drop the old probe coverage instead of retiring it
 /// behind the punctuation fence — must be caught by the output oracle as
 /// missing join results. Proves the bug hook (and hence the fence) is
 /// observable, not theater.
+///
+/// One flip every fourth round, not every round: when every tick flips,
+/// the plan pending at route time always has an even epoch, so a hooked
+/// router jumps from `d = 2` to `d = 2` and never stores under the plan
+/// whose coverage it dropped. The natural tuner is off because it would
+/// declare all seven keys hot (stored anywhere, probed everywhere), which
+/// also hides the loss.
 #[test]
 fn skipping_the_punctuation_fence_is_caught_by_the_oracle() {
     let auditor = Auditor::new();
@@ -163,15 +164,17 @@ fn skipping_the_punctuation_fence_is_caught_by_the_oracle() {
     // its store plan for the bug hook to jump to. With two, each router
     // lags the commit until its own next tick — exactly the gap the
     // fence covers and the hook corrupts.
-    let mut engine = BicliqueEngine::builder(adaptive_config())
-        .routers(2)
-        .auditor(auditor.clone())
-        .build()
-        .unwrap();
+    let mut config = adaptive_config();
+    config.adaptive.tune_every_puncts = u32::MAX;
+    let mut engine =
+        BicliqueEngine::builder(config).routers(2).auditor(auditor.clone()).build().unwrap();
     let shared = std::sync::Arc::clone(engine.adaptive_state().expect("adaptive engine"));
-    shared.force_flip_every_tick(true);
     engine.debug_skip_fence(true);
-    drive_storm(&mut engine, 400);
+    drive_stream(&mut engine, 400, |round| {
+        if round % 4 == 0 {
+            shared.request_flip();
+        }
+    });
     assert!(shared.switches() >= 20, "got {} switches", shared.switches());
     let violations = auditor.finish();
     let oracle = violations

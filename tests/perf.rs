@@ -103,7 +103,9 @@ fn perf_report_is_empty_for_an_idle_run() {
     let out = run_dynamic_scaling(engine, &mut feed, HpaConfig::thesis_cpu(), &sim).unwrap();
     for u in &out.perf.units {
         assert_eq!(u.arrivals, 0, "idle run: {u:?}");
-        assert_eq!(u.utilization_observed, 0.0);
+        // Not exactly zero: every frame costs `ingest_us`, and an idle
+        // unit still receives the punctuation heartbeat.
+        assert!(u.utilization_observed < 0.001, "idle run: {u:?}");
     }
     // The virtual-time simulator has no broker queues to check.
     assert!(out.perf.queues.is_empty());

@@ -1,70 +1,94 @@
-//! Property-based tests (proptest) over the core invariants:
+//! Property tests (seeded cases, `types::cases`) over the core invariants:
 //! value ordering laws, codec round-trips, window algebra, chained-index
 //! equivalence with the naive index, reorder-buffer ordering, topic
 //! matching, and Zipf sampler bounds.
 
 use bistream::broker::pattern::topic_matches as pattern_matches;
+use bistream::cluster::CostModel;
+use bistream::core::config::{AdaptiveTuning, EngineConfig, RoutingStrategy};
+use bistream::core::delivery::{ChannelNet, DeliveryMode};
+use bistream::core::engine::BicliqueEngine;
+use bistream::core::exec::{Backend, Pipeline, PipelineConfig};
+use bistream::core::joiner::JoinerCore;
+use bistream::core::layout::{JoinerId, Layout};
+use bistream::core::router::{RoutedCopy, RouterCore};
 use bistream::index::{ChainedIndex, IndexKind, NaiveWindowIndex};
-use bistream::types::predicate::ProbePlan;
+use bistream::matrix::{JoinMatrix, MatrixConfig};
+use bistream::types::audit::Auditor;
+use bistream::types::cases::{for_cases, Gen};
+use bistream::types::predicate::{JoinPredicate, ProbePlan};
 use bistream::types::punct::{Punctuation, Purpose, StreamMessage};
+use bistream::types::registry::Observability;
 use bistream::types::rel::Rel;
 use bistream::types::time::Ts;
-use bistream::types::tuple::Tuple;
+use bistream::types::tuple::{JoinResult, Tuple};
 use bistream::types::value::Value;
 use bistream::types::window::WindowSpec;
-use proptest::prelude::*;
+use std::collections::BTreeMap;
+use std::sync::atomic::AtomicU64;
+use std::sync::Arc;
 
-fn arb_value() -> impl Strategy<Value = Value> {
-    prop_oneof![
-        any::<i64>().prop_map(Value::Int),
-        any::<f64>().prop_map(Value::Float),
-        "[a-z]{0,8}".prop_map(Value::Str),
-        any::<bool>().prop_map(Value::Bool),
-        Just(Value::Null),
-    ]
+const LOWER: &str = "abcdefghijklmnopqrstuvwxyz";
+
+fn arb_value(g: &mut Gen) -> Value {
+    match g.uint(0..5) {
+        0 => Value::Int(g.i64()),
+        1 => Value::Float(g.f64()),
+        2 => Value::Str(g.string(LOWER, 0..9)),
+        3 => Value::Bool(g.bool()),
+        _ => Value::Null,
+    }
 }
 
-proptest! {
-    /// Ord on Value is a total order: antisymmetric and transitive.
-    #[test]
-    fn value_order_is_total(a in arb_value(), b in arb_value(), c in arb_value()) {
+/// Ord on Value is a total order: antisymmetric and transitive.
+#[test]
+fn value_order_is_total() {
+    for_cases("value_order_is_total", 256, |g| {
+        let (a, b, c) = (arb_value(g), arb_value(g), arb_value(g));
         use std::cmp::Ordering::*;
-        prop_assert_eq!(a.cmp(&b), b.cmp(&a).reverse());
+        assert_eq!(a.cmp(&b), b.cmp(&a).reverse());
         if a.cmp(&b) != Greater && b.cmp(&c) != Greater {
-            prop_assert_ne!(a.cmp(&c), Greater);
+            assert_ne!(a.cmp(&c), Greater);
         }
-    }
+    });
+}
 
-    /// Value wire codec round-trips every value (NaN canonicalised).
-    #[test]
-    fn value_codec_roundtrip(v in arb_value()) {
+/// Value wire codec round-trips every value (NaN canonicalised).
+#[test]
+fn value_codec_roundtrip() {
+    for_cases("value_codec_roundtrip", 256, |g| {
+        let v = arb_value(g);
         let mut buf = bytes::BytesMut::new();
         v.encode(&mut buf);
         let mut wire = buf.freeze();
         let back = Value::decode(&mut wire).unwrap();
-        prop_assert_eq!(back.cmp(&v), std::cmp::Ordering::Equal);
-        prop_assert_eq!(wire.len(), 0, "codec consumed exactly its bytes");
-    }
+        assert_eq!(back.cmp(&v), std::cmp::Ordering::Equal);
+        assert_eq!(wire.len(), 0, "codec consumed exactly its bytes");
+    });
+}
 
-    /// Tuple codec round-trips arbitrary tuples.
-    #[test]
-    fn tuple_codec_roundtrip(
-        ts in any::<Ts>(),
-        values in prop::collection::vec(arb_value(), 0..6),
-        is_r in any::<bool>(),
-    ) {
+/// Tuple codec round-trips arbitrary tuples.
+#[test]
+fn tuple_codec_roundtrip() {
+    for_cases("tuple_codec_roundtrip", 256, |g| {
+        let ts: Ts = g.u64();
+        let values = g.vec(0..6, arb_value);
+        let is_r = g.bool();
         let rel = if is_r { Rel::R } else { Rel::S };
         let t = Tuple::new(rel, ts, values);
         let mut wire = t.encode();
         let back = Tuple::decode(&mut wire).unwrap();
-        prop_assert_eq!(back.rel(), t.rel());
-        prop_assert_eq!(back.ts(), t.ts());
-        prop_assert_eq!(back.values().len(), t.values().len());
-    }
+        assert_eq!(back.rel(), t.rel());
+        assert_eq!(back.ts(), t.ts());
+        assert_eq!(back.values().len(), t.values().len());
+    });
+}
 
-    /// Stream-message codec round-trips.
-    #[test]
-    fn stream_message_roundtrip(router in any::<u32>(), seq in any::<u64>(), k in any::<i64>(), punct in any::<bool>()) {
+/// Stream-message codec round-trips.
+#[test]
+fn stream_message_roundtrip() {
+    for_cases("stream_message_roundtrip", 256, |g| {
+        let (router, seq, k, punct) = (g.u64() as u32, g.u64(), g.i64(), g.bool());
         let msg = if punct {
             StreamMessage::Punct(Punctuation { router, seq })
         } else {
@@ -76,29 +100,33 @@ proptest! {
             }
         };
         let mut wire = msg.encode();
-        prop_assert_eq!(StreamMessage::decode(&mut wire).unwrap(), msg);
-    }
+        assert_eq!(StreamMessage::decode(&mut wire).unwrap(), msg);
+    });
+}
 
-    /// Window algebra: expiry implies out-of-scope, and in-scope is
-    /// symmetric; full-history never expires.
-    #[test]
-    fn window_laws(ws in 1u64..10_000, a in 0u64..100_000, b in 0u64..100_000) {
+/// Window algebra: expiry implies out-of-scope, and in-scope is
+/// symmetric; full-history never expires.
+#[test]
+fn window_laws() {
+    for_cases("window_laws", 256, |g| {
+        let (ws, a, b) = (g.uint(1..10_000), g.uint(0..100_000), g.uint(0..100_000));
         let w = WindowSpec::sliding(ws);
-        prop_assert_eq!(w.in_scope(a, b), w.in_scope(b, a));
+        assert_eq!(w.in_scope(a, b), w.in_scope(b, a));
         if w.is_expired(a, b) {
-            prop_assert!(!w.in_scope(a, b));
+            assert!(!w.in_scope(a, b));
         }
-        prop_assert!(!WindowSpec::FullHistory.is_expired(a, b));
-    }
+        assert!(!WindowSpec::FullHistory.is_expired(a, b));
+    });
+}
 
-    /// The chained index agrees with the naive per-tuple-eviction index on
-    /// every probe, for any interleaving of inserts and probes with
-    /// monotone timestamps.
-    #[test]
-    fn chained_index_equals_naive_index(
-        ops in prop::collection::vec((0u8..2, 0i64..20, 1u64..40), 1..300),
-        period in 1u64..500,
-    ) {
+/// The chained index agrees with the naive per-tuple-eviction index on
+/// every probe, for any interleaving of inserts and probes with
+/// monotone timestamps.
+#[test]
+fn chained_index_equals_naive_index() {
+    for_cases("chained_index_equals_naive_index", 256, |g| {
+        let ops = g.vec(1..300, |g| (g.uint(0..2), g.int(0..20), g.uint(1..40)));
+        let period = g.uint(1..500);
         let window = WindowSpec::sliding(200);
         let mut chained = ChainedIndex::new(IndexKind::Hash, window, period);
         let mut naive = NaiveWindowIndex::new(IndexKind::Hash, window);
@@ -120,37 +148,41 @@ proptest! {
                 naive.probe(&plan, ts, |t| b.push(t.ts()));
                 a.sort_unstable();
                 b.sort_unstable();
-                prop_assert_eq!(a, b, "probe mismatch at ts {}", ts);
+                assert_eq!(a, b, "probe mismatch at ts {}", ts);
             }
         }
-    }
+    });
+}
 
-    /// Topic matching: a literal key always matches itself; `#` matches
-    /// everything; `*`-for-one-word substitution of any key matches.
-    #[test]
-    fn topic_matching_laws(words in prop::collection::vec("[a-z]{1,4}", 1..5), star_at in any::<prop::sample::Index>()) {
+/// Topic matching: a literal key always matches itself; `#` matches
+/// everything; `*`-for-one-word substitution of any key matches.
+#[test]
+fn topic_matching_laws() {
+    for_cases("topic_matching_laws", 256, |g| {
+        let words = g.vec(1..5, |g| g.string(LOWER, 1..5));
+        let i = g.index(0..words.len());
         let key = words.join(".");
-        prop_assert!(pattern_matches(&key, &key));
-        prop_assert!(pattern_matches("#", &key));
-        let i = star_at.index(words.len());
+        assert!(pattern_matches(&key, &key));
+        assert!(pattern_matches("#", &key));
         let mut pat = words.clone();
         pat[i] = "*".to_string();
-        prop_assert!(pattern_matches(&pat.join("."), &key));
+        assert!(pattern_matches(&pat.join("."), &key));
         // One extra word breaks a literal pattern. (Built outside the
-        // assert: prop_assert! stringifies its expression into a format
+        // assert: assert! stringifies its expression into a format
         // string, so inline `{key}` placeholders would be reinterpreted.)
         let longer = format!("{key}.extra");
-        prop_assert!(!pattern_matches(&key, &longer));
-    }
+        assert!(!pattern_matches(&key, &longer));
+    });
+}
 
-    /// The reorder buffer releases every offered message at most once, in
-    /// nondecreasing (seq, router) order, and exactly the messages at or
-    /// below the final watermark.
-    #[test]
-    fn reorder_buffer_release_order(
-        msgs in prop::collection::vec((0u32..3, 1u64..50), 1..100),
-        final_punct in 1u64..60,
-    ) {
+/// The reorder buffer releases every offered message at most once, in
+/// nondecreasing (seq, router) order, and exactly the messages at or
+/// below the final watermark.
+#[test]
+fn reorder_buffer_release_order() {
+    for_cases("reorder_buffer_release_order", 256, |g| {
+        let msgs = g.vec(1..100, |g| (g.uint(0..3) as u32, g.uint(1..50)));
+        let final_punct = g.uint(1..60);
         use bistream::core::ordering::ReorderBuffer;
         let mut buf = ReorderBuffer::new();
         for r in 0..3 {
@@ -180,96 +212,203 @@ proptest! {
         }
         // Released in (seq, router) order.
         for w in out.windows(2) {
-            prop_assert!((w[0].seq, w[0].router) <= (w[1].seq, w[1].router));
+            assert!((w[0].seq, w[0].router) <= (w[1].seq, w[1].router));
         }
         // Exactly the messages ≤ watermark released; the rest remain.
         let released = out.len();
         let below: usize = seen.iter().filter(|(_, s)| *s <= final_punct).count();
-        prop_assert_eq!(released, below);
-        prop_assert_eq!(buf.depth(), offered - released);
+        assert_eq!(released, below);
+        assert_eq!(buf.depth(), offered - released);
+    });
+}
+
+const W: Ts = 150;
+const PUNCT: Ts = 10;
+const SEED: u64 = 5;
+type Identity = (Ts, Vec<Value>, Ts, Vec<Value>);
+
+fn equi() -> JoinPredicate {
+    JoinPredicate::Equi { r_attr: 0, s_attr: 0 }
+}
+
+fn routing_of(pick: u64) -> RoutingStrategy {
+    match pick {
+        0 => RoutingStrategy::Random,
+        1 => RoutingStrategy::Hash,
+        _ => RoutingStrategy::ContRand { subgroups: 2 },
     }
+}
 
-    /// For any random stream, the biclique engine (every routing
-    /// strategy) and the join-matrix produce exactly the reference join's
-    /// result multiset — the two architectures are observationally
-    /// equivalent.
-    #[test]
-    fn biclique_and_matrix_agree_with_reference(
-        ops in prop::collection::vec((any::<bool>(), 0i64..12, 1u64..30), 10..120),
-        routing_pick in 0u8..3,
-    ) {
-        use bistream::core::config::{EngineConfig, RoutingStrategy};
-        use bistream::core::engine::BicliqueEngine;
-        use bistream::matrix::{JoinMatrix, MatrixConfig};
-        use bistream::types::predicate::JoinPredicate;
-        use bistream::types::tuple::JoinResult;
+/// A 2 × 3 engine over the `W` window with the protocol on.
+fn engine_config(routing: RoutingStrategy, batch_size: usize) -> EngineConfig {
+    EngineConfig {
+        r_joiners: 2,
+        s_joiners: 3,
+        predicate: equi(),
+        window: WindowSpec::sliding(W),
+        routing,
+        archive_period_ms: 20,
+        punctuation_interval_ms: PUNCT,
+        ordering: true,
+        seed: SEED,
+        batch_size,
+        adaptive: Default::default(),
+    }
+}
 
-        const W: Ts = 150;
-        let mut tuples = Vec::new();
-        let mut ts = 0;
-        for (is_r, key, dt) in ops {
+/// `(is_r, key, dt)` steps as a stream with strictly increasing timestamps.
+fn stream_of(ops: &[(bool, i64, Ts)]) -> Vec<Tuple> {
+    let mut ts = 0;
+    ops.iter()
+        .map(|&(is_r, key, dt)| {
             ts += dt;
-            let rel = if is_r { Rel::R } else { Rel::S };
-            tuples.push(Tuple::new(rel, ts, vec![Value::Int(key)]));
-        }
+            Tuple::new(if is_r { Rel::R } else { Rel::S }, ts, vec![Value::Int(key)])
+        })
+        .collect()
+}
 
-        let mut expect: Vec<_> = Vec::new();
-        for a in tuples.iter().filter(|t| t.rel() == Rel::R) {
-            for b in tuples.iter().filter(|t| t.rel() == Rel::S) {
-                if a.get(0) == b.get(0) && a.ts().abs_diff(b.ts()) <= W {
-                    expect.push(JoinResult::of(a.clone(), b.clone()).identity());
-                }
+/// A same-key R tuple and two S tuples exactly `W` and `W + 1` after it:
+/// the first pair is the last in-window one, the second the first not.
+fn window_boundary_ops() -> Vec<(bool, i64, Ts)> {
+    vec![(true, 0, 1), (false, 0, W), (false, 0, 1), (true, 1, 5), (false, 1, 5)]
+}
+
+/// The brute-force reference join over the `W` window, sorted.
+fn reference_join(tuples: &[Tuple]) -> Vec<Identity> {
+    let mut expect = Vec::new();
+    for a in tuples.iter().filter(|t| t.rel() == Rel::R) {
+        for b in tuples.iter().filter(|t| t.rel() == Rel::S) {
+            if a.get(0) == b.get(0) && a.ts().abs_diff(b.ts()) <= W {
+                expect.push(JoinResult::of(a.clone(), b.clone()).identity());
             }
         }
-        expect.sort();
+    }
+    expect.sort();
+    expect
+}
 
-        let routing = match routing_pick {
-            0 => RoutingStrategy::Random,
-            1 => RoutingStrategy::Hash,
-            _ => RoutingStrategy::ContRand { subgroups: 2 },
+/// Feed `tuples` to `engine`, punctuating every `PUNCT` ms and once past
+/// the end, and return the captured results in emission order.
+fn drive_engine(engine: &mut BicliqueEngine, tuples: &[Tuple]) -> Vec<Identity> {
+    engine.capture_results();
+    let mut next_punct = PUNCT;
+    for t in tuples {
+        while next_punct <= t.ts() {
+            engine.punctuate(next_punct).unwrap();
+            next_punct += PUNCT;
+        }
+        engine.ingest(t, t.ts()).unwrap();
+    }
+    engine.punctuate(tuples.last().map_or(0, Tuple::ts) + PUNCT).unwrap();
+    engine.flush().unwrap();
+    engine.take_captured().iter().map(JoinResult::identity).collect()
+}
+
+/// The per-tuple seed path wired by hand — `RouterCore::route`, a
+/// `StreamMessage` channel per pair delivering in `mode`, and
+/// `JoinerCore::handle` — with `auditor` on every hook it exposes and fed
+/// the oracle's inputs and outputs. Returns the results in emission order.
+fn hand_wired_run(
+    tuples: &[Tuple],
+    routing: RoutingStrategy,
+    mode: DeliveryMode,
+    auditor: &Auditor,
+) -> Vec<Identity> {
+    let layout = Layout::new(2, 3, routing.subgroups()).unwrap();
+    let mut router = RouterCore::new(0, routing, equi(), SEED, Arc::new(AtomicU64::new(0)));
+    router.set_auditor(auditor.clone());
+    let mut joiners: BTreeMap<JoinerId, JoinerCore> = layout
+        .all_units()
+        .map(|(side, id)| {
+            let window = WindowSpec::sliding(W);
+            let mut j = JoinerCore::new(
+                id,
+                side,
+                equi(),
+                window,
+                20,
+                true,
+                &[(0, 0)],
+                CostModel::default(),
+            );
+            j.set_auditor(auditor.clone());
+            (id, j)
+        })
+        .collect();
+    let mut net: ChannelNet = ChannelNet::new(mode);
+    let mut out: Vec<Identity> = Vec::new();
+    let mut emit = |r: JoinResult| {
+        auditor.observe_output(&r.r.to_string(), &r.s.to_string());
+        out.push(r.identity());
+    };
+    // Send what the router produced, then deliver everything in flight.
+    let mut copies = Vec::new();
+    let mut pump =
+        |copies: &mut Vec<RoutedCopy>, joiners: &mut BTreeMap<JoinerId, JoinerCore>, now: Ts| {
+            for c in copies.drain(..) {
+                net.send(0, c.dest, c.msg);
+            }
+            while let Some(f) = net.deliver_next() {
+                let j = joiners.get_mut(&f.dest).unwrap();
+                j.set_now(now);
+                j.handle(f.msg, &mut emit).unwrap();
+            }
         };
-        let cfg = EngineConfig {
-            r_joiners: 2,
-            s_joiners: 3,
-            predicate: JoinPredicate::Equi { r_attr: 0, s_attr: 0 },
-            window: WindowSpec::sliding(W),
-            routing,
-            archive_period_ms: 20,
-            punctuation_interval_ms: 10,
-            ordering: true,
-            seed: 5,
-            batch_size: 1,
-            adaptive: Default::default(),
-        };
-        let auditor = bistream::types::audit::Auditor::new();
+    let mut next_punct = PUNCT;
+    for t in tuples {
+        let key = t.get(0).unwrap().to_string();
+        auditor.observe_input(t.rel() == Rel::R, t.ts(), key, t.to_string());
+        while next_punct <= t.ts() {
+            router.punctuate(&layout, &mut copies);
+            pump(&mut copies, &mut joiners, next_punct);
+            next_punct += PUNCT;
+        }
+        router.route(t, &layout, &mut copies).unwrap();
+        pump(&mut copies, &mut joiners, t.ts());
+    }
+    let end = tuples.last().map_or(0, Tuple::ts) + PUNCT;
+    router.punctuate(&layout, &mut copies);
+    pump(&mut copies, &mut joiners, end);
+    for j in joiners.values_mut() {
+        j.set_now(end);
+        j.flush(&mut emit).unwrap();
+    }
+    out
+}
+
+/// For any random stream, the biclique engine (every routing
+/// strategy) and the join-matrix produce exactly the reference join's
+/// result multiset — the two architectures are observationally
+/// equivalent.
+#[test]
+fn biclique_and_matrix_agree_with_reference() {
+    for_cases("biclique_and_matrix_agree_with_reference", 256, |g| {
+        let ops = g.vec(10..120, |g| (g.bool(), g.int(0..12), g.uint(1..30)));
+        let routing = routing_of(g.uint(0..3));
+        let tuples = stream_of(&ops);
+        let expect = reference_join(&tuples);
+
+        let auditor = Auditor::new();
         auditor.enable_oracle(Some(W));
-        let mut engine = BicliqueEngine::builder(cfg).auditor(auditor.clone()).build().unwrap();
-        engine.capture_results();
-        let mut next_punct = 10;
-        for t in &tuples {
-            while next_punct <= t.ts() {
-                engine.punctuate(next_punct).unwrap();
-                next_punct += 10;
-            }
-            engine.ingest(t, t.ts()).unwrap();
-        }
-        engine.punctuate(ts + 10).unwrap();
-        engine.flush().unwrap();
-        let mut bic: Vec<_> = engine.take_captured().iter().map(JoinResult::identity).collect();
+        let mut engine = BicliqueEngine::builder(engine_config(routing, 1))
+            .auditor(auditor.clone())
+            .build()
+            .unwrap();
+        let mut bic = drive_engine(&mut engine, &tuples);
         bic.sort();
-        prop_assert_eq!(&bic, &expect, "biclique {:?}", routing);
+        assert_eq!(&bic, &expect, "biclique {:?}", routing);
         let audit = auditor.finish();
-        prop_assert!(audit.is_empty(), "biclique {:?} audit violations: {:#?}", routing, audit);
+        assert!(audit.is_empty(), "biclique {:?} audit violations: {:#?}", routing, audit);
 
         let mcfg = MatrixConfig {
             rows: 2,
             cols: 2,
-            predicate: JoinPredicate::Equi { r_attr: 0, s_attr: 0 },
+            predicate: equi(),
             window: WindowSpec::sliding(W),
             archive_period_ms: 20,
-            seed: 5,
+            seed: SEED,
         };
-        let m_audit = bistream::types::audit::Auditor::new();
+        let m_audit = Auditor::new();
         m_audit.enable_oracle(Some(W));
         let mut matrix = JoinMatrix::new(mcfg).unwrap();
         matrix.set_auditor(m_audit.clone());
@@ -279,343 +418,110 @@ proptest! {
         }
         let mut mat: Vec<_> = matrix.take_captured().iter().map(JoinResult::identity).collect();
         mat.sort();
-        prop_assert_eq!(&mat, &expect, "matrix");
+        assert_eq!(&mat, &expect, "matrix");
         let m_violations = m_audit.finish();
-        prop_assert!(m_violations.is_empty(), "matrix audit violations: {:#?}", m_violations);
-    }
+        assert!(m_violations.is_empty(), "matrix audit violations: {:#?}", m_violations);
+    });
+}
 
-    /// Micro-batching is purely mechanical: for any monotone-ts stream and
-    /// every routing strategy, the engine at batch sizes {1, 3, 7, 64}
-    /// produces the *identical ordered* result sequence (ordering on) and
-    /// the same trace span totals as the per-tuple seed path (RouterCore::
-    /// route + a StreamMessage channel + JoinerCore::handle), whose result
-    /// multiset in turn equals the brute-force reference join.
-    #[test]
-    fn micro_batching_preserves_results_order_and_traces(
-        ops in prop::collection::vec((any::<bool>(), 0i64..10, 1u64..20), 10..100),
-        routing_pick in 0u8..3,
-    ) {
-        use bistream::cluster::CostModel;
-        use bistream::core::config::{EngineConfig, RoutingStrategy};
-        use bistream::core::engine::BicliqueEngine;
-        use bistream::core::delivery::{ChannelNet, DeliveryMode};
-        use bistream::core::joiner::JoinerCore;
-        use bistream::core::layout::{JoinerId, Layout};
-        use bistream::core::router::RouterCore;
-        use bistream::types::predicate::JoinPredicate;
-        use bistream::types::registry::Observability;
-        use bistream::types::tuple::JoinResult;
-        use std::sync::atomic::AtomicU64;
-        use std::sync::Arc;
-
-        const W: Ts = 150;
-        const PUNCT: Ts = 10;
-        const SEED: u64 = 5;
-        type Identity = (Ts, Vec<Value>, Ts, Vec<Value>);
-        let predicate = JoinPredicate::Equi { r_attr: 0, s_attr: 0 };
-        let routing = match routing_pick {
-            0 => RoutingStrategy::Random,
-            1 => RoutingStrategy::Hash,
-            _ => RoutingStrategy::ContRand { subgroups: 2 },
-        };
-
-        let mut tuples = Vec::new();
-        let mut ts = 0;
-        for (is_r, key, dt) in ops {
-            ts += dt;
-            let rel = if is_r { Rel::R } else { Rel::S };
-            tuples.push(Tuple::new(rel, ts, vec![Value::Int(key)]));
-        }
-        let end = ts + PUNCT;
-
-        // Per-tuple seed path: the unbatched machinery wired by hand, with
-        // the invariant auditor watching every hook it exposes.
-        let seed_audit = bistream::types::audit::Auditor::new();
-        let reference: Vec<Identity> = {
-            let subgroups = match routing {
-                RoutingStrategy::ContRand { subgroups } => subgroups,
-                _ => 1,
-            };
-            let layout = Layout::new(2, 3, subgroups).unwrap();
-            let seq = Arc::new(AtomicU64::new(0));
-            let mut router = RouterCore::new(0, routing, predicate.clone(), SEED, seq);
-            router.set_auditor(seed_audit.clone());
-            let router_ids = [(0u32, 0u64)];
-            let mut joiners: std::collections::BTreeMap<JoinerId, JoinerCore> = layout
-                .all_units()
-                .map(|(side, id)| {
-                    let mut j = JoinerCore::new(
-                        id,
-                        side,
-                        predicate.clone(),
-                        WindowSpec::sliding(W),
-                        20,
-                        true,
-                        &router_ids,
-                        CostModel::default(),
-                    );
-                    j.set_auditor(seed_audit.clone());
-                    (id, j)
-                })
-                .collect();
-            let mut net: ChannelNet = ChannelNet::new(DeliveryMode::InOrder);
-            let mut out: Vec<Identity> = Vec::new();
-            let mut copies = Vec::new();
-            let mut drain = |net: &mut ChannelNet,
-                             joiners: &mut std::collections::BTreeMap<JoinerId, JoinerCore>,
-                             now: Ts,
-                             out: &mut Vec<Identity>| {
-                while let Some(f) = net.deliver_next() {
-                    let j = joiners.get_mut(&f.dest).unwrap();
-                    j.set_now(now);
-                    j.handle(f.msg, &mut |r: JoinResult| out.push(r.identity())).unwrap();
-                }
-            };
-            let mut next_punct = PUNCT;
-            for t in &tuples {
-                while next_punct <= t.ts() {
-                    router.punctuate(&layout, &mut copies);
-                    for c in copies.drain(..) {
-                        net.send(0, c.dest, c.msg);
-                    }
-                    drain(&mut net, &mut joiners, next_punct, &mut out);
-                    next_punct += PUNCT;
-                }
-                router.route(t, &layout, &mut copies).unwrap();
-                for c in copies.drain(..) {
-                    net.send(0, c.dest, c.msg);
-                }
-                drain(&mut net, &mut joiners, t.ts(), &mut out);
-            }
-            router.punctuate(&layout, &mut copies);
-            for c in copies.drain(..) {
-                net.send(0, c.dest, c.msg);
-            }
-            drain(&mut net, &mut joiners, end, &mut out);
-            for j in joiners.values_mut() {
-                j.set_now(end);
-                j.flush(&mut |r: JoinResult| out.push(r.identity())).unwrap();
-            }
-            out
-        };
+/// Micro-batching is purely mechanical: for any monotone-ts stream and
+/// every routing strategy, the engine at batch sizes {1, 3, 7, 64}
+/// produces the *identical ordered* result sequence (ordering on) and
+/// the same trace span totals as the per-tuple seed path (RouterCore::
+/// route + a StreamMessage channel + JoinerCore::handle), whose result
+/// multiset in turn equals the brute-force reference join.
+#[test]
+fn micro_batching_preserves_results_order_and_traces() {
+    let check = |ops: Vec<(bool, i64, Ts)>, routing_pick: u64| {
+        let routing = routing_of(routing_pick);
+        let tuples = stream_of(&ops);
 
         // The seed path itself matches the brute-force reference join.
-        let mut expect: Vec<Identity> = Vec::new();
-        for a in tuples.iter().filter(|t| t.rel() == Rel::R) {
-            for b in tuples.iter().filter(|t| t.rel() == Rel::S) {
-                if a.get(0) == b.get(0) && a.ts().abs_diff(b.ts()) <= W {
-                    expect.push(JoinResult::of(a.clone(), b.clone()).identity());
-                }
-            }
-        }
-        expect.sort();
+        let seed_audit = Auditor::new();
+        seed_audit.enable_oracle(Some(W));
+        let reference = hand_wired_run(&tuples, routing, DeliveryMode::InOrder, &seed_audit);
         let mut ref_sorted = reference.clone();
         ref_sorted.sort();
-        prop_assert_eq!(&ref_sorted, &expect, "per-tuple seed path {:?}", routing);
+        assert_eq!(&ref_sorted, &reference_join(&tuples), "per-tuple seed path {:?}", routing);
         let seed_violations = seed_audit.finish();
-        prop_assert!(seed_violations.is_empty(), "seed path audit: {:#?}", seed_violations);
+        assert!(seed_violations.is_empty(), "seed path audit: {:#?}", seed_violations);
 
         // The batched engine reproduces the seed path's *ordered* output at
         // every batch size, with identical trace span totals.
         let mut span_base: Option<usize> = None;
         for &batch in &[1usize, 3, 7, 64] {
-            let cfg = EngineConfig {
-                r_joiners: 2,
-                s_joiners: 3,
-                predicate: predicate.clone(),
-                window: WindowSpec::sliding(W),
-                routing,
-                archive_period_ms: 20,
-                punctuation_interval_ms: PUNCT,
-                ordering: true,
-                seed: SEED,
-                batch_size: batch,
-                adaptive: Default::default(),
-            };
             let obs = Observability::with_tracing(3);
-            let auditor = bistream::types::audit::Auditor::new();
+            let auditor = Auditor::new();
             auditor.enable_oracle(Some(W));
-            let mut engine = BicliqueEngine::builder(cfg)
+            let mut engine = BicliqueEngine::builder(engine_config(routing, batch))
                 .observability(obs.clone())
                 .auditor(auditor.clone())
                 .build()
                 .unwrap();
-            engine.capture_results();
-            let mut next_punct = PUNCT;
-            for t in &tuples {
-                while next_punct <= t.ts() {
-                    engine.punctuate(next_punct).unwrap();
-                    next_punct += PUNCT;
-                }
-                engine.ingest(t, t.ts()).unwrap();
-            }
-            engine.punctuate(end).unwrap();
-            engine.flush().unwrap();
-            let ordered: Vec<Identity> =
-                engine.take_captured().iter().map(JoinResult::identity).collect();
-            prop_assert_eq!(&ordered, &reference, "batch {} ordered output {:?}", batch, routing);
+            let ordered = drive_engine(&mut engine, &tuples);
+            assert_eq!(&ordered, &reference, "batch {} ordered output {:?}", batch, routing);
             let violations = auditor.finish();
-            prop_assert!(violations.is_empty(), "batch {} audit: {:#?}", batch, violations);
+            assert!(violations.is_empty(), "batch {} audit: {:#?}", batch, violations);
             obs.tracer.flush_pending();
             let spans: usize = obs.tracer.drain().iter().map(|t| t.spans.len()).sum();
             match span_base {
                 None => span_base = Some(spans),
                 Some(base) => {
-                    prop_assert_eq!(spans, base, "batch {} trace span total", batch);
+                    assert_eq!(spans, base, "batch {} trace span total", batch);
                 }
             }
         }
+    };
+    for routing_pick in 0..3 {
+        check(window_boundary_ops(), routing_pick);
     }
+    for_cases("micro_batching_preserves_results_order_and_traces", 256, |g| {
+        let ops = g.vec(10..100, |g| (g.bool(), g.int(0..10), g.uint(1..20)));
+        check(ops, g.uint(0..3));
+    });
+}
 
-    /// Adversarial cross-channel delivery: a seeded scheduler that picks a
-    /// random non-empty channel each step preserves only pairwise FIFO
-    /// (Definition 8), yet the ordering protocol still produces exactly
-    /// the reference join, and the invariant auditor — including its
-    /// nested-loop output oracle — observes zero violations. Order
-    /// consistency (Definition 7) is free of the delivery interleaving.
-    #[test]
-    fn adversarial_delivery_is_order_consistent_and_audit_clean(
-        ops in prop::collection::vec((any::<bool>(), 0i64..10, 1u64..20), 10..100),
-        shuffle_seed in any::<u64>(),
-        routing_pick in 0u8..3,
-    ) {
-        use bistream::cluster::CostModel;
-        use bistream::core::config::RoutingStrategy;
-        use bistream::core::delivery::{ChannelNet, DeliveryMode};
-        use bistream::core::joiner::JoinerCore;
-        use bistream::core::layout::{JoinerId, Layout};
-        use bistream::core::router::RouterCore;
-        use bistream::types::audit::Auditor;
-        use bistream::types::predicate::JoinPredicate;
-        use bistream::types::tuple::JoinResult;
-        use std::sync::atomic::AtomicU64;
-        use std::sync::Arc;
-
-        const W: Ts = 150;
-        const PUNCT: Ts = 10;
-        type Identity = (Ts, Vec<Value>, Ts, Vec<Value>);
-        let predicate = JoinPredicate::Equi { r_attr: 0, s_attr: 0 };
-        let routing = match routing_pick {
-            0 => RoutingStrategy::Random,
-            1 => RoutingStrategy::Hash,
-            _ => RoutingStrategy::ContRand { subgroups: 2 },
-        };
-        let subgroups = match routing {
-            RoutingStrategy::ContRand { subgroups } => subgroups,
-            _ => 1,
-        };
-
-        let mut tuples = Vec::new();
-        let mut ts = 0;
-        for (is_r, key, dt) in ops {
-            ts += dt;
-            let rel = if is_r { Rel::R } else { Rel::S };
-            tuples.push(Tuple::new(rel, ts, vec![Value::Int(key)]));
-        }
-        let end = ts + PUNCT;
-
+/// Adversarial cross-channel delivery: a seeded scheduler that picks a
+/// random non-empty channel each step preserves only pairwise FIFO
+/// (Definition 8), yet the ordering protocol still produces exactly
+/// the reference join, and the invariant auditor — including its
+/// nested-loop output oracle — observes zero violations. Order
+/// consistency (Definition 7) is free of the delivery interleaving.
+#[test]
+fn adversarial_delivery_is_order_consistent_and_audit_clean() {
+    let check = |ops: Vec<(bool, i64, Ts)>, shuffle_seed: u64, routing_pick: u64| {
+        let routing = routing_of(routing_pick);
+        let tuples = stream_of(&ops);
         let auditor = Auditor::new();
         auditor.enable_oracle(Some(W));
-        let layout = Layout::new(2, 3, subgroups).unwrap();
-        let seq = Arc::new(AtomicU64::new(0));
-        let mut router = RouterCore::new(0, routing, predicate.clone(), 5, seq);
-        router.set_auditor(auditor.clone());
-        let router_ids = [(0u32, 0u64)];
-        let mut joiners: std::collections::BTreeMap<JoinerId, JoinerCore> = layout
-            .all_units()
-            .map(|(side, id)| {
-                let mut j = JoinerCore::new(
-                    id,
-                    side,
-                    predicate.clone(),
-                    WindowSpec::sliding(W),
-                    20,
-                    true,
-                    &router_ids,
-                    CostModel::default(),
-                );
-                j.set_auditor(auditor.clone());
-                (id, j)
-            })
-            .collect();
-        let mut net: ChannelNet = ChannelNet::new(DeliveryMode::Shuffled { seed: shuffle_seed });
-        let mut out: Vec<Identity> = Vec::new();
-        let mut copies = Vec::new();
-        let mut drain = |net: &mut ChannelNet,
-                         joiners: &mut std::collections::BTreeMap<JoinerId, JoinerCore>,
-                         now: Ts,
-                         out: &mut Vec<Identity>| {
-            while let Some(f) = net.deliver_next() {
-                let j = joiners.get_mut(&f.dest).unwrap();
-                j.set_now(now);
-                j.handle(f.msg, &mut |r: JoinResult| {
-                    auditor.observe_output(&r.r.to_string(), &r.s.to_string());
-                    out.push(r.identity());
-                })
-                .unwrap();
-            }
-        };
-        let mut next_punct = PUNCT;
-        for t in &tuples {
-            auditor.observe_input(
-                t.rel() == Rel::R,
-                t.ts(),
-                t.get(0).unwrap().to_string(),
-                t.to_string(),
-            );
-            while next_punct <= t.ts() {
-                router.punctuate(&layout, &mut copies);
-                for c in copies.drain(..) {
-                    net.send(0, c.dest, c.msg);
-                }
-                drain(&mut net, &mut joiners, next_punct, &mut out);
-                next_punct += PUNCT;
-            }
-            router.route(t, &layout, &mut copies).unwrap();
-            for c in copies.drain(..) {
-                net.send(0, c.dest, c.msg);
-            }
-            drain(&mut net, &mut joiners, t.ts(), &mut out);
-        }
-        router.punctuate(&layout, &mut copies);
-        for c in copies.drain(..) {
-            net.send(0, c.dest, c.msg);
-        }
-        drain(&mut net, &mut joiners, end, &mut out);
-        for j in joiners.values_mut() {
-            j.set_now(end);
-            j.flush(&mut |r: JoinResult| {
-                auditor.observe_output(&r.r.to_string(), &r.s.to_string());
-                out.push(r.identity());
-            })
-            .unwrap();
-        }
-
-        let mut expect: Vec<Identity> = Vec::new();
-        for a in tuples.iter().filter(|t| t.rel() == Rel::R) {
-            for b in tuples.iter().filter(|t| t.rel() == Rel::S) {
-                if a.get(0) == b.get(0) && a.ts().abs_diff(b.ts()) <= W {
-                    expect.push(JoinResult::of(a.clone(), b.clone()).identity());
-                }
-            }
-        }
-        expect.sort();
+        let mode = DeliveryMode::Shuffled { seed: shuffle_seed };
+        let mut out = hand_wired_run(&tuples, routing, mode, &auditor);
         out.sort();
-        prop_assert_eq!(&out, &expect, "shuffled delivery {:?}", routing);
+        assert_eq!(&out, &reference_join(&tuples), "shuffled delivery {:?}", routing);
         let violations = auditor.finish();
-        prop_assert!(violations.is_empty(), "adversarial delivery audit: {:#?}", violations);
+        assert!(violations.is_empty(), "adversarial delivery audit: {:#?}", violations);
+    };
+    for routing_pick in 0..3 {
+        check(window_boundary_ops(), 0, routing_pick);
     }
+    for_cases("adversarial_delivery_is_order_consistent_and_audit_clean", 256, |g| {
+        let ops = g.vec(10..100, |g| (g.bool(), g.int(0..10), g.uint(1..20)));
+        check(ops, g.u64(), g.uint(0..3));
+    });
+}
 
-    /// A registry scrape is sorted by `(name, labels)` and stable: the
-    /// same metric set produces the same key sequence no matter the
-    /// registration order, and label order within a registration is
-    /// irrelevant to series identity.
-    #[test]
-    fn registry_scrape_is_sorted_and_registration_order_free(
-        series in prop::collection::vec(("[a-z]{1,6}", "[a-z0-9]{1,4}"), 1..20),
-        shuffle_from in any::<prop::sample::Index>(),
-    ) {
-        use bistream::types::registry::MetricsRegistry;
+/// A registry scrape is sorted by `(name, labels)` and stable: the
+/// same metric set produces the same key sequence no matter the
+/// registration order, and label order within a registration is
+/// irrelevant to series identity.
+#[test]
+fn registry_scrape_is_sorted_and_registration_order_free() {
+    for_cases("registry_scrape_is_sorted_and_registration_order_free", 256, |g| {
+        let series = g.vec(1..20, |g| {
+            (g.string(LOWER, 1..7), g.string("abcdefghijklmnopqrstuvwxyz0123456789", 1..5))
+        });
+        let pivot = g.index(0..series.len());
+        use bistream::types::registry::{MetricKey, MetricsRegistry};
 
         let reg_a = MetricsRegistry::new();
         for (name, unit) in &series {
@@ -623,245 +529,264 @@ proptest! {
         }
         // Register the same series rotated and with labels swapped.
         let reg_b = MetricsRegistry::new();
-        let pivot = shuffle_from.index(series.len());
         for (name, unit) in series[pivot..].iter().chain(&series[..pivot]) {
             reg_b.counter(name, &[("side", "R"), ("joiner", unit)]);
         }
 
-        let keys_a: Vec<String> =
-            reg_a.scrape(0).samples.iter().map(|s| s.key.render()).collect();
-        let keys_b: Vec<String> =
-            reg_b.scrape(0).samples.iter().map(|s| s.key.render()).collect();
+        // Compared as keys, not rendered text: `z` sorts before `zg` as a
+        // name, but `z{` after `zg{` as a string.
+        let keys = |reg: &MetricsRegistry| -> Vec<MetricKey> {
+            reg.scrape(0).samples.iter().map(|s| (*s.key).clone()).collect()
+        };
+        let (keys_a, keys_b) = (keys(&reg_a), keys(&reg_b));
         let mut sorted = keys_a.clone();
         sorted.sort();
         sorted.dedup();
-        prop_assert_eq!(&keys_a, &sorted, "scrape must come out sorted and deduplicated");
-        prop_assert_eq!(&keys_a, &keys_b, "registration order must not leak into scrapes");
-    }
+        assert_eq!(&keys_a, &sorted, "scrape must come out sorted and deduplicated");
+        assert_eq!(&keys_a, &keys_b, "registration order must not leak into scrapes");
+    });
+}
 
-    /// Histogram quantiles are monotone in q and never exceed the maximum
-    /// recorded sample, for any sample set.
-    #[test]
-    fn histogram_quantiles_monotone_and_bounded(
-        samples in prop::collection::vec(0u64..1_000_000, 1..200),
-        qs in prop::collection::vec(0.0f64..=1.0, 2..8),
-    ) {
+/// Histogram quantiles are monotone in q and never exceed the maximum
+/// recorded sample, for any sample set.
+#[test]
+fn histogram_quantiles_monotone_and_bounded() {
+    for_cases("histogram_quantiles_monotone_and_bounded", 256, |g| {
+        let samples = g.vec(1..200, |g| g.uint(0..1_000_000));
+        let mut qs = g.vec(2..8, |g| g.float(0.0, 1.0));
         use bistream::types::metrics::Histogram;
 
         let h = Histogram::default();
         for &v in &samples {
             h.record(v);
         }
-        let mut qs = qs;
         qs.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let values: Vec<u64> = qs.iter().map(|&q| h.quantile(q)).collect();
         for w in values.windows(2) {
-            prop_assert!(w[0] <= w[1], "quantiles must be monotone in q: {:?}", values);
+            assert!(w[0] <= w[1], "quantiles must be monotone in q: {:?}", values);
         }
         let max = *samples.iter().max().unwrap();
-        prop_assert_eq!(h.max(), max);
+        assert_eq!(h.max(), max);
         for &v in &values {
-            prop_assert!(v <= max, "quantile {v} exceeds max {max}");
+            assert!(v <= max, "quantile {v} exceeds max {max}");
         }
-        prop_assert_eq!(h.quantile(1.0), max);
-    }
+        assert_eq!(h.quantile(1.0), max);
+    });
+}
 
-    /// Zipf samples stay inside the universe for any theta.
-    #[test]
-    fn zipf_in_universe(n in 1u64..5_000, theta in 0.0f64..1.2, seed in any::<u64>()) {
+/// Zipf samples stay inside the universe for any theta.
+#[test]
+fn zipf_in_universe() {
+    for_cases("zipf_in_universe", 256, |g| {
+        let (n, theta, seed) = (g.uint(1..5_000), g.float(0.0, 1.2), g.u64());
         use bistream::workload::keys::ZipfSampler;
         use rand::{rngs::StdRng, SeedableRng};
         let z = ZipfSampler::new(n, theta);
         let mut rng = StdRng::seed_from_u64(seed);
         for _ in 0..100 {
-            prop_assert!(z.sample(&mut rng) < n);
+            assert!(z.sample(&mut rng) < n);
         }
-    }
+    });
+}
 
-    /// Trace span invariants hold for ANY sequence of raw hop stamps fed
-    /// through a real tracer — even out-of-order or overlapping ones,
-    /// which the tracer clamps into causal order at record time: every
-    /// span has exit ≥ enter, consecutive spans never run backwards, and
-    /// the queue-wait/service attribution telescopes exactly to the
-    /// end-to-end latency.
-    #[test]
-    fn trace_spans_are_causal_and_attribution_is_exact(
-        raw in prop::collection::vec((0usize..6, 0u64..1_000_000, 0u64..1_000), 1..40),
-        branches in 1u32..5,
-    ) {
+/// Trace span invariants hold for ANY sequence of raw hop stamps fed
+/// through a real tracer — even out-of-order or overlapping ones,
+/// which the tracer clamps into causal order at record time: every
+/// span has exit ≥ enter, consecutive spans never run backwards, and
+/// the queue-wait/service attribution telescopes exactly to the
+/// end-to-end latency.
+#[test]
+fn trace_spans_are_causal_and_attribution_is_exact() {
+    for_cases("trace_spans_are_causal_and_attribution_is_exact", 256, |g| {
+        let raw = g.vec(1..40, |g| (g.index(0..6), g.uint(0..1_000_000), g.uint(0..1_000)));
+        let branches = g.uint(1..5) as u32;
         use bistream::types::trace::{HopKind, Tracer};
 
         let tracer = Tracer::new(1);
         let seq = 1u64;
-        prop_assert!(tracer.sampled(seq));
+        assert!(tracer.sampled(seq));
         tracer.begin(seq, branches);
         for &(kind, enter, dur) in &raw {
             tracer.span(seq, HopKind::ALL[kind], "u", enter, enter + dur);
         }
         // The trace stays pending until its last branch closes.
         for _ in 0..branches {
-            prop_assert_eq!(tracer.completed_len(), 0);
-            prop_assert_eq!(tracer.pending_len(), 1);
+            assert_eq!(tracer.completed_len(), 0);
+            assert_eq!(tracer.pending_len(), 1);
             tracer.end_branch(seq);
         }
         let traces = tracer.drain();
-        prop_assert_eq!(traces.len(), 1);
+        assert_eq!(traces.len(), 1);
         let t = &traces[0];
-        prop_assert!(t.complete);
-        prop_assert_eq!(t.spans.len(), raw.len());
+        assert!(t.complete);
+        assert_eq!(t.spans.len(), raw.len());
 
         for s in &t.spans {
-            prop_assert!(s.exit >= s.enter, "span runs backwards: {s:?}");
+            assert!(s.exit >= s.enter, "span runs backwards: {s:?}");
         }
         for w in t.spans.windows(2) {
-            prop_assert!(
+            assert!(
                 w[1].enter >= w[0].exit,
-                "spans not causally ordered: {:?} then {:?}", w[0], w[1]
+                "spans not causally ordered: {:?} then {:?}",
+                w[0],
+                w[1]
             );
         }
         let timings = t.hop_timings();
         let attributed: u64 = timings.iter().map(|h| h.wait + h.service).sum();
-        prop_assert_eq!(attributed, t.end_to_end(), "latency attribution must be exact");
-    }
+        assert_eq!(attributed, t.end_to_end(), "latency attribution must be exact");
+    });
+}
 
-    /// The sampling predicate is a pure function of the sequence number:
-    /// deterministic across tracers, hits exactly the 1-in-N residue
-    /// class, and always samples the first routed tuple (seq 1).
-    #[test]
-    fn trace_sampling_is_deterministic_residue_class(
-        one_in in 1u64..100,
-        seqs in prop::collection::vec(0u64..10_000, 1..50),
-    ) {
+/// The sampling predicate is a pure function of the sequence number:
+/// deterministic across tracers, hits exactly the 1-in-N residue
+/// class, and always samples the first routed tuple (seq 1).
+#[test]
+fn trace_sampling_is_deterministic_residue_class() {
+    for_cases("trace_sampling_is_deterministic_residue_class", 256, |g| {
+        let one_in = g.uint(1..100);
+        let seqs = g.vec(1..50, |g| g.uint(0..10_000));
         use bistream::types::trace::Tracer;
 
         let a = Tracer::new(one_in);
         let b = Tracer::new(one_in);
-        prop_assert!(a.sampled(1), "the first routed tuple is always traced");
+        assert!(a.sampled(1), "the first routed tuple is always traced");
         for &s in &seqs {
-            prop_assert_eq!(a.sampled(s), b.sampled(s));
+            assert_eq!(a.sampled(s), b.sampled(s));
             let expect = s != 0 && s % one_in == 1 % one_in;
-            prop_assert_eq!(a.sampled(s), expect, "seq {s} with one_in {one_in}");
+            assert_eq!(a.sampled(s), expect, "seq {s} with one_in {one_in}");
         }
-    }
+    });
 }
 
 // Backend-equivalence properties spin up real threaded pipelines (two
 // backends × three batch sizes per case), so they run far fewer cases
 // than the in-process properties above.
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// The pluggable-backend contract: for any key stream and every
-    /// framing size {1, 7, 64}, the broker-queue pipeline and the
-    /// lock-free sharded ring runtime produce the *identical ordered*
-    /// result sequence, the same trace span totals, and a clean invariant
-    /// audit — and both match the brute-force reference join. A single
-    /// router plus the ordering protocol pins each joiner's release order
-    /// to the ingest sequence, so backend equality is exact sequence
-    /// equality, not just multiset equality.
-    #[test]
-    fn broker_and_sharded_backends_are_observationally_equivalent(
-        ops in prop::collection::vec((any::<bool>(), 0i64..8), 24..72),
-    ) {
-        use bistream::core::config::EngineConfig;
-        use bistream::core::exec::{Backend, Pipeline, PipelineConfig};
-        use bistream::types::audit::Auditor;
+/// Identity of a live-pipeline tuple = the unique payload id in attribute
+/// 1: the live pipelines stamp wall-clock timestamps, which differ between
+/// two runs, so tuple identity must not depend on `ts`.
+fn payload_id(t: &Tuple) -> i64 {
+    match t.get(1) {
+        Some(Value::Int(i)) => *i,
+        other => panic!("payload id attribute: {other:?}"),
+    }
+}
 
-        // Identity = the unique payload id in attribute 1: the live
-        // pipelines stamp wall-clock timestamps, which differ between the
-        // two runs, so tuple identity must not depend on `ts`.
-        let payload_id = |t: &Tuple| match t.get(1) {
-            Some(Value::Int(i)) => *i,
-            other => panic!("payload id attribute: {other:?}"),
-        };
-        let mut expect: Vec<(i64, i64)> = Vec::new();
-        for (i, (r_side, rk)) in ops.iter().enumerate() {
-            if !r_side {
-                continue;
-            }
-            for (j, (s_side, sk)) in ops.iter().enumerate() {
-                if !s_side && rk == sk {
-                    expect.push((i as i64, j as i64));
-                }
+fn payload_pairs(results: &[JoinResult]) -> Vec<(i64, i64)> {
+    results.iter().map(|res| (payload_id(&res.r), payload_id(&res.s))).collect()
+}
+
+/// `(is_r, key)` step `id` as a live tuple stamped with `p`'s clock.
+fn live_tuple(p: &Pipeline, id: usize, (is_r, key): (bool, i64)) -> Tuple {
+    let rel = if is_r { Rel::R } else { Rel::S };
+    Tuple::new(rel, p.now(), vec![Value::Int(key), Value::Int(id as i64)])
+}
+
+/// The brute-force reference join of `(is_r, key)` steps with no window,
+/// as sorted `(r index, s index)` pairs.
+fn expected_pairs(ops: &[(bool, i64)]) -> Vec<(i64, i64)> {
+    let mut expect = Vec::new();
+    for (i, (r_side, rk)) in ops.iter().enumerate() {
+        for (j, (s_side, sk)) in ops.iter().enumerate() {
+            if *r_side && !s_side && rk == sk {
+                expect.push((i as i64, j as i64));
             }
         }
-        expect.sort_unstable();
+    }
+    expect.sort_unstable();
+    expect
+}
+
+/// One router, results captured, `auditor` armed, and a window wide enough
+/// that nothing expires in a run of milliseconds, so the reference join is
+/// exact.
+fn live_config(
+    mut engine: EngineConfig,
+    batch: usize,
+    backend: Backend,
+    auditor: &Auditor,
+) -> PipelineConfig {
+    engine.window = WindowSpec::sliding(600_000);
+    engine.batch_size = batch;
+    let mut c = PipelineConfig::new(engine);
+    c.routers = 1;
+    c.backend = backend;
+    c.capture_results = true;
+    c.auditor = Some(auditor.clone());
+    c
+}
+
+/// The pluggable-backend contract: for any key stream and every
+/// framing size {1, 7, 64}, the broker-queue pipeline and the
+/// lock-free sharded ring runtime produce the *identical ordered*
+/// result sequence, the same trace span totals, and a clean invariant
+/// audit — and both match the brute-force reference join. A single
+/// router plus the ordering protocol pins each joiner's release order
+/// to the ingest sequence, so backend equality is exact sequence
+/// equality, not just multiset equality.
+#[test]
+fn broker_and_sharded_backends_are_observationally_equivalent() {
+    for_cases("broker_and_sharded_backends_are_observationally_equivalent", 4, |g| {
+        let ops = g.vec(24..72, |g| (g.bool(), g.int(0..8)));
+        let expect = expected_pairs(&ops);
 
         for &batch in &[1usize, 7, 64] {
             let mut runs: Vec<(Vec<(i64, i64)>, usize, u64)> = Vec::new();
             for backend in [Backend::Broker, Backend::Sharded] {
-                let mut engine = EngineConfig::default_equi();
-                // Wide window: the run lasts milliseconds, so nothing
-                // expires and the reference join is exact.
-                engine.window = WindowSpec::sliding(600_000);
-                engine.batch_size = batch;
-                let mut c = PipelineConfig::new(engine);
-                c.routers = 1;
-                c.backend = backend;
-                c.capture_results = true;
-                c.trace_one_in = Some(5);
                 let auditor = Auditor::new();
-                c.auditor = Some(auditor.clone());
+                let mut c = live_config(EngineConfig::default_equi(), batch, backend, &auditor);
+                c.trace_one_in = Some(5);
                 let p = Pipeline::launch(c).unwrap();
-                for (i, (r_side, key)) in ops.iter().enumerate() {
-                    let rel = if *r_side { Rel::R } else { Rel::S };
-                    p.ingest(&Tuple::new(
-                        rel,
-                        p.now(),
-                        vec![Value::Int(*key), Value::Int(i as i64)],
-                    ))
-                    .unwrap();
+                for (i, op) in ops.iter().enumerate() {
+                    p.ingest(&live_tuple(&p, i, *op)).unwrap();
                 }
                 let report = p.finish().unwrap();
                 auditor.assert_clean();
-                let ordered: Vec<(i64, i64)> = report
-                    .captured
-                    .iter()
-                    .map(|res| (payload_id(&res.r), payload_id(&res.s)))
-                    .collect();
                 let spans: usize = report.traces.iter().map(|t| t.spans.len()).sum();
-                runs.push((ordered, spans, report.snapshot.results));
+                runs.push((payload_pairs(&report.captured), spans, report.snapshot.results));
             }
             let (sharded_run, broker_run) = (runs.pop().unwrap(), runs.pop().unwrap());
             let mut multiset = broker_run.0.clone();
             multiset.sort_unstable();
-            prop_assert_eq!(
+            assert_eq!(
                 &multiset, &expect,
-                "batch {}: captured results vs brute-force reference", batch
+                "batch {}: captured results vs brute-force reference",
+                batch
             );
-            prop_assert_eq!(
+            assert_eq!(
                 &broker_run.0, &sharded_run.0,
-                "batch {}: ordered result sequences diverge across backends", batch
+                "batch {}: ordered result sequences diverge across backends",
+                batch
             );
-            prop_assert_eq!(
+            assert_eq!(
                 broker_run.1, sharded_run.1,
-                "batch {}: trace span totals diverge across backends", batch
+                "batch {}: trace span totals diverge across backends",
+                batch
             );
-            prop_assert_eq!(
+            assert_eq!(
                 broker_run.2, sharded_run.2,
-                "batch {}: result counters diverge across backends", batch
+                "batch {}: result counters diverge across backends",
+                batch
             );
         }
-    }
+    });
+}
 
-    /// The adaptive router is backend-equivalent *across forced mid-stream
-    /// strategy switches*: the stream is fed in three segments with one
-    /// deterministic committed switch between segments (quiesce → one-shot
-    /// flip → wait for the commit), so both backends route segment k under
-    /// the same epoch-k plan. At every batch size {1, 7, 64} the broker
-    /// and sharded pipelines then produce the identical ordered result
-    /// sequence, match the brute-force reference join, and keep the armed
-    /// Auditor clean. (Copies and trace spans are NOT compared: retiring
-    /// probe coverage is wall-clock-timed, so no-match probe fan-out may
-    /// legitimately differ.)
-    #[test]
-    fn adaptive_routing_is_backend_equivalent_across_forced_switches(
-        ops in prop::collection::vec((any::<bool>(), 0i64..8), 24..60),
-    ) {
-        use bistream::core::config::{AdaptiveTuning, EngineConfig, RoutingStrategy};
-        use bistream::core::exec::{Backend, Pipeline, PipelineConfig};
-        use bistream::types::audit::Auditor;
-        use std::sync::Arc;
+/// The adaptive router is backend-equivalent *across forced mid-stream
+/// strategy switches*: the stream is fed in three segments with one
+/// deterministic committed switch between segments (quiesce → one-shot
+/// flip → wait for the commit), so both backends route segment k under
+/// the same epoch-k plan. At every batch size {1, 7, 64} the broker
+/// and sharded pipelines then produce the identical ordered result
+/// sequence, match the brute-force reference join, and keep the armed
+/// Auditor clean. (Copies and trace spans are NOT compared: retiring
+/// probe coverage is wall-clock-timed, so no-match probe fan-out may
+/// legitimately differ.)
+#[test]
+fn adaptive_routing_is_backend_equivalent_across_forced_switches() {
+    for_cases("adaptive_routing_is_backend_equivalent_across_forced_switches", 4, |g| {
+        let ops = g.vec(24..60, |g| (g.bool(), g.int(0..8)));
         use std::time::{Duration, Instant};
 
         fn wait_until(limit: Duration, mut cond: impl FnMut() -> bool) -> bool {
@@ -877,101 +802,74 @@ proptest! {
             }
         }
 
-        let payload_id = |t: &Tuple| match t.get(1) {
-            Some(Value::Int(i)) => *i,
-            other => panic!("payload id attribute: {other:?}"),
-        };
-        let mut expect: Vec<(i64, i64)> = Vec::new();
-        for (i, (r_side, rk)) in ops.iter().enumerate() {
-            if !r_side {
-                continue;
-            }
-            for (j, (s_side, sk)) in ops.iter().enumerate() {
-                if !s_side && rk == sk {
-                    expect.push((i as i64, j as i64));
-                }
-            }
-        }
-        expect.sort_unstable();
+        let expect = expected_pairs(&ops);
         let seg = ops.len().div_ceil(3);
 
         for &batch in &[1usize, 7, 64] {
             let mut runs: Vec<(Vec<(i64, i64)>, u64, u64)> = Vec::new();
             for backend in [Backend::Broker, Backend::Sharded] {
                 let mut engine = EngineConfig::default_equi();
-                engine.window = WindowSpec::sliding(600_000);
-                engine.batch_size = batch;
                 engine.routing = RoutingStrategy::Adaptive { subgroups: 2 };
                 // Disable the wall-clock-timed natural tuner: the only
                 // switches are the deterministic one-shot flips below, so
                 // both backends partition the stream identically by epoch.
                 engine.adaptive =
                     AdaptiveTuning { tune_every_puncts: u32::MAX, ..AdaptiveTuning::default() };
-                let mut c = PipelineConfig::new(engine);
-                c.routers = 1;
-                c.backend = backend;
-                c.capture_results = true;
                 let auditor = Auditor::new();
-                c.auditor = Some(auditor.clone());
-                let p = Pipeline::launch(c).unwrap();
+                let p = Pipeline::launch(live_config(engine, batch, backend, &auditor)).unwrap();
                 let shared = Arc::clone(p.adaptive_state().expect("adaptive engine"));
                 let mut fed = 0u64;
                 for (chunk_idx, chunk) in ops.chunks(seg).enumerate() {
-                    for (i, (r_side, key)) in chunk.iter().enumerate() {
-                        let id = (chunk_idx * seg + i) as i64;
-                        let rel = if *r_side { Rel::R } else { Rel::S };
-                        p.ingest(&Tuple::new(
-                            rel,
-                            p.now(),
-                            vec![Value::Int(*key), Value::Int(id)],
-                        ))
-                        .unwrap();
+                    for (i, op) in chunk.iter().enumerate() {
+                        p.ingest(&live_tuple(&p, chunk_idx * seg + i, *op)).unwrap();
                         fed += 1;
                     }
                     // Quiesce the router (routing of everything fed so far
                     // is fixed), then force exactly one committed switch.
-                    prop_assert!(
+                    assert!(
                         wait_until(Duration::from_secs(30), || p.stats().ingested == fed),
-                        "{:?} batch {}: router did not quiesce", backend, batch
+                        "{:?} batch {}: router did not quiesce",
+                        backend,
+                        batch
                     );
                     if (chunk_idx + 1) * seg < ops.len() {
                         let before = shared.switches();
                         shared.request_flip();
-                        prop_assert!(
+                        assert!(
                             wait_until(Duration::from_secs(30), || shared.switches() > before),
-                            "{:?} batch {}: forced switch never committed", backend, batch
+                            "{:?} batch {}: forced switch never committed",
+                            backend,
+                            batch
                         );
                     }
                 }
                 let switches = shared.switches();
                 let report = p.finish().unwrap();
                 auditor.assert_clean();
-                let ordered: Vec<(i64, i64)> = report
-                    .captured
-                    .iter()
-                    .map(|res| (payload_id(&res.r), payload_id(&res.s)))
-                    .collect();
-                runs.push((ordered, report.snapshot.results, switches));
+                runs.push((payload_pairs(&report.captured), report.snapshot.results, switches));
             }
             let (sharded_run, broker_run) = (runs.pop().unwrap(), runs.pop().unwrap());
             let mut multiset = broker_run.0.clone();
             multiset.sort_unstable();
-            prop_assert_eq!(
+            assert_eq!(
                 &multiset, &expect,
-                "batch {}: adaptive results vs brute-force reference", batch
+                "batch {}: adaptive results vs brute-force reference",
+                batch
             );
-            prop_assert_eq!(
+            assert_eq!(
                 &broker_run.0, &sharded_run.0,
-                "batch {}: adaptive ordered sequences diverge across backends", batch
+                "batch {}: adaptive ordered sequences diverge across backends",
+                batch
             );
-            prop_assert_eq!(
+            assert_eq!(
                 broker_run.1, sharded_run.1,
-                "batch {}: adaptive result counters diverge across backends", batch
+                "batch {}: adaptive result counters diverge across backends",
+                batch
             );
-            prop_assert_eq!(broker_run.2, 2u64, "batch {}: exactly two forced switches", batch);
-            prop_assert_eq!(sharded_run.2, 2u64, "batch {}: exactly two forced switches", batch);
+            assert_eq!(broker_run.2, 2u64, "batch {}: exactly two forced switches", batch);
+            assert_eq!(sharded_run.2, 2u64, "batch {}: exactly two forced switches", batch);
         }
-    }
+    });
 }
 
 /// Acceptance gate: one hundred committed strategy switches with tuples in
@@ -981,30 +879,13 @@ proptest! {
 /// publish/ack/commit path on every one of those switches.
 #[test]
 fn hundred_forced_switches_stay_audit_clean_and_complete() {
-    use bistream::core::config::{EngineConfig, RoutingStrategy};
-    use bistream::core::engine::BicliqueEngine;
-    use bistream::types::audit::Auditor;
-    use bistream::types::tuple::JoinResult;
-
-    const W: Ts = 150;
-    const PUNCT: Ts = 10;
-    let mut cfg = EngineConfig::default_equi();
-    cfg.r_joiners = 2;
-    cfg.s_joiners = 3;
-    cfg.window = WindowSpec::sliding(W);
-    cfg.routing = RoutingStrategy::Adaptive { subgroups: 2 };
-    cfg.punctuation_interval_ms = PUNCT;
-    cfg.archive_period_ms = 20;
-    cfg.seed = 5;
+    let cfg = engine_config(RoutingStrategy::Adaptive { subgroups: 2 }, 1);
     let auditor = Auditor::new();
     auditor.enable_oracle(Some(W));
-    let mut engine = BicliqueEngine::builder(cfg)
-        .routers(2)
-        .auditor(auditor.clone())
-        .build()
-        .unwrap();
+    let mut engine =
+        BicliqueEngine::builder(cfg).routers(2).auditor(auditor.clone()).build().unwrap();
     engine.capture_results();
-    let shared = std::sync::Arc::clone(engine.adaptive_state().expect("adaptive engine"));
+    let shared = Arc::clone(engine.adaptive_state().expect("adaptive engine"));
     shared.force_flip_every_tick(true);
 
     // Deterministic stream: three tuples per punctuation round, flipping
@@ -1032,18 +913,14 @@ fn hundred_forced_switches_stay_audit_clean_and_complete() {
     engine.flush().unwrap();
 
     assert!(shared.switches() >= 100, "got {} switches", shared.switches());
-    let mut expect: Vec<_> = Vec::new();
-    for a in tuples.iter().filter(|t| t.rel() == Rel::R) {
-        for b in tuples.iter().filter(|t| t.rel() == Rel::S) {
-            if a.get(0) == b.get(0) && a.ts().abs_diff(b.ts()) <= W {
-                expect.push(JoinResult::of(a.clone(), b.clone()).identity());
-            }
-        }
-    }
-    expect.sort();
     let mut got: Vec<_> = engine.take_captured().iter().map(JoinResult::identity).collect();
     got.sort();
-    assert_eq!(got, expect, "results lost or invented across {} switches", shared.switches());
+    assert_eq!(
+        got,
+        reference_join(&tuples),
+        "results lost or invented across {} switches",
+        shared.switches()
+    );
     let violations = auditor.finish();
     assert!(violations.is_empty(), "audit violations under the switch storm: {violations:#?}");
 }

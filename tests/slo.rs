@@ -107,12 +107,18 @@ fn frozen_frontier_is_detected_by_the_watchdog_within_bounded_ticks() {
     let frontier: Vec<_> =
         verdicts.iter().filter(|v| v.kind == StallKind::FrontierStall).collect();
     assert!(!frontier.is_empty(), "the frozen frontier must be flagged: {verdicts:?}");
+    // Detection is bounded: a unit's run starts at the first scrape that
+    // finds it holding work behind the frozen frontier — one interval after
+    // the freeze (50 ms cadence) for a unit that was sent a tuple at once,
+    // later for one the key hash sends nothing until later (an empty
+    // buffer is idleness, not a stall) — and needs `stall_ticks`
+    // no-progress intervals to qualify.
+    assert!(
+        frontier.iter().any(|v| v.from_ms <= FREEZE_MS + 50),
+        "some run begins at the next scrape: {frontier:?}"
+    );
     for v in &frontier {
-        // Detection is bounded: the run starts at the first stalled scrape
-        // (one interval after the freeze at the 50 ms cadence), and needs
-        // `stall_ticks` no-progress intervals to qualify.
         assert!(v.from_ms >= FREEZE_MS, "run begins after the freeze: {v:?}");
-        assert!(v.from_ms <= FREEZE_MS + 50, "run begins at the next scrape: {v:?}");
         assert!(v.ticks >= cfg.stall_ticks as u64, "{v:?}");
         assert!(v.buffered > 0, "stall evidence requires buffered work: {v:?}");
         assert_eq!(v.alert(), names::ALERT_PROGRESS_STALL);
