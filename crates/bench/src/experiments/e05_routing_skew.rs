@@ -143,9 +143,7 @@ fn drive_sampling_periods(
 fn shifting_ablation(ctx: &ExpCtx, horizon_ms: u64, units: usize) {
     let period_ms = horizon_ms / 4; // four hot-set rotations per run
     let mut table = Table::new(
-        format!(
-            "E5b: shifting-Zipf ablation (8x8 units, hot set rotates every {period_ms} ms)"
-        ),
+        format!("E5b: shifting-Zipf ablation (8x8 units, hot set rotates every {period_ms} ms)"),
         &["theta", "strategy", "copies/tuple", "peak_imbalance", "results", "switches", "audit"],
     );
 
@@ -226,8 +224,7 @@ fn live_ablation(ctx: &ExpCtx, units: usize) {
             .map(|a| a.switches().to_string())
             .unwrap_or_else(|| "-".to_string());
         let report = pipe.finish().expect("finish");
-        let thr =
-            report.snapshot.ingested as f64 / (report.elapsed_ms.max(1) as f64 / 1_000.0);
+        let thr = report.snapshot.ingested as f64 / (report.elapsed_ms.max(1) as f64 / 1_000.0);
         let audit = report
             .auditor
             .as_ref()

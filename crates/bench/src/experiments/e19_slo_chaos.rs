@@ -41,8 +41,7 @@ pub fn run(ctx: &ExpCtx) {
     for scenario in ["delay", "partition", "crash", "stall"] {
         for seed in 0..seeds {
             let trial = run_graded_trial(scenario, seed, &spec, &slo, &watchdog);
-            let alerts =
-                trial.health.slo.as_ref().map(|s| s.alerts.len()).unwrap_or(0);
+            let alerts = trial.health.slo.as_ref().map(|s| s.alerts.len()).unwrap_or(0);
             table.row(vec![
                 scenario.to_owned(),
                 "sim".to_owned(),
@@ -66,8 +65,7 @@ pub fn run(ctx: &ExpCtx) {
         Ok(drill) => {
             let health = &drill.report.health;
             let alerts = health.slo.as_ref().map(|s| s.alerts.len()).unwrap_or(0);
-            let avail =
-                health.slo.as_ref().map(|s| s.availability_pct()).unwrap_or(100.0);
+            let avail = health.slo.as_ref().map(|s| s.availability_pct()).unwrap_or(100.0);
             table.row(vec![
                 "broker_stall".to_owned(),
                 "live".to_owned(),

@@ -183,7 +183,7 @@ fn e18_and_e19_json_shapes_are_stable() {
     // The breach bundle lands next to the table for the CI artifact.
     let bundle = std::fs::read_to_string("results/e19_breach_bundle.json")
         .expect("breach bundle written on breach");
-    let parsed = bistream_types::recorder::BreachBundle::from_json(&bundle)
-        .expect("bundle parses back");
+    let parsed =
+        bistream_types::recorder::BreachBundle::from_json(&bundle).expect("bundle parses back");
     assert_eq!(parsed.to_json(), bundle, "bundle round-trip is byte-stable");
 }

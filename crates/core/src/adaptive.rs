@@ -669,7 +669,7 @@ impl AdaptiveRouter {
                     subgroups: d,
                     hot: inner.committed.hot.clone(),
                 })
-            } else if inner.ticks % shared.tune_period == 0 {
+            } else if inner.ticks.is_multiple_of(shared.tune_period) {
                 let p = retune(inner, &shared.tuning, shared.max_subgroups, next_epoch);
                 inner.cm.decay();
                 inner.ss.decay();
@@ -759,8 +759,7 @@ fn retune(
         let max = inner.loads.values().copied().max().unwrap_or(0);
         let sum: u64 = inner.loads.values().sum();
         let mean = sum / inner.loads.len() as u64;
-        if mean > 0 {
-            let pct = max.saturating_mul(100) / mean;
+        if let Some(pct) = max.saturating_mul(100).checked_div(mean) {
             if pct >= u64::from(tuning.widen_above_pct) {
                 // Load concentrates: widen the subgroups (halve d) so
                 // cold-key storage spreads over more units.

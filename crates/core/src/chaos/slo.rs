@@ -164,7 +164,7 @@ fn graded_trial_inner(
         if (i + 1) % punct_every == 0 {
             engine.punctuate(now + 1)?;
             punct_rounds += 1;
-            if punct_rounds % ckpt_every == 0 {
+            if punct_rounds.is_multiple_of(ckpt_every) {
                 engine.checkpoint_all()?;
             }
         }
@@ -177,7 +177,7 @@ fn graded_trial_inner(
         if (i + 1) % punct_every == 0 {
             engine.punctuate(now + 1)?;
             punct_rounds += 1;
-            if punct_rounds % ckpt_every == 0 {
+            if punct_rounds.is_multiple_of(ckpt_every) {
                 engine.checkpoint_all()?;
             }
         }
@@ -195,7 +195,13 @@ fn graded_trial_inner(
     let events = obs.journal.snapshot();
     let health = bistream_types::recorder::grade_run(Some(slo), watchdog, &series, &events, &[]);
     let violations: Vec<String> = auditor.finish().iter().map(|v| v.to_string()).collect();
-    Ok(GradedTrial { scenario: plan.scenario.clone(), seed: plan.seed, violations, results, health })
+    Ok(GradedTrial {
+        scenario: plan.scenario.clone(),
+        seed: plan.seed,
+        violations,
+        results,
+        health,
+    })
 }
 
 /// Outcome of the live broker-stall drill: the seeded plan that drove it

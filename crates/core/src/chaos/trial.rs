@@ -159,7 +159,7 @@ fn run_trial_inner(plan: &FaultPlan, spec: &TrialSpec) -> Result<TrialReport> {
         if (i + 1) % punct_every == 0 {
             engine.punctuate(now + 1)?;
             punct_rounds += 1;
-            if punct_rounds % ckpt_every == 0 {
+            if punct_rounds.is_multiple_of(ckpt_every) {
                 engine.checkpoint_all()?;
             }
         }
@@ -173,7 +173,7 @@ fn run_trial_inner(plan: &FaultPlan, spec: &TrialSpec) -> Result<TrialReport> {
         if (i + 1) % punct_every == 0 {
             engine.punctuate(now + 1)?;
             punct_rounds += 1;
-            if punct_rounds % ckpt_every == 0 {
+            if punct_rounds.is_multiple_of(ckpt_every) {
                 engine.checkpoint_all()?;
             }
         }

@@ -161,6 +161,13 @@ impl EngineConfig {
                 self.routing, self.predicate
             )));
         }
+        if let JoinPredicate::Band { band, .. } = self.predicate {
+            // A negative band matches no pair and asks the index for a
+            // range that ends before it starts.
+            if band.is_nan() || band < 0.0 {
+                return Err(Error::Config(format!("band must be non-negative, got {band}")));
+            }
+        }
         if let RoutingStrategy::ContRand { subgroups } | RoutingStrategy::Adaptive { subgroups } =
             self.routing
         {
@@ -219,6 +226,20 @@ mod tests {
         assert!(c.validate().is_err());
         c.routing = RoutingStrategy::Random;
         assert!(c.validate().is_ok());
+    }
+
+    #[test]
+    fn negative_or_nan_band_rejected() {
+        let mut c = EngineConfig::default_equi();
+        c.routing = RoutingStrategy::Random;
+        for band in [-1.0, -f64::MIN_POSITIVE, f64::NAN] {
+            c.predicate = JoinPredicate::Band { r_attr: 0, s_attr: 0, band };
+            assert!(matches!(c.validate(), Err(Error::Config(_))), "band {band}");
+        }
+        for band in [0.0, -0.0, 2.5, f64::INFINITY] {
+            c.predicate = JoinPredicate::Band { r_attr: 0, s_attr: 0, band };
+            assert!(c.validate().is_ok(), "band {band}");
+        }
     }
 
     #[test]

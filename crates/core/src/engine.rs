@@ -1581,9 +1581,8 @@ mod tests {
     fn crash_recover_drill_preserves_exactly_once() {
         let mut engine = chaos_engine(bistream_types::fault::FaultPlan::none());
         // Store 30 distinct R tuples; checkpoint after the first 20.
-        let mut now = 0;
         for i in 0..30i64 {
-            now = i as Ts * 10;
+            let now = i as Ts * 10;
             engine.ingest(&t(Rel::R, now, i), now).unwrap();
             if i % 4 == 3 {
                 engine.punctuate(now + 1).unwrap();

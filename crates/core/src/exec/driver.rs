@@ -168,6 +168,10 @@ pub(crate) fn run_router<I: Inbox<Tuple>, O: Outbox>(
     }
 }
 
+/// What a joiner worker hands back: the unit's counters and the results it
+/// captured (empty unless capturing).
+pub(crate) type JoinerOutcome = (JoinerStats, Vec<JoinResult>);
+
 /// One joiner worker: handle every frame of the inbox; once it is closed
 /// and drained (every router's final punctuation has then been handled),
 /// terminally flush the reorder buffer. Returns the unit's counters and
@@ -176,7 +180,7 @@ pub(crate) fn run_joiner<U: Inbox<BatchMessage>>(
     mut joiner: JoinerCore,
     mut inbox: U,
     mut sink: ResultSink,
-) -> Result<(JoinerStats, Vec<JoinResult>)> {
+) -> Result<JoinerOutcome> {
     loop {
         match inbox.poll(JOINER_POLL)? {
             Polled::Idle => {}
@@ -220,7 +224,7 @@ pub(crate) struct Parts {
 /// The running worker threads, joiners in `Layout::all_units` order.
 pub(crate) struct Workers {
     pub(crate) routers: Vec<JoinHandle<Result<()>>>,
-    pub(crate) joiners: Vec<JoinHandle<Result<(JoinerStats, Vec<JoinResult>)>>>,
+    pub(crate) joiners: Vec<JoinHandle<Result<JoinerOutcome>>>,
 }
 
 /// Build one core per worker end and start its thread (`unit-N` running

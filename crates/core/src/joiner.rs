@@ -120,6 +120,12 @@ pub struct JoinerCore {
     last_ts: Ts,
     /// Scratch buffer reused across handle() calls.
     released: Vec<Released>,
+    /// Scratch buffers of the batched path, reused across runs: what a
+    /// store run hands to `insert_batch`, what a join run hands to
+    /// `probe_batch`, and the result count of each of its probes.
+    items: Vec<(Value, Tuple)>,
+    probes: Vec<(ProbePlan, Ts)>,
+    results: Vec<usize>,
     /// Per-tuple tracer, shared through [`JoinerCore::attach_obs`].
     tracer: Tracer,
     /// Processing time (virtual ms in the simulator, wall ms live), set by
@@ -177,6 +183,9 @@ impl JoinerCore {
             metrics: None,
             last_ts: 0,
             released: Vec::new(),
+            items: Vec::new(),
+            probes: Vec::new(),
+            results: Vec::new(),
             tracer: Tracer::disabled(),
             now: 0,
             batch_size: 1,
@@ -480,30 +489,25 @@ impl JoinerCore {
                         },
                     );
                 }
-                let cap = self.batch_size;
-                let mut scratch: Vec<(SeqNo, Tuple)> = Vec::new();
-                for run in ReorderBuffer::purpose_runs(&released, cap) {
-                    scratch.clear();
-                    scratch.extend(run.iter().map(|r| (r.seq, r.tuple.clone())));
-                    match run[0].purpose {
-                        Purpose::Store => self.store_run(&scratch)?,
-                        Purpose::Join => self.probe_run(&scratch, emit)?,
-                    }
+                for run in ReorderBuffer::purpose_runs(&released, self.batch_size) {
+                    self.process_run(run, emit)?;
                 }
                 released.clear();
                 self.released = released;
             }
             None => {
                 if let BatchMessage::Batch(b) = msg {
-                    let purpose = b.purpose();
-                    let entries: Vec<(SeqNo, Tuple)> =
-                        b.into_entries().into_iter().map(|e| (e.seq, e.tuple)).collect();
-                    if !entries.is_empty() {
-                        match purpose {
-                            Purpose::Store => self.store_run(&entries)?,
-                            Purpose::Join => self.probe_run(&entries, emit)?,
-                        }
-                    }
+                    let (router, purpose) = (b.router(), b.purpose());
+                    let mut run = std::mem::take(&mut self.released);
+                    run.extend(b.into_entries().into_iter().map(|e| Released {
+                        router,
+                        seq: e.seq,
+                        purpose,
+                        tuple: e.tuple,
+                    }));
+                    self.process_run(&run, emit)?;
+                    run.clear();
+                    self.released = run;
                 }
             }
         }
@@ -511,13 +515,22 @@ impl JoinerCore {
         Ok(())
     }
 
+    /// Process one same-purpose run through the index's batch entry points.
+    fn process_run<F: FnMut(JoinResult)>(&mut self, run: &[Released], emit: &mut F) -> Result<()> {
+        match run.first().map(|r| r.purpose) {
+            Some(Purpose::Store) => self.store_run(run),
+            Some(Purpose::Join) => self.probe_run(run, emit),
+            None => Ok(()),
+        }
+    }
+
     /// Insert a run of store copies through one `insert_batch` call.
     /// Per-tuple bookkeeping (journal, meter, trace spans) is preserved so
     /// a 1-tuple run is indistinguishable from [`JoinerCore::handle`]'s
     /// store branch.
-    fn store_run(&mut self, entries: &[(SeqNo, Tuple)]) -> Result<()> {
-        let mut items: Vec<(Value, Tuple)> = Vec::with_capacity(entries.len());
-        for (seq, tuple) in entries {
+    fn store_run(&mut self, run: &[Released]) -> Result<()> {
+        let mut items = std::mem::take(&mut self.items);
+        for Released { seq, tuple, .. } in run {
             debug_assert_eq!(tuple.rel(), self.side, "store copy on the wrong side");
             self.last_ts = self.last_ts.max(tuple.ts());
             let key = self.key_of(tuple)?;
@@ -536,7 +549,8 @@ impl JoinerCore {
                 self.tracer.end_branch(*seq);
             }
         }
-        self.index.insert_batch(items);
+        self.index.insert_batch(items.drain(..));
+        self.items = items;
         Ok(())
     }
 
@@ -548,35 +562,34 @@ impl JoinerCore {
     /// window-checked against its own probe's timestamp, so the emitted
     /// results are identical. Results are emitted probe-major in run
     /// order, matching a sequence of standalone probes exactly.
-    fn probe_run<F: FnMut(JoinResult)>(
-        &mut self,
-        entries: &[(SeqNo, Tuple)],
-        emit: &mut F,
-    ) -> Result<()> {
-        debug_assert!(!entries.is_empty());
-        let dropped = self.expire_at(entries[0].1.ts());
+    fn probe_run<F: FnMut(JoinResult)>(&mut self, run: &[Released], emit: &mut F) -> Result<()> {
+        debug_assert!(!run.is_empty());
+        let dropped = self.expire_at(run[0].tuple.ts());
 
-        let mut probes: Vec<(ProbePlan, Ts)> = Vec::with_capacity(entries.len());
-        for (_, probe) in entries {
+        let mut probes = std::mem::take(&mut self.probes);
+        probes.clear();
+        for Released { tuple: probe, .. } in run {
             debug_assert_eq!(probe.rel(), self.side.opposite(), "join copy on the wrong side");
             self.last_ts = self.last_ts.max(probe.ts());
             probes.push((self.predicate.probe_plan(probe)?, probe.ts()));
         }
         // The index hands over matches probe by probe in run order, so
         // they are emitted as they arrive; only the counts are kept.
-        let mut results = vec![0usize; entries.len()];
+        let mut results = std::mem::take(&mut self.results);
+        results.clear();
+        results.resize(run.len(), 0);
         let mut failed = None;
         let predicate = &self.predicate;
         let probe_stats = self.index.probe_batch(&probes, |i, stored| {
             let hit =
-                emit_if_match(predicate, &probes[i].0, stored, &entries[i].1, &mut failed, emit);
+                emit_if_match(predicate, &probes[i].0, stored, &run[i].tuple, &mut failed, emit);
             results[i] += usize::from(hit);
         });
         if let Some(e) = failed {
             return Err(e);
         }
 
-        for (i, (seq, probe)) in entries.iter().enumerate() {
+        for (i, Released { seq, tuple: probe, .. }) in run.iter().enumerate() {
             let results = results[i];
             let stats = &probe_stats[i];
             self.stats.probes += 1;
@@ -609,6 +622,8 @@ impl JoinerCore {
                 self.tracer.end_branch(*seq);
             }
         }
+        self.probes = probes;
+        self.results = results;
         Ok(())
     }
 

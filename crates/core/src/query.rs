@@ -239,9 +239,6 @@ impl QueryBuilder {
                         )));
                     }
                 }
-                if *band < 0.0 {
-                    return Err(Error::Config(format!("band must be non-negative, got {band}")));
-                }
                 JoinPredicate::Band { r_attr: ri, s_attr: si, band: *band }
             }
             Condition::Theta { r, op, s } => {
@@ -345,8 +342,12 @@ mod tests {
 
         let err = QueryBuilder::new(orders(), payments()).on_band("who", "paid", 0.5).build();
         assert!(matches!(err, Err(Error::Schema(_))));
-        let err = QueryBuilder::new(orders(), payments()).on_band("amount", "paid", -1.0).build();
-        assert!(matches!(err, Err(Error::Config(_))));
+        // `EngineConfig::validate` refuses a band no pair can satisfy.
+        for band in [-1.0, f64::NAN] {
+            let err =
+                QueryBuilder::new(orders(), payments()).on_band("amount", "paid", band).build();
+            assert!(matches!(err, Err(Error::Config(_))), "band {band}");
+        }
     }
 
     #[test]

@@ -260,7 +260,7 @@ impl RouterCore {
     /// Set the micro-batch flush threshold (clamped to at least 1). With
     /// size 1 every copy flushes immediately — per-tuple framing.
     pub fn set_batch_size(&mut self, n: usize) {
-        self.batch_size = n.max(1).min(bistream_types::batch::MAX_BATCH_LEN);
+        self.batch_size = n.clamp(1, bistream_types::batch::MAX_BATCH_LEN);
     }
 
     /// The current flush threshold.

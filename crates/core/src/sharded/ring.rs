@@ -60,8 +60,7 @@ pub(crate) fn wire(parts: &Parts) -> Result<Wiring<RingHandle, RingIngest, RingO
     let ingest_obs = series(INGEST_QUEUE);
 
     let mut stalls = FxHashMap::default();
-    let mut outboxes: Vec<FxHashMap<JoinerId, (SpscProducer<BatchMessage>, Arc<QueueSeries>)>> =
-        (0..routers).map(|_| FxHashMap::default()).collect();
+    let mut outboxes: Vec<UnitRings> = (0..routers).map(|_| FxHashMap::default()).collect();
     let mut units = Vec::new();
     for (_, id) in parts.layout.all_units() {
         let stall = Arc::new(AtomicBool::new(false));
@@ -196,9 +195,12 @@ impl Inbox<Tuple> for RingIngest {
     }
 }
 
+/// The producer half of each unit's ring, with the unit's queue series.
+type UnitRings = FxHashMap<JoinerId, (SpscProducer<BatchMessage>, Arc<QueueSeries>)>;
+
 /// One router's producer halves, one SPSC ring per unit.
 pub(crate) struct RingOutbox {
-    units: FxHashMap<JoinerId, (SpscProducer<BatchMessage>, Arc<QueueSeries>)>,
+    units: UnitRings,
     spans: Spans,
 }
 

@@ -418,7 +418,10 @@ impl<T> MpmcProducer<T> {
     /// Frames currently queued (approximate under concurrency).
     pub fn len(&self) -> usize {
         let s = &*self.shared;
-        s.enqueue_pos.0.load(Ordering::Relaxed).wrapping_sub(s.dequeue_pos.0.load(Ordering::Relaxed))
+        s.enqueue_pos
+            .0
+            .load(Ordering::Relaxed)
+            .wrapping_sub(s.dequeue_pos.0.load(Ordering::Relaxed))
     }
 
     /// Whether the ring is empty (approximate under concurrency).
@@ -485,7 +488,10 @@ impl<T> MpmcConsumer<T> {
     /// Frames currently queued (approximate under concurrency).
     pub fn len(&self) -> usize {
         let s = &*self.shared;
-        s.enqueue_pos.0.load(Ordering::Relaxed).wrapping_sub(s.dequeue_pos.0.load(Ordering::Relaxed))
+        s.enqueue_pos
+            .0
+            .load(Ordering::Relaxed)
+            .wrapping_sub(s.dequeue_pos.0.load(Ordering::Relaxed))
     }
 
     /// Whether the ring is empty (approximate under concurrency).

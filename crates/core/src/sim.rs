@@ -14,8 +14,8 @@ use bistream_types::journal::Event;
 use bistream_types::perf::PerfReport;
 use bistream_types::recorder::RunHealth;
 use bistream_types::registry::{RegistrySnapshot, Sampler};
-use bistream_types::slo::SloSpec;
 use bistream_types::rel::Rel;
+use bistream_types::slo::SloSpec;
 use bistream_types::time::Ts;
 use bistream_types::trace::Trace;
 use bistream_types::tuple::Tuple;

@@ -1,6 +1,6 @@
 //! The chained in-memory index proper.
 
-use crate::sub::{IndexKind, SubIndex, ENTRY_OVERHEAD_BYTES};
+use crate::sub::{IndexKind, Sealed, SortedRun, SubIndex, ENTRY_OVERHEAD_BYTES};
 use bistream_types::audit::Auditor;
 use bistream_types::journal::{EventJournal, EventKind};
 use bistream_types::metrics::{Counter, Gauge, Histogram};
@@ -14,11 +14,29 @@ use bistream_types::window::WindowSpec;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
+/// Sealed ordered links are merged while the result spans at most the
+/// window divided by this (a full-history chain has no such cap). The
+/// span of a link is how long its oldest tuple can outstay its own
+/// expiry, so this trades retention for links per probe: at 4, a full
+/// window is probed in 6–9 links whatever `P` is (8.2 instead of 21.6 at
+/// `P` = W/20, 7.1 instead of 93 at W/100), and a chain keeps at most a
+/// quarter-window of expired tuples, a tenth on average (CHANGES.md,
+/// PR 17; the array layout more than pays for them in memory).
+const MERGE_SPAN_DIVISOR: Ts = 4;
+
+/// Two adjacent runs are merged only while the older holds at most this
+/// many times the tuples of the newer. Where merging stops, each run is
+/// more than twice the next newer one, so a chain that never expires holds
+/// O(log n) runs; and a run absorbed as the older side grows by half or
+/// more, so a tuple is copied O(log n) times over its life.
+const MERGE_SIZE_RATIO: usize = 2;
+
 /// One link of the chain: a sub-index plus the timestamp span of its
-/// contents.
+/// contents. The head link holds a [`SubIndex`]; an archived one holds it
+/// [`Sealed`].
 #[derive(Debug)]
-struct Link {
-    index: SubIndex,
+struct Link<S> {
+    index: S,
     /// `(min_ts, max_ts)` of the stored tuples, or `None` while the link is
     /// empty. Making the span an `Option` (rather than the old
     /// `min_ts: Ts::MAX, max_ts: 0` sentinel pair) forces every reader to
@@ -29,8 +47,22 @@ struct Link {
     bytes: usize,
 }
 
-impl Link {
-    fn new(kind: IndexKind) -> Link {
+impl<S> Link<S> {
+    /// Whether a probe at `probe_ts` has to look inside: false for an
+    /// empty link and for one whose whole span is out of window scope.
+    fn in_reach(&self, window: WindowSpec, probe_ts: Ts) -> bool {
+        let Some((min_ts, max_ts)) = self.span else { return false };
+        // The whole span is on one side of the window iff both ends are
+        // out of scope on the same side; a span straddling the window has
+        // the probe between its ends.
+        window.in_scope(max_ts, probe_ts)
+            || window.in_scope(min_ts, probe_ts)
+            || (min_ts <= probe_ts && probe_ts <= max_ts)
+    }
+}
+
+impl Link<SubIndex> {
+    fn new(kind: IndexKind) -> Link<SubIndex> {
         Link { index: SubIndex::new(kind), span: None, count: 0, bytes: 0 }
     }
 
@@ -44,6 +76,15 @@ impl Link {
         self.count += 1;
         self.bytes += bytes;
         self.index.insert(hash, key, tuple);
+    }
+
+    fn seal(self) -> Link<Sealed> {
+        Link {
+            index: self.index.seal(self.count),
+            span: self.span,
+            count: self.count,
+            bytes: self.bytes,
+        }
     }
 }
 
@@ -147,6 +188,19 @@ impl IndexObs {
 /// The chained in-memory index: an active sub-index receiving inserts and
 /// a FIFO chain of archived sub-indexes awaiting wholesale expiry.
 ///
+/// An archived link is immutable. A hash or scan link is kept as it was
+/// built; an ordered link is frozen into a sorted run the moment it is
+/// sealed, and adjacent runs are then merged, LSM-style, while the merged
+/// run spans at most a quarter of the window and the two are of
+/// comparable size (`MERGE_SPAN_DIVISOR`, `MERGE_SIZE_RATIO`). The archive
+/// period `P` therefore bounds the span of the *head* link — how often a
+/// link is sealed, and the finest grain at which state can be discarded —
+/// while W/4 bounds the span of an ordered *archived* link: how many
+/// links a range probe visits (6–9 per window, whatever `P`) and how long
+/// an expired tuple can stay resident before the link it sits in goes.
+/// Theorem-1 discard is unchanged: a link goes when its newest tuple has
+/// expired, merged or not.
+///
 /// ```
 /// use bistream_index::{ChainedIndex, IndexKind};
 /// use bistream_types::{predicate::ProbePlan, rel::Rel, tuple::Tuple,
@@ -170,9 +224,9 @@ pub struct ChainedIndex {
     /// Archive period `P` in milliseconds: the timestamp span after which
     /// the active sub-index is sealed.
     period: Ts,
-    active: Link,
+    active: Link<SubIndex>,
     /// Archived links, oldest first.
-    archived: VecDeque<Link>,
+    archived: VecDeque<Link<Sealed>>,
     /// Live tuples and accounted bytes over all links, kept as running
     /// totals: the joiner reads them after every frame.
     tuples: usize,
@@ -281,7 +335,7 @@ impl ChainedIndex {
     /// The tuple enters the active sub-index; if that widens the active
     /// span beyond `P`, the active sub-index is sealed into the chain and a
     /// fresh one is started *containing this tuple* — sealing happens
-    /// before insertion so each link's span never exceeds `P`.
+    /// before insertion so the active span never exceeds `P`.
     pub fn insert(&mut self, key: Value, tuple: Tuple) {
         self.insert_inner(key, tuple);
         self.sync_gauges();
@@ -323,7 +377,8 @@ impl ChainedIndex {
                         },
                     );
                 }
-                self.archived.push_back(sealed);
+                self.archived.push_back(sealed.seal());
+                self.merge_newest_runs();
             }
         }
         let hash = self.key_hash(&key);
@@ -331,6 +386,42 @@ impl ChainedIndex {
         self.tuples += 1;
         self.bytes += bytes;
         self.active.insert(hash, key, tuple, bytes);
+    }
+
+    /// Merge the two newest archived links while both are sorted runs, the
+    /// merged span stays within the cap and the older is not much bigger
+    /// than the newer (see `MERGE_SPAN_DIVISOR`, `MERGE_SIZE_RATIO`).
+    ///
+    /// Two adjacent links always span more than `P` together (the tuple
+    /// that sealed the older one sits in the newer), so a chain whose
+    /// period is a quarter-window or more never merges.
+    fn merge_newest_runs(&mut self) {
+        let max_span = self.window.size().map_or(Ts::MAX, |w| w / MERGE_SPAN_DIVISOR);
+        while self.archived.len() >= 2 {
+            let (Some(newer), Some(older)) = (self.archived.pop_back(), self.archived.pop_back())
+            else {
+                return;
+            };
+            let span = match (older.span, newer.span) {
+                (Some((a, b)), Some((c, d))) => Some((a.min(c), b.max(d))),
+                (span, None) | (None, span) => span,
+            };
+            let fits = span.is_none_or(|(min_ts, max_ts)| max_ts - min_ts <= max_span)
+                && older.count <= newer.count.saturating_mul(MERGE_SIZE_RATIO);
+            match (older.index, newer.index) {
+                (Sealed::Run(a), Sealed::Run(b)) if fits => self.archived.push_back(Link {
+                    index: Sealed::Run(SortedRun::merge(a, b)),
+                    span,
+                    count: older.count + newer.count,
+                    bytes: older.bytes + newer.bytes,
+                }),
+                (a, b) => {
+                    self.archived.push_back(Link { index: a, ..older });
+                    self.archived.push_back(Link { index: b, ..newer });
+                    return;
+                }
+            }
+        }
     }
 
     /// **Data discarding** (Theorem 1 at sub-index granularity): drop every
@@ -410,29 +501,24 @@ impl ChainedIndex {
     ///
     /// [`expire`]: ChainedIndex::expire
     pub fn probe<F: FnMut(&Tuple)>(&self, plan: &ProbePlan, probe_ts: Ts, mut f: F) -> ProbeStats {
-        let mut stats = ProbeStats::default();
         let window = self.window;
         let hash = self.plan_hash(plan);
-        for link in self.archived.iter().chain(std::iter::once(&self.active)) {
-            // Empty links have no span and nothing to probe.
-            let Some((min_ts, max_ts)) = link.span else { continue };
-            // Skip links entirely out of window scope (cheap span check).
-            if !window.in_scope(max_ts, probe_ts) && !window.in_scope(min_ts, probe_ts) {
-                // The whole span is on one side of the window iff both ends
-                // are out on the same side; spans straddling the window
-                // would have one end in scope.
-                if max_ts < probe_ts || min_ts > probe_ts {
-                    continue;
-                }
+        let (mut sub_indexes, mut candidates, mut in_window) = (0, 0, 0);
+        let mut live = |t: &Tuple| {
+            if window.in_scope(t.ts(), probe_ts) {
+                in_window += 1;
+                f(t);
             }
-            stats.sub_indexes += 1;
-            stats.candidates += link.index.probe(plan, hash, |t| {
-                if window.in_scope(t.ts(), probe_ts) {
-                    stats.in_window += 1;
-                    f(t);
-                }
-            });
+        };
+        for link in self.archived.iter().filter(|l| l.in_reach(window, probe_ts)) {
+            sub_indexes += 1;
+            candidates += link.index.probe(plan, hash, &mut live);
         }
+        if self.active.in_reach(window, probe_ts) {
+            sub_indexes += 1;
+            candidates += self.active.index.probe(plan, hash, &mut live);
+        }
+        let stats = ProbeStats { candidates, in_window, sub_indexes };
         if let Some(obs) = &self.obs {
             obs.probe_sub_indexes.record(stats.sub_indexes as u64);
             obs.probe_candidates.record(stats.candidates as u64);
@@ -441,12 +527,10 @@ impl ChainedIndex {
     }
 
     /// **Batched join processing**: run several probes over the chain in
-    /// one call. On ordered and scan chains each sub-index is visited once
-    /// (link-major traversal) instead of walking the whole chain per
-    /// probe, with exact-key probes sorted by key so lookups inside each
-    /// link touch the sub-index in key order. A hash chain runs the probes
-    /// one by one: neither order buys a hash lookup anything, and going
-    /// probe by probe needs no buffer to restore the delivery order.
+    /// one call, one after the other, whatever the flavour. Going link by
+    /// link with the probes sorted by key measured no faster, on hash
+    /// tables or on sorted runs, and needs a buffer per probe to restore
+    /// the delivery order.
     ///
     /// Each probe is `(plan, probe_ts)`; `f` receives the probe's position
     /// in `probes` and each in-window match. Matches are delivered grouped
@@ -460,81 +544,20 @@ impl ChainedIndex {
         probes: &[(ProbePlan, Ts)],
         mut f: F,
     ) -> Vec<ProbeStats> {
-        if self.kind == IndexKind::Hash {
-            return probes
-                .iter()
-                .enumerate()
-                .map(|(i, (plan, probe_ts))| self.probe(plan, *probe_ts, |t| f(i, t)))
-                .collect();
-        }
-        let mut stats = vec![ProbeStats::default(); probes.len()];
-        if probes.is_empty() {
-            return stats;
-        }
-        // Key-sorted visit order: exact keys ascending, then ranges, then
-        // full scans; ties broken by input position for determinism.
-        let mut order: Vec<usize> = (0..probes.len()).collect();
-        order.sort_by(|&a, &b| {
-            let (pa, pb) = (&probes[a].0, &probes[b].0);
-            plan_rank(pa)
-                .cmp(&plan_rank(pb))
-                .then_with(|| match (pa, pb) {
-                    (ProbePlan::ExactKey(x), ProbePlan::ExactKey(y)) => x.cmp(y),
-                    _ => std::cmp::Ordering::Equal,
-                })
-                .then(a.cmp(&b))
-        });
-        // Matches are buffered per probe (tuple clones are refcount bumps)
-        // so emission order stays probe-major even though the traversal is
-        // link-major.
-        let mut matched: Vec<Vec<Tuple>> = vec![Vec::new(); probes.len()];
-        let window = self.window;
-        for link in self.archived.iter().chain(std::iter::once(&self.active)) {
-            let Some((min_ts, max_ts)) = link.span else { continue };
-            for &i in &order {
-                let (plan, probe_ts) = &probes[i];
-                let probe_ts = *probe_ts;
-                // Same span-scope skip as the standalone probe.
-                if !window.in_scope(max_ts, probe_ts)
-                    && !window.in_scope(min_ts, probe_ts)
-                    && (max_ts < probe_ts || min_ts > probe_ts)
-                {
-                    continue;
-                }
-                let s = &mut stats[i];
-                s.sub_indexes += 1;
-                let sink = &mut matched[i];
-                let mut in_window = 0;
-                // Ordered and scan links take no hash.
-                s.candidates += link.index.probe(plan, 0, |t| {
-                    if window.in_scope(t.ts(), probe_ts) {
-                        in_window += 1;
-                        sink.push(t.clone());
-                    }
-                });
-                s.in_window += in_window;
-            }
-        }
-        for (i, hits) in matched.iter().enumerate() {
-            for t in hits {
-                f(i, t);
-            }
-        }
-        if let Some(obs) = &self.obs {
-            for s in &stats {
-                obs.probe_sub_indexes.record(s.sub_indexes as u64);
-                obs.probe_candidates.record(s.candidates as u64);
-            }
-        }
-        stats
+        probes
+            .iter()
+            .enumerate()
+            .map(|(i, (plan, probe_ts))| self.probe(plan, *probe_ts, |t| f(i, t)))
+            .collect()
     }
 
     /// Visit every live `(key, tuple)` entry across the chain (archived
     /// links first, then the active one) — snapshot support.
     pub(crate) fn for_each_entry<F: FnMut(&Value, &Tuple)>(&self, mut f: F) {
-        for link in self.archived.iter().chain(std::iter::once(&self.active)) {
+        for link in &self.archived {
             link.index.for_each_entry(&mut f);
         }
+        self.active.index.for_each_entry(&mut f);
     }
 
     /// Current size statistics.
@@ -557,16 +580,6 @@ impl ChainedIndex {
     /// True if no live tuples are stored.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-}
-
-/// Visit-order class of a probe plan inside a batch: exact keys first
-/// (sorted by key), then ranges, then full scans.
-fn plan_rank(plan: &ProbePlan) -> u8 {
-    match plan {
-        ProbePlan::ExactKey(_) => 0,
-        ProbePlan::Range { .. } => 1,
-        ProbePlan::FullScan => 2,
     }
 }
 
@@ -747,7 +760,7 @@ mod tests {
         let mut c = chain(100, 50);
         // Force an empty archived link directly — the degenerate state the
         // sentinel made dangerous.
-        c.archived.push_back(Link::new(IndexKind::Hash));
+        c.archived.push_back(Link::new(IndexKind::Hash).seal());
         c.insert(Value::Int(1), t(10, 1));
         let mut hits = 0;
         let stats = c.probe(&exact(1), 10, |_| hits += 1);
@@ -774,7 +787,7 @@ mod tests {
         let auditor = Auditor::new();
         let mut c = chain(100, 50);
         c.set_auditor(auditor.clone(), "R0".into());
-        c.archived.push_back(Link::new(IndexKind::Hash));
+        c.archived.push_back(Link::new(IndexKind::Hash).seal());
         for ts in (0..=300).step_by(25) {
             c.insert(Value::Int(1), t(ts, 1));
         }
@@ -848,26 +861,33 @@ mod tests {
 
     /// Drive one chain through a seeded random sequence of inserts, probes
     /// (standalone and batched), expiries and snapshot → restore swaps,
-    /// checking every probe against [`NaiveWindowIndex`] and against a
-    /// plain list filtered with `Value::eq` / `Value::cmp` (the naive
-    /// index shares `SubIndex` with the chain; the list shares nothing).
-    fn check_against_oracles(kind: IndexKind, collide: bool, seed: u64) {
+    /// checking every probe against [`NaiveWindowIndex`] (one B-tree or
+    /// hash table, never frozen or merged) and against a plain list
+    /// filtered with `Value::eq` / `Value::cmp`, which shares nothing.
+    /// Returns whether the chain ever held a merged link.
+    fn check_against_oracles(
+        kind: IndexKind,
+        collide: bool,
+        window: WindowSpec,
+        period: Ts,
+        seed: u64,
+    ) -> bool {
         use crate::naive::NaiveWindowIndex;
         use bistream_types::fault::SplitMix64;
         use std::ops::{Bound, RangeBounds};
 
-        let window = WindowSpec::sliding(60);
         let fresh = || {
             if collide {
-                ChainedIndex::new_colliding(kind, window, 16)
+                ChainedIndex::new_colliding(kind, window, period)
             } else {
-                ChainedIndex::new(kind, window, 16)
+                ChainedIndex::new(kind, window, period)
             }
         };
         let mut rng = SplitMix64::new(seed);
         let mut chain = fresh();
         let mut naive = NaiveWindowIndex::new(kind, window);
         let mut list: Vec<(Value, Tuple)> = Vec::new();
+        let mut merged = false;
         // Few keys, so that keys repeat inside a link (One → Many); each
         // number comes as an Int, as the Float equal to it, as a Float
         // next to it, and as a Str.
@@ -879,6 +899,23 @@ mod tests {
                 2 => Value::Float(k as f64 + 0.5),
                 _ => Value::Str(format!("k{k}")),
             }
+        };
+        // Ranges: mostly lo ≤ hi, one in six on a single key, one in six
+        // as drawn (so possibly inverted); either end included, excluded
+        // or, now and then, open.
+        let range = |rng: &mut SplitMix64| {
+            let (a, b) = (key(rng), key(rng));
+            let (a, b) = match rng.next_below(6) {
+                0 => (a.clone(), a),
+                1 => (a, b),
+                _ => (a.clone().min(b.clone()), a.max(b)),
+            };
+            let mut end = |v: Value| match rng.next_below(7) {
+                0 => Bound::Unbounded,
+                1..=3 => Bound::Included(v),
+                _ => Bound::Excluded(v),
+            };
+            ProbePlan::Range { lo: end(a), hi: end(b) }
         };
         let id = |t: &Tuple| t.get(1).and_then(Value::as_int).expect("id attribute");
         let mut ts: Ts = 0;
@@ -897,13 +934,7 @@ mod tests {
                         .map(|_| {
                             let plan = match (kind, rng.next_below(3)) {
                                 (IndexKind::Scan, _) | (_, 0) => ProbePlan::FullScan,
-                                (IndexKind::Ordered, 1) => {
-                                    let (a, b) = (key(&mut rng), key(&mut rng));
-                                    ProbePlan::Range {
-                                        lo: Bound::Included(a.clone().min(b.clone())),
-                                        hi: Bound::Excluded(a.max(b)),
-                                    }
-                                }
+                                (IndexKind::Ordered, 1) => range(&mut rng),
                                 _ => ProbePlan::ExactKey(key(&mut rng)),
                             };
                             (plan, ts)
@@ -926,7 +957,7 @@ mod tests {
                                     && match plan {
                                         ProbePlan::ExactKey(want) => k == want,
                                         ProbePlan::Range { lo, hi } => {
-                                            (lo.clone(), hi.clone()).contains(k)
+                                            (lo.as_ref(), hi.as_ref()).contains(k)
                                         }
                                         ProbePlan::FullScan => true,
                                     }
@@ -953,17 +984,36 @@ mod tests {
                 }
             }
             // The running totals are the sums they replaced.
-            let links = || chain.archived.iter().chain(std::iter::once(&chain.active));
-            assert_eq!(chain.stats().tuples, links().map(|l| l.count).sum::<usize>());
-            assert_eq!(chain.stats().bytes, links().map(|l| l.bytes).sum::<usize>());
+            let sealed =
+                |of: fn(&Link<Sealed>) -> usize| chain.archived.iter().map(of).sum::<usize>();
+            assert_eq!(chain.stats().tuples, sealed(|l| l.count) + chain.active.count);
+            assert_eq!(chain.stats().bytes, sealed(|l| l.bytes) + chain.active.bytes);
+            // A sealed link spans at most P; two adjacent ones always more.
+            merged |=
+                chain.archived.iter().any(|l| l.span.is_some_and(|(lo, hi)| hi - lo > period));
         }
+        merged
     }
+
+    /// 60 / 16 is the chain as it was before links merged: W/4 < P, so
+    /// nothing ever does. The other two merge, one under the span cap and
+    /// one without it.
+    const ORACLE_CONFIGS: [(WindowSpec, Ts); 3] = [
+        (WindowSpec::TimeSliding { ws: 60 }, 16),
+        (WindowSpec::TimeSliding { ws: 240 }, 8),
+        (WindowSpec::FullHistory, 8),
+    ];
 
     #[test]
     fn random_sequences_agree_with_the_naive_index_and_a_plain_list() {
         for seed in 0..12 {
-            for kind in [IndexKind::Hash, IndexKind::Ordered, IndexKind::Scan] {
-                check_against_oracles(kind, false, seed);
+            for (window, period) in ORACLE_CONFIGS {
+                for kind in [IndexKind::Hash, IndexKind::Ordered, IndexKind::Scan] {
+                    let merged = check_against_oracles(kind, false, window, period, seed);
+                    let merges = kind == IndexKind::Ordered
+                        && window.size().is_none_or(|w| w / MERGE_SPAN_DIVISOR > period);
+                    assert_eq!(merged, merges, "{kind:?} {window:?} / {period}, seed {seed}");
+                }
             }
         }
     }
@@ -971,8 +1021,129 @@ mod tests {
     #[test]
     fn fully_colliding_hash_links_fall_back_to_key_equality() {
         for seed in 0..12 {
-            check_against_oracles(IndexKind::Hash, true, seed);
+            check_against_oracles(IndexKind::Hash, true, WindowSpec::sliding(60), 16, seed);
         }
+    }
+
+    /// Keys the order key cannot tell apart: the scan has to settle them
+    /// with `Value::cmp` at the two ends of the range, in the head link, a
+    /// frozen run and a merged one alike.
+    #[test]
+    fn order_key_ties_are_settled_by_value_order_in_every_layout() {
+        use std::ops::{Bound, RangeBounds};
+        let big = 1i64 << 53;
+        let keys = [
+            Value::Int(big),
+            Value::Int(big + 1),
+            Value::Int(big + 2),
+            Value::Str("prefix__a".into()),
+            Value::Str("prefix__b".into()),
+            Value::Str("prefix__".into()),
+            Value::Int(10),
+            Value::Float(10.0),
+            Value::Float(f64::from_bits(10f64.to_bits() + 1)),
+        ];
+        // One tuple per key and period: periods 0–2 end up in one merged
+        // run, 3 in a frozen one, 4 in the head.
+        let mut c = ChainedIndex::new(IndexKind::Ordered, WindowSpec::FullHistory, 10);
+        let mut stored = Vec::new();
+        for period in 0..5u64 {
+            for (i, k) in keys.iter().enumerate() {
+                let t = Tuple::new(Rel::R, period * 20 + i as Ts, vec![k.clone()]);
+                stored.push((k.clone(), t.clone()));
+                c.insert(k.clone(), t);
+            }
+        }
+        assert_eq!(c.stats().sub_indexes, 3, "a merged run, a frozen run and the head");
+        let ends = |v: &Value| [Bound::Included(v.clone()), Bound::Excluded(v.clone())];
+        for a in &keys {
+            for b in &keys {
+                for lo in ends(a) {
+                    for hi in ends(b) {
+                        let mut got = Vec::new();
+                        let plan = ProbePlan::Range { lo: lo.clone(), hi: hi.clone() };
+                        c.probe(&plan, 0, |t| got.push(t.ts()));
+                        let mut want: Vec<Ts> = stored
+                            .iter()
+                            .filter(|(k, _)| (lo.as_ref(), hi.as_ref()).contains(k))
+                            .map(|(_, t)| t.ts())
+                            .collect();
+                        got.sort_unstable();
+                        want.sort_unstable();
+                        assert_eq!(got, want, "{plan:?}");
+                    }
+                }
+            }
+        }
+        // `Int(10)` finds `Float(10.0)` (and not its neighbour) everywhere.
+        let mut hits = 0;
+        c.probe(&ProbePlan::ExactKey(Value::Int(10)), 0, |t| {
+            assert_eq!(t.get(0), Some(&Value::Int(10)));
+            hits += 1;
+        });
+        assert_eq!(hits, 10, "two equal keys in each of five periods");
+    }
+
+    #[test]
+    fn merging_keeps_a_range_probe_to_a_handful_of_links() {
+        // W = 1000, P = 10: a hundred links per window as sealed…
+        let mut ordered = ChainedIndex::new(IndexKind::Ordered, WindowSpec::sliding(1_000), 10);
+        let mut hash = chain(1_000, 10);
+        for ts in 0..3_000 {
+            ordered.insert(Value::Int(ts as i64 % 7), t(ts, ts as i64 % 7));
+            hash.insert(Value::Int(ts as i64 % 7), t(ts, ts as i64 % 7));
+            if ts % 10 == 0 {
+                ordered.expire(ts);
+                hash.expire(ts);
+            }
+        }
+        let links = |c: &ChainedIndex| c.stats().sub_indexes as u64 + c.stats().expired_sub_indexes;
+        assert!(links(&hash) > 270, "a hash chain keeps every link it seals");
+        assert!(hash.stats().sub_indexes > 90);
+        // …and under ten once merged up to W/4, holding the same matches.
+        assert!(ordered.stats().sub_indexes < 10, "{:?}", ordered.stats());
+        let (mut from_ordered, mut from_hash) = (Vec::new(), Vec::new());
+        let stats = ordered.probe(&exact(3), 2_999, |t| from_ordered.push(t.ts()));
+        hash.probe(&exact(3), 2_999, |t| from_hash.push(t.ts()));
+        assert!(stats.sub_indexes < 10);
+        from_ordered.sort_unstable();
+        assert_eq!(from_ordered, from_hash);
+        // A full-history chain has no cap: O(log n) runs.
+        let mut all = ChainedIndex::new(IndexKind::Ordered, WindowSpec::FullHistory, 10);
+        for ts in 0..30_000 {
+            all.insert(Value::Int(0), t(ts, 0));
+        }
+        assert!(all.stats().sub_indexes <= 10, "{:?}", all.stats());
+    }
+
+    #[test]
+    fn a_merged_link_goes_when_its_newest_tuple_expires_and_not_before() {
+        use bistream_types::audit::Auditor;
+
+        let (w, p) = (400, 10);
+        let auditor = Auditor::new();
+        let mut c = ChainedIndex::new(IndexKind::Ordered, WindowSpec::sliding(w), p);
+        c.set_auditor(auditor.clone(), "R0".into());
+        let mut dropped_upto = None;
+        for ts in 0..2_000 {
+            c.insert(Value::Int(0), t(ts, 0));
+            // The oldest link, as it stands before this expiry pass.
+            let oldest = c.archived.front().and_then(|l| l.span);
+            let dropped = c.discard(ts);
+            if let Some((_, max_ts)) = oldest {
+                // Dropped exactly when its newest tuple is out of window.
+                assert_eq!(dropped.sub_indexes > 0, ts - max_ts > w, "ts {ts}, oldest {oldest:?}");
+                if dropped.sub_indexes > 0 {
+                    dropped_upto = Some(max_ts);
+                }
+            }
+            // One tuple per tick: what outlives its expiry sits in one
+            // archived link (≤ W/4 wide) or waits for the head to seal.
+            assert!(c.len() as Ts <= w + w / MERGE_SPAN_DIVISOR + p + 1, "ts {ts}: {}", c.len());
+        }
+        assert!(c.archived.iter().any(|l| l.span.is_some_and(|(lo, hi)| hi - lo > p)), "merged");
+        assert!(dropped_upto.is_some_and(|max_ts| max_ts > 1_000), "discards kept up");
+        assert_eq!(auditor.violation_count(), 0, "{:?}", auditor.take_violations());
     }
 
     #[test]

@@ -24,8 +24,10 @@
 //!   work).
 //!
 //! Sub-index flavours ([`sub`]): a hash sub-index for equi predicates, an
-//! ordered (B-tree) sub-index for band/inequality predicates, and an
-//! append-only scan sub-index for cross products. [`naive`] provides the
+//! ordered sub-index for band/inequality predicates (a B-tree while it is
+//! the active one, a sorted run once archived, merged with its neighbours
+//! up to a quarter-window), and an append-only scan sub-index for cross
+//! products. [`naive`] provides the
 //! single-index, per-tuple-eviction baseline used by the E6 ablation.
 //! [`mod@snapshot`] serialises/restores a chain's live state for unit
 //! recovery.

@@ -8,7 +8,8 @@
 //! | flavour  | `ExactKey` | `Range` | `FullScan` | backing |
 //! |----------|-----------|---------|------------|---------|
 //! | Hash     | O(1)      | —       | O(n)       | `PrehashedMap<HashSlot>`: key hash → key + `One \| Many` postings |
-//! | Ordered  | O(log n)  | O(log n + k) | O(n)  | `BTreeMap<Value, Vec<Tuple>>` |
+//! | Ordered, head link | O(log n) | O(log n + k) | O(n) | `BTreeMap<Value, Postings>`, postings `One \| Many` as in the hash flavour |
+//! | Ordered, sealed    | O(log n) | O(log n + k) | O(n) | [`SortedRun`]: entries in key order beside a `Vec<u64>` of their [`Value::order_key`]s |
 //! | Scan     | —         | —       | O(n)       | `Vec<(Value, Tuple)>` |
 //!
 //! The hash flavour is keyed by the key's [`map_hash`], which the caller
@@ -17,6 +18,16 @@
 //! was a measurable part of each lookup. Equality is still decided by
 //! `Value::eq` on the key each slot keeps, so `Int(10)` finds `Float(10.0)`
 //! and two keys that share a hash stay apart (they chain off one slot).
+//!
+//! The ordered flavour has two layouts because a link has two lives. While
+//! it is the head of the chain it takes inserts, so it is a B-tree. Once
+//! sealed it is only ever range-probed and, one day, dropped whole
+//! ([`SubIndex::seal`]): a B-tree of five-variant enums compared through
+//! `Value::cmp` is then the wrong layout, and a sorted array searched by
+//! `u64` is the right one (PanJoin's BI-Sort; the immutable-tree-plus-
+//! mutable-delta split of *Parallel Index-based Stream Join on a Multicore
+//! CPU*). Sorted runs also merge in one pass, which is what lets the chain
+//! keep fewer links than archive periods ([`SortedRun::merge`]).
 
 use bistream_types::hash::{map_hash, PrehashedMap};
 use bistream_types::predicate::ProbePlan;
@@ -24,7 +35,8 @@ use bistream_types::time::Ts;
 use bistream_types::tuple::Tuple;
 use bistream_types::value::Value;
 use std::collections::hash_map::Entry;
-use std::collections::BTreeMap;
+use std::collections::{btree_map, BTreeMap};
+use std::ops::{Bound, RangeBounds};
 
 /// Which sub-index flavour a joiner uses; derived from the predicate class
 /// via [`IndexKind::for_predicate`].
@@ -32,7 +44,8 @@ use std::collections::BTreeMap;
 pub enum IndexKind {
     /// Hash map keyed by join attribute — equi predicates.
     Hash,
-    /// B-tree keyed by join attribute — band and inequality predicates.
+    /// Ordered by join attribute (B-tree head, sorted runs behind it) —
+    /// band and inequality predicates.
     Ordered,
     /// Unindexed append log — cross products.
     Scan,
@@ -57,11 +70,13 @@ impl IndexKind {
 /// naive), not absolute RSS prediction.
 pub const ENTRY_OVERHEAD_BYTES: usize = 48;
 
-/// The tuples stored under one key of a hash sub-index.
+/// The tuples stored under one key of a hash sub-index or of the B-tree
+/// an ordered head link is.
 ///
 /// Under near-unique keys almost every key holds one tuple per archive
 /// period; keeping that one inline saves a heap block per insert and a
-/// `free` per expired tuple. A repeated key gets the contiguous `Vec`.
+/// `free` per expired (or frozen) tuple. A repeated key gets the
+/// contiguous `Vec`.
 #[derive(Debug)]
 pub(crate) enum Postings {
     One(Tuple),
@@ -143,7 +158,7 @@ fn remove_from_chain(link: &mut Option<Box<HashSlot>>, key: &Value, ts: Ts) {
 #[derive(Debug)]
 pub(crate) enum SubIndex {
     Hash(PrehashedMap<HashSlot>),
-    Ordered(BTreeMap<Value, Vec<Tuple>>),
+    Ordered(BTreeMap<Value, Postings>),
     Scan(Vec<(Value, Tuple)>),
 }
 
@@ -186,7 +201,12 @@ impl SubIndex {
                 }
                 Entry::Occupied(e) => e.into_mut().insert(key, tuple),
             },
-            SubIndex::Ordered(m) => m.entry(key).or_default().push(tuple),
+            SubIndex::Ordered(m) => match m.entry(key) {
+                btree_map::Entry::Vacant(e) => {
+                    e.insert(Postings::One(tuple));
+                }
+                btree_map::Entry::Occupied(e) => e.into_mut().push(tuple),
+            },
             SubIndex::Scan(v) => v.push((key, tuple)),
         }
     }
@@ -210,13 +230,8 @@ impl SubIndex {
                 }
             }
             SubIndex::Ordered(m) => {
-                if let Some(v) = m.get_mut(key) {
-                    if let Some(pos) = v.iter().position(|t| t.ts() == ts) {
-                        v.swap_remove(pos);
-                    }
-                    if v.is_empty() {
-                        m.remove(key);
-                    }
+                if m.get_mut(key).is_some_and(|postings| postings.remove_one(ts)) {
+                    m.remove(key);
                 }
             }
             SubIndex::Scan(v) => {
@@ -258,13 +273,17 @@ impl SubIndex {
                 }
             }
             (SubIndex::Ordered(m), ProbePlan::ExactKey(k)) => {
-                if let Some(ts) = m.get(k) {
-                    visit(ts);
+                if let Some(postings) = m.get(k) {
+                    visit(postings.as_slice());
                 }
             }
             (SubIndex::Ordered(m), ProbePlan::Range { lo, hi }) => {
-                for (_, ts) in m.range((lo.clone(), hi.clone())) {
-                    visit(ts);
+                // `BTreeMap::range` panics on a range that ends before it
+                // starts; such a range simply holds nothing.
+                if !is_inverted(lo, hi) {
+                    for (_, postings) in m.range::<Value, _>((lo.as_ref(), hi.as_ref())) {
+                        visit(postings.as_slice());
+                    }
                 }
             }
             // Full scans and any plan a flavour cannot serve natively fall
@@ -274,6 +293,15 @@ impl SubIndex {
             (ix, _) => ix.for_each_entry(|_, t| visit(std::slice::from_ref(t))),
         }
         visited
+    }
+
+    /// Close the sub-index to inserts. `len` is the number of tuples it
+    /// holds (the chain counts them as they go in).
+    pub(crate) fn seal(self, len: usize) -> Sealed {
+        match self {
+            SubIndex::Ordered(m) => Sealed::Run(SortedRun::freeze(m, len)),
+            built => Sealed::AsBuilt(built),
+        }
     }
 
     /// Visit every `(key, tuple)` entry — used by snapshotting.
@@ -287,8 +315,8 @@ impl SubIndex {
                 }
             }
             SubIndex::Ordered(m) => {
-                for (k, ts) in m {
-                    for t in ts {
+                for (k, postings) in m {
+                    for t in postings.as_slice() {
                         f(k, t);
                     }
                 }
@@ -302,12 +330,154 @@ impl SubIndex {
     }
 }
 
+/// True when no key can lie in `lo..hi` because the range ends before it
+/// starts (or starts and ends on one excluded key) — what a negative band
+/// produces, and what `BTreeMap::range` refuses with a panic.
+fn is_inverted(lo: &Bound<Value>, hi: &Bound<Value>) -> bool {
+    match (lo, hi) {
+        (Bound::Included(a), Bound::Included(b)) => a > b,
+        (Bound::Excluded(a), Bound::Excluded(b)) => a >= b,
+        (Bound::Included(a), Bound::Excluded(b)) | (Bound::Excluded(a), Bound::Included(b)) => {
+            a > b
+        }
+        (Bound::Unbounded, _) | (_, Bound::Unbounded) => false,
+    }
+}
+
+/// A sealed ordered sub-index: immutable, laid out for range probes.
+///
+/// `entries` holds the `(key, tuple)` pairs in `Value::cmp` order
+/// (arrival order within a key) and `order[i]` is `entries[i]`'s
+/// [`Value::order_key`]. That map is monotone, so `order` is sorted too,
+/// and a range probe is a binary search over plain `u64`s followed by a
+/// forward scan; it is not strict, so a stored key whose order key ties
+/// with an end of the range is taken or left by `Value::cmp`. Every other
+/// key the scan passes is inside the range by the order keys alone.
+#[derive(Debug)]
+pub(crate) struct SortedRun {
+    order: Vec<u64>,
+    entries: Vec<(Value, Tuple)>,
+}
+
+impl SortedRun {
+    fn with_capacity(len: usize) -> SortedRun {
+        SortedRun { order: Vec::with_capacity(len), entries: Vec::with_capacity(len) }
+    }
+
+    fn push(&mut self, order: u64, entry: (Value, Tuple)) {
+        self.order.push(order);
+        self.entries.push(entry);
+    }
+
+    /// Lay out the `len` tuples of an ordered sub-index as a run.
+    fn freeze(map: BTreeMap<Value, Postings>, len: usize) -> SortedRun {
+        let mut run = SortedRun::with_capacity(len);
+        for (key, postings) in map {
+            let order = key.order_key();
+            match postings {
+                Postings::One(tuple) => run.push(order, (key, tuple)),
+                Postings::Many(tuples) => {
+                    for tuple in tuples {
+                        run.push(order, (key.clone(), tuple));
+                    }
+                }
+            }
+        }
+        run
+    }
+
+    /// One run holding the entries of both, `older`'s first within a key,
+    /// so a key's tuples stay in arrival order.
+    pub(crate) fn merge(older: SortedRun, newer: SortedRun) -> SortedRun {
+        let mut merged = SortedRun::with_capacity(older.order.len() + newer.order.len());
+        let mut newer = newer.order.into_iter().zip(newer.entries).peekable();
+        for (order, entry) in older.order.into_iter().zip(older.entries) {
+            // Only what sorts strictly before an older entry overtakes it.
+            while let Some((o, e)) =
+                newer.next_if(|(o, e)| *o < order || (*o == order && e.0 < entry.0))
+            {
+                merged.push(o, e);
+            }
+            merged.push(order, entry);
+        }
+        for (o, e) in newer {
+            merged.push(o, e);
+        }
+        merged
+    }
+
+    /// [`SubIndex::probe`] on a run. `ExactKey` is the range from the key
+    /// to itself.
+    fn probe<F: FnMut(&Tuple)>(&self, plan: &ProbePlan, mut f: F) -> usize {
+        match plan {
+            ProbePlan::ExactKey(k) => self.range(Bound::Included(k), Bound::Included(k), f),
+            ProbePlan::Range { lo, hi } => self.range(lo.as_ref(), hi.as_ref(), f),
+            ProbePlan::FullScan => {
+                self.entries.iter().for_each(|(_, t)| f(t));
+                self.entries.len()
+            }
+        }
+    }
+
+    /// Visit the tuples whose key lies in `lo..hi`, in key order; returns
+    /// how many. An empty or inverted range visits nothing.
+    fn range<F: FnMut(&Tuple)>(&self, lo: Bound<&Value>, hi: Bound<&Value>, mut f: F) -> usize {
+        let order_of = |bound: Bound<&Value>| match bound {
+            Bound::Included(v) | Bound::Excluded(v) => Some(v.order_key()),
+            Bound::Unbounded => None,
+        };
+        let (lo_order, hi_order) = (order_of(lo), order_of(hi));
+        let start = lo_order.map_or(0, |lo| self.order.partition_point(|&o| o < lo));
+        let mut visited = 0;
+        for (&order, (key, tuple)) in self.order[start..].iter().zip(&self.entries[start..]) {
+            if hi_order.is_some_and(|hi| order > hi) {
+                break;
+            }
+            let tied = Some(order) == lo_order || Some(order) == hi_order;
+            if tied && !(lo, hi).contains(key) {
+                continue;
+            }
+            visited += 1;
+            f(tuple);
+        }
+        visited
+    }
+}
+
+/// A sub-index that takes no more inserts: what the archived links of a
+/// chain hold.
+#[derive(Debug)]
+pub(crate) enum Sealed {
+    /// Hash and scan sub-indexes stay as they were built; a hash table is
+    /// already the layout an exact-key probe wants.
+    AsBuilt(SubIndex),
+    /// An ordered sub-index is frozen into a sorted run.
+    Run(SortedRun),
+}
+
+impl Sealed {
+    /// As [`SubIndex::probe`].
+    pub(crate) fn probe<F: FnMut(&Tuple)>(&self, plan: &ProbePlan, hash: u64, f: F) -> usize {
+        match self {
+            Sealed::AsBuilt(built) => built.probe(plan, hash, f),
+            Sealed::Run(run) => run.probe(plan, f),
+        }
+    }
+
+    /// As [`SubIndex::for_each_entry`].
+    pub(crate) fn for_each_entry<F: FnMut(&Value, &Tuple)>(&self, mut f: F) {
+        match self {
+            Sealed::AsBuilt(built) => built.for_each_entry(f),
+            Sealed::Run(run) => run.entries.iter().for_each(|(k, t)| f(k, t)),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use bistream_types::predicate::JoinPredicate;
     use bistream_types::rel::Rel;
-    use std::ops::Bound;
 
     fn t(k: i64) -> Tuple {
         Tuple::new(Rel::R, k as u64, vec![Value::Int(k)])
@@ -367,6 +537,57 @@ mod tests {
         probe(&s, &plan, |t| keys.push(t.get(0).unwrap().as_int().unwrap()));
         keys.sort_unstable();
         assert_eq!(keys, vec![1, 1, 3]);
+    }
+
+    #[test]
+    fn an_inverted_or_empty_range_holds_nothing_in_the_tree_or_the_run() {
+        use Bound::{Excluded, Included};
+        let tree = filled(IndexKind::Ordered);
+        let run = filled(IndexKind::Ordered).seal(4);
+        let plan = |lo: Bound<i64>, hi: Bound<i64>| ProbePlan::Range {
+            lo: lo.map(Value::Int),
+            hi: hi.map(Value::Int),
+        };
+        // The first is what `band: -1.0` asks for around 3: 4 ..= 2.
+        for (lo, hi) in [
+            (Included(4), Included(2)),
+            (Excluded(5), Included(1)),
+            (Excluded(3), Excluded(3)),
+            (Included(3), Excluded(3)),
+            (Excluded(3), Included(3)),
+        ] {
+            let plan = plan(lo, hi);
+            assert_eq!(probe(&tree, &plan, |_| panic!("{plan:?} is empty")), 0);
+            assert_eq!(run.probe(&plan, 0, |_| panic!("{plan:?} is empty")), 0);
+        }
+        let point = plan(Included(3), Included(3));
+        assert_eq!(probe(&tree, &point, |_| {}), 1);
+        assert_eq!(run.probe(&point, 0, |_| {}), 1);
+    }
+
+    #[test]
+    fn runs_keep_key_order_and_arrival_order_within_a_key_across_a_merge() {
+        let run_of = |entries: &[(i64, Ts)]| {
+            let mut s = SubIndex::new(IndexKind::Ordered);
+            for &(k, ts) in entries {
+                insert(&mut s, Value::Int(k), Tuple::new(Rel::R, ts, vec![Value::Int(k)]));
+            }
+            match s.seal(entries.len()) {
+                Sealed::Run(run) => run,
+                Sealed::AsBuilt(_) => unreachable!("an ordered sub-index freezes"),
+            }
+        };
+        let older = run_of(&[(5, 1), (1, 2), (3, 3), (1, 4)]);
+        let newer = run_of(&[(1, 5), (4, 6), (5, 7)]);
+        let merged = Sealed::Run(SortedRun::merge(older, newer));
+        let mut seen = Vec::new();
+        merged.for_each_entry(|k, t| seen.push((k.as_int().unwrap(), t.ts())));
+        assert_eq!(seen, [(1, 2), (1, 4), (1, 5), (3, 3), (4, 6), (5, 1), (5, 7)]);
+        // An open-ended range scans from its one search to the end.
+        let from_4 = ProbePlan::Range { lo: Bound::Included(Value::Int(4)), hi: Bound::Unbounded };
+        let mut seen = Vec::new();
+        assert_eq!(merged.probe(&from_4, 0, |t| seen.push(t.ts())), 3);
+        assert_eq!(seen, [6, 1, 7]);
     }
 
     #[test]

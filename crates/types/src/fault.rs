@@ -228,7 +228,7 @@ impl FaultPlan {
 
     /// Generate a plan for `profile` from `seed`.
     pub fn generate(seed: u64, profile: &ChaosProfile) -> FaultPlan {
-        let mut rng = SplitMix64::new(seed ^ 0xC4A0_5_u64);
+        let mut rng = SplitMix64::new(seed ^ 0x000C_4A05_u64);
         let mut events = Vec::new();
         let pick = |rng: &mut SplitMix64, xs: &[u32]| -> u32 {
             if xs.is_empty() {

@@ -75,9 +75,9 @@ impl RecordedScrape {
                 let v = match &s.value {
                     MetricValue::Counter(v) => RecordedValue::Counter(*v),
                     MetricValue::Gauge(v) => RecordedValue::Gauge(*v),
-                    MetricValue::Histogram(h) => RecordedValue::Histogram(
-                        h.count, h.mean, h.p50, h.p95, h.p99, h.max,
-                    ),
+                    MetricValue::Histogram(h) => {
+                        RecordedValue::Histogram(h.count, h.mean, h.p50, h.p95, h.p99, h.max)
+                    }
                 };
                 (s.key.render(), v)
             })
@@ -270,9 +270,9 @@ impl BreachBundle {
     pub fn to_json(&self) -> String {
         let mut s = String::new();
         s.push_str("{\n");
-        let _ = write!(s, "  \"version\": {},\n", self.version);
-        let _ = write!(s, "  \"trigger\": {},\n", json_str(&self.trigger));
-        let _ = write!(s, "  \"at_ms\": {},\n", self.at_ms);
+        let _ = writeln!(s, "  \"version\": {},", self.version);
+        let _ = writeln!(s, "  \"trigger\": {},", json_str(&self.trigger));
+        let _ = writeln!(s, "  \"at_ms\": {},", self.at_ms);
         s.push_str("  \"alerts\": [");
         for (i, a) in self.alerts.iter().enumerate() {
             if i > 0 {
@@ -359,12 +359,8 @@ impl BreachBundle {
                 })
             })
             .collect::<Result<_>>()?;
-        let scrapes = v
-            .field("scrapes")?
-            .as_array()?
-            .iter()
-            .map(scrape_from_json)
-            .collect::<Result<_>>()?;
+        let scrapes =
+            v.field("scrapes")?.as_array()?.iter().map(scrape_from_json).collect::<Result<_>>()?;
         let journal = v
             .field("journal")?
             .as_array()?

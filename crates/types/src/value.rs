@@ -202,6 +202,46 @@ impl Ord for Value {
     }
 }
 
+impl Value {
+    /// A `u64` that orders like the value, up to ties: for any two values
+    /// `a < b` implies `a.order_key() <= b.order_key()`, hence
+    /// `a.order_key() < b.order_key()` implies `a < b`. The sorted runs of
+    /// the ordered index search an array of these instead of comparing
+    /// enums.
+    ///
+    /// The map is not strict — `Int`s past 2⁵³ that round to one `f64`,
+    /// floats that differ only in the two mantissa bits the rank
+    /// displaces, and strings equal in their first eight bytes share a key
+    /// — so whoever searches by key settles a tie with [`Ord::cmp`].
+    pub fn order_key(&self) -> u64 {
+        let within_rank = match self {
+            Value::Null => 0,
+            Value::Bool(b) => u64::from(*b) << 2,
+            // Both numerics go through `f64`, as `cmp` compares them.
+            Value::Int(i) => total_order_bits(*i as f64),
+            Value::Float(f) => total_order_bits(*f),
+            Value::Str(s) => {
+                let mut prefix = [0u8; 8];
+                let n = s.len().min(8);
+                prefix[..n].copy_from_slice(&s.as_bytes()[..n]);
+                u64::from_be_bytes(prefix)
+            }
+        };
+        (u64::from(self.type_rank()) << 62) | (within_rank >> 2)
+    }
+}
+
+/// The bits of `f`, rearranged so that unsigned comparison of the result
+/// is `f64::total_cmp`: negatives flip every bit, the rest only the sign.
+fn total_order_bits(f: f64) -> u64 {
+    let bits = f.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | (1 << 63)
+    }
+}
+
 impl std::hash::Hash for Value {
     /// Hash consistent with `Eq`: numerically equal `Int`/`Float` hash the
     /// same (both hash their `f64` bit pattern after canonicalisation).

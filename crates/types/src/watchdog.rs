@@ -93,7 +93,12 @@ impl StallVerdict {
 }
 
 /// Gauge value for `name{label_key="label_val"}`, or `None` if absent.
-fn gauge_with(snap: &RegistrySnapshot, name: &str, label_key: &str, label_val: &str) -> Option<u64> {
+fn gauge_with(
+    snap: &RegistrySnapshot,
+    name: &str,
+    label_key: &str,
+    label_val: &str,
+) -> Option<u64> {
     snap.samples
         .iter()
         .find(|s| s.key.name == name && s.key.has_label(label_key, label_val))
@@ -194,14 +199,7 @@ pub fn scan(cfg: &WatchdogConfig, series: &[RegistrySnapshot]) -> Vec<StallVerdi
                 )
             })
             .collect();
-        scan_unit(
-            StallKind::FrontierStall,
-            &joiner,
-            series,
-            &readings,
-            cfg.stall_ticks,
-            &mut out,
-        );
+        scan_unit(StallKind::FrontierStall, &joiner, series, &readings, cfg.stall_ticks, &mut out);
     }
     for queue in all_label_values(series, names::QUEUE_DEPTH, "queue") {
         let readings: Vec<(u64, u64)> = series
@@ -293,7 +291,8 @@ mod tests {
     fn queue_with_depth_and_frozen_delivery_is_flagged() {
         let reg = MetricsRegistry::new();
         let depth = reg.gauge(names::QUEUE_DEPTH, &[("queue", "tuple.exchange.routers")]);
-        let delivered = reg.counter(names::QUEUE_DELIVERED_TOTAL, &[("queue", "tuple.exchange.routers")]);
+        let delivered =
+            reg.counter(names::QUEUE_DELIVERED_TOTAL, &[("queue", "tuple.exchange.routers")]);
         delivered.add(500);
         depth.set(64);
         let series: Vec<_> = (0..=4u64).map(|t| reg.scrape(t * 250)).collect();

@@ -39,7 +39,7 @@ fn scrapes_see_monotone_counters_while_writers_bump() {
         let reg = reg.clone();
         let stop = Arc::clone(&stop);
         thread::spawn(move || {
-            let mut floor = vec![0u64; WRITERS];
+            let mut floor = [0u64; WRITERS];
             let mut scrapes = 0u64;
             while !stop.load(Ordering::Relaxed) {
                 let snap = reg.scrape(scrapes);

@@ -47,9 +47,9 @@ impl KeyDist {
     /// Universe size.
     pub fn universe(&self) -> u64 {
         match self {
-            KeyDist::Uniform { n }
-            | KeyDist::Zipf { n, .. }
-            | KeyDist::ShiftingZipf { n, .. } => *n,
+            KeyDist::Uniform { n } | KeyDist::Zipf { n, .. } | KeyDist::ShiftingZipf { n, .. } => {
+                *n
+            }
         }
     }
 

@@ -243,13 +243,9 @@ mod tests {
             assert!(n > 100, "modal key should dominate its period: {n}/500");
             key
         };
-        let chunks: Vec<i64> = (0..4)
-            .map(|_| modal(&(0..500).map(|_| s.next_tuple()).collect::<Vec<_>>()))
-            .collect();
-        assert!(
-            chunks.windows(2).any(|w| w[0] != w[1]),
-            "hot key never rotated: {chunks:?}"
-        );
+        let chunks: Vec<i64> =
+            (0..4).map(|_| modal(&(0..500).map(|_| s.next_tuple()).collect::<Vec<_>>())).collect();
+        assert!(chunks.windows(2).any(|w| w[0] != w[1]), "hot key never rotated: {chunks:?}");
     }
 
     #[test]

@@ -161,9 +161,7 @@ fn collect_sites(f: &SourceFile) -> Vec<Site> {
 /// on the line itself, or directly above with only the comment's own
 /// lines in between (any code token or blank line breaks adjacency).
 fn safety_comment(f: &SourceFile, line: usize, token_lines: &BTreeSet<usize>) -> Option<String> {
-    let comment_at = |l: usize| {
-        f.scanned.comments.iter().find(|c| c.line <= l && l <= c.end_line)
-    };
+    let comment_at = |l: usize| f.scanned.comments.iter().find(|c| c.line <= l && l <= c.end_line);
     if let Some(c) = comment_at(line) {
         if let Some(rest) = c.text.strip_prefix("SAFETY:") {
             return Some(rest.trim().to_string());

@@ -52,9 +52,8 @@ const BLOCKING: [&str; 13] = [
 ];
 
 /// Keywords that look like calls at the token level but are not.
-const NOT_CALLS: [&str; 12] = [
-    "if", "while", "match", "for", "loop", "return", "in", "as", "else", "move", "unsafe", "fn",
-];
+const NOT_CALLS: [&str; 12] =
+    ["if", "while", "match", "for", "loop", "return", "in", "as", "else", "move", "unsafe", "fn"];
 
 /// Method names that are std atomic operations when called with an
 /// `Ordering::…` argument. Those call sites belong to the atomics pass,
@@ -403,8 +402,7 @@ impl Walk<'_> {
                 if allowed {
                     continue;
                 }
-                let chain: Vec<String> =
-                    path.iter().map(|&p| self.defs[p].name.clone()).collect();
+                let chain: Vec<String> = path.iter().map(|&p| self.defs[p].name.clone()).collect();
                 let entry = chain.first().cloned().unwrap_or_else(|| "?".to_string());
                 let message = format!(
                     "blocking primitive `{name}` reachable from lock-free entry `{entry}`: \
@@ -413,12 +411,7 @@ impl Walk<'_> {
                     chain.join(" → ")
                 );
                 self.findings.entry((caller_file.clone(), line, name.clone())).or_insert_with(
-                    || Finding {
-                        rule: "blocking-reachability",
-                        file: caller_file,
-                        line,
-                        message,
-                    },
+                    || Finding { rule: "blocking-reachability", file: caller_file, line, message },
                 );
                 continue;
             }
@@ -442,8 +435,7 @@ pub fn check(files: &[SourceFile], allow: &Allowlist) -> Vec<Finding> {
     }
     let lockfree: Vec<bool> =
         files.iter().map(|f| allow.lockfree.iter().any(|p| p == &f.rel)).collect();
-    let entries: Vec<usize> =
-        (0..defs.len()).filter(|&i| lockfree[defs[i].file]).collect();
+    let entries: Vec<usize> = (0..defs.len()).filter(|&i| lockfree[defs[i].file]).collect();
     let mut walk = Walk {
         files,
         defs: &defs,

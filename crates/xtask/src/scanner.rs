@@ -68,8 +68,11 @@ pub fn scan(src: &str) -> Scanned {
                 while i < bytes.len() && bytes[i] != b'\n' {
                     i += 1;
                 }
-                let text =
-                    src[start..i].trim_start_matches('/').trim_start_matches('!').trim().to_string();
+                let text = src[start..i]
+                    .trim_start_matches('/')
+                    .trim_start_matches('!')
+                    .trim()
+                    .to_string();
                 out.comments.push(Comment { line, end_line: line, text });
             }
             '/' if bytes.get(i + 1) == Some(&b'*') => {
@@ -138,9 +141,7 @@ pub fn scan(src: &str) -> Scanned {
                     while bytes.get(j) == Some(&b'#') {
                         j += 1;
                     }
-                    (c != 'b' || j > i + 1 || bytes.get(j) == Some(&b'"'))
-                        && bytes.get(j) == Some(&b'"')
-                        && (c == 'b' || j > i + 1)
+                    bytes.get(j) == Some(&b'"') && (c == 'b' || j > i + 1)
                 } =>
             {
                 // Raw (or byte) string: skip to the matching quote+hashes.

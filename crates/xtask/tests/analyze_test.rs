@@ -76,11 +76,7 @@ fn seeded_seqcst_is_rejected_unless_allowlisted() {
     write(&root, "crates/core/src/lf.rs", src);
     assert_eq!(rules_hit(&root), vec!["atomics-seqcst"]);
     // The same file with a `seqcst` audit entry is clean.
-    write(
-        &root,
-        "xtask.allow",
-        "lockfree crates/core/src/lf.rs\nseqcst crates/core/src/lf.rs\n",
-    );
+    write(&root, "xtask.allow", "lockfree crates/core/src/lf.rs\nseqcst crates/core/src/lf.rs\n");
     assert_eq!(rules_hit(&root), Vec::<&str>::new());
 }
 

@@ -53,6 +53,89 @@ fn value_order_is_total() {
     });
 }
 
+/// The order key is a monotone map of the value order: it never inverts a
+/// pair, though it may tie one.
+#[test]
+fn value_order_key_is_monotone() {
+    use std::cmp::Ordering::Less;
+    let law = |a: &Value, b: &Value| {
+        if a.cmp(b) == Less {
+            assert!(a.order_key() <= b.order_key(), "{a} < {b} but keys invert");
+        }
+        if a.order_key() < b.order_key() {
+            assert_eq!(a.cmp(b), Less, "key({a}) < key({b})");
+        }
+    };
+    for_cases("value_order_key_is_monotone", 1024, |g| {
+        let (a, b) = (arb_value(g), arb_value(g));
+        law(&a, &b);
+        // Neighbours, where a lossy key is most likely to slip: the next
+        // integer, the next float, a longer string.
+        let next = match &a {
+            Value::Int(i) => Value::Int(i.saturating_add(1)),
+            Value::Float(f) => Value::Float(f64::from_bits(f.to_bits().wrapping_add(1))),
+            Value::Str(s) => Value::Str(format!("{s}{}", g.string(LOWER, 0..3))),
+            other => other.clone(),
+        };
+        law(&a, &next);
+        law(&next, &a);
+    });
+
+    let pos_nan = f64::NAN.copysign(1.0);
+    let two_63 = 9_223_372_036_854_775_808.0;
+    let big = 1i64 << 53;
+    let edges = [
+        Value::Null,
+        Value::Bool(false),
+        Value::Bool(true),
+        Value::Float(-pos_nan),
+        Value::Float(f64::NEG_INFINITY),
+        Value::Int(i64::MIN),
+        Value::Float(-0.0),
+        Value::Float(0.0),
+        Value::Int(0),
+        Value::Int(10),
+        Value::Float(10.0),
+        Value::Float(f64::from_bits(10f64.to_bits() + 1)),
+        Value::Int(big),
+        Value::Int(big + 1),
+        Value::Int(big + 2),
+        Value::Int(i64::MAX - 1),
+        Value::Int(i64::MAX),
+        Value::Float(two_63),
+        Value::Float(f64::INFINITY),
+        Value::Float(pos_nan),
+        Value::Str(String::new()),
+        Value::Str("\0".into()),
+        Value::Str("prefix__".into()),
+        Value::Str("prefix__a".into()),
+        Value::Str("prefix__b".into()),
+        Value::Str("prefiy".into()),
+    ];
+    for a in &edges {
+        for b in &edges {
+            law(a, b);
+        }
+    }
+    let key = Value::order_key;
+    // Ties the searcher has to settle with `cmp`…
+    assert_eq!(key(&Value::Int(big)), key(&Value::Int(big + 1)));
+    assert_ne!(Value::Int(big), Value::Int(big + 1));
+    assert_eq!(key(&Value::Str("prefix__a".into())), key(&Value::Str("prefix__b".into())));
+    assert_eq!(key(&Value::Float(10.0)), key(&Value::Float(f64::from_bits(10f64.to_bits() + 1))));
+    // …and keys that are equal because the values are.
+    assert_eq!(key(&Value::Int(10)), key(&Value::Float(10.0)));
+    assert_eq!(key(&Value::Int(i64::MAX)), key(&Value::Float(two_63)));
+    // Distinct where nothing forces a tie.
+    assert!(key(&Value::Float(-0.0)) < key(&Value::Float(0.0)));
+    assert!(key(&Value::Float(-pos_nan)) < key(&Value::Float(f64::NEG_INFINITY)));
+    assert!(key(&Value::Float(f64::INFINITY)) < key(&Value::Float(pos_nan)));
+    assert!(key(&Value::Null) < key(&Value::Bool(false)));
+    assert!(key(&Value::Bool(false)) < key(&Value::Bool(true)));
+    assert!(key(&Value::Bool(true)) < key(&Value::Float(-pos_nan)));
+    assert!(key(&Value::Float(pos_nan)) < key(&Value::Str(String::new())));
+}
+
 /// Value wire codec round-trips every value (NaN canonicalised).
 #[test]
 fn value_codec_roundtrip() {
@@ -732,7 +815,7 @@ fn broker_and_sharded_backends_are_observationally_equivalent() {
         let expect = expected_pairs(&ops);
 
         for &batch in &[1usize, 7, 64] {
-            let mut runs: Vec<(Vec<(i64, i64)>, usize, u64)> = Vec::new();
+            let mut runs = Vec::new();
             for backend in [Backend::Broker, Backend::Sharded] {
                 let auditor = Auditor::new();
                 let mut c = live_config(EngineConfig::default_equi(), batch, backend, &auditor);
@@ -806,7 +889,7 @@ fn adaptive_routing_is_backend_equivalent_across_forced_switches() {
         let seg = ops.len().div_ceil(3);
 
         for &batch in &[1usize, 7, 64] {
-            let mut runs: Vec<(Vec<(i64, i64)>, u64, u64)> = Vec::new();
+            let mut runs = Vec::new();
             for backend in [Backend::Broker, Backend::Sharded] {
                 let mut engine = EngineConfig::default_equi();
                 engine.routing = RoutingStrategy::Adaptive { subgroups: 2 };

@@ -96,16 +96,12 @@ fn frozen_frontier_is_detected_by_the_watchdog_within_bounded_ticks() {
         engine.punctuate(ts + 1).unwrap();
         sampler.maybe_sample(ts);
     }
-    let series = bistream::types::metrics::finalize_scrape_series(
-        &obs.registry,
-        600,
-        sampler.into_series(),
-    );
+    let series =
+        bistream::types::metrics::finalize_scrape_series(&obs.registry, 600, sampler.into_series());
 
     let cfg = WatchdogConfig::default();
     let verdicts = scan(&cfg, &series);
-    let frontier: Vec<_> =
-        verdicts.iter().filter(|v| v.kind == StallKind::FrontierStall).collect();
+    let frontier: Vec<_> = verdicts.iter().filter(|v| v.kind == StallKind::FrontierStall).collect();
     assert!(!frontier.is_empty(), "the frozen frontier must be flagged: {verdicts:?}");
     // Detection is bounded: a unit's run starts at the first scrape that
     // finds it holding work behind the frozen frontier — one interval after
