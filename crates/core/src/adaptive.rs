@@ -43,7 +43,7 @@
 //! step 2/4 on purpose (adopt immediately, drop old probe coverage); the
 //! Auditor's output oracle catches the resulting missed results.
 
-use crate::config::AdaptiveTuning;
+use crate::config::{AdaptiveTuning, EngineConfig, RoutingStrategy};
 use crate::layout::{JoinerId, Layout};
 use bistream_types::error::{Error, Result};
 use bistream_types::hash::{bucket_of, FxHashMap};
@@ -368,6 +368,27 @@ impl AdaptiveShared {
                 flip_once: false,
             }),
         })
+    }
+
+    /// The shared state of an engine running `config` on `routers` routers:
+    /// one tuner spanning all of them under [`RoutingStrategy::Adaptive`],
+    /// `None` under the static strategies. Superseded probe coverage must
+    /// outlive the join window, measured in punctuation ticks (a
+    /// full-history window pins it forever); `d` may grow to the smaller
+    /// side's unit count.
+    pub fn for_engine(config: &EngineConfig, routers: usize) -> Option<Arc<AdaptiveShared>> {
+        let RoutingStrategy::Adaptive { subgroups } = config.routing else { return None };
+        let punct = config.punctuation_interval_ms.max(1);
+        let retire_ticks =
+            config.window.size().map_or(u64::MAX / 2, |w| (w / punct).saturating_add(2));
+        Some(AdaptiveShared::new(
+            config.adaptive,
+            routers,
+            subgroups,
+            config.r_joiners.min(config.s_joiners),
+            retire_ticks,
+            config.seed,
+        ))
     }
 
     /// A per-router handle. `router` must be one of the `routers` ids

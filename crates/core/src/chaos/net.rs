@@ -25,7 +25,7 @@
 //! plan's horizon every fault expires, which guarantees the drained
 //! schedule terminates.
 
-use crate::delivery::{DataPlane, InFlight};
+use crate::delivery::InFlight;
 use crate::layout::JoinerId;
 use bistream_types::fault::{mix, FaultPlan};
 use bistream_types::punct::RouterId;
@@ -212,48 +212,6 @@ impl<M> ChaosNet<M> {
                 true
             }
         });
-    }
-}
-
-/// Fault injection rides the [`DataPlane`] seam: partitions refuse
-/// [`send`](DataPlane::send), delay/stall windows act inside
-/// [`deliver_next`](DataPlane::deliver_next), and crash events surface
-/// out-of-band via [`ChaosNet::take_due_crashes`]. Any backend driven
-/// through the trait therefore gets the whole fault family for free.
-impl<M> DataPlane<M> for ChaosNet<M> {
-    fn send(&mut self, router: RouterId, dest: JoinerId, msg: M) -> bool {
-        ChaosNet::send(self, router, dest, msg)
-    }
-
-    fn deliver_next(&mut self) -> Option<InFlight<M>> {
-        ChaosNet::deliver_next(self)
-    }
-
-    fn pending(&self) -> usize {
-        ChaosNet::pending(self)
-    }
-
-    fn drain(&mut self, unit: JoinerId) -> Vec<M> {
-        // Shutdown-path drain ignores open delay/stall windows (the run
-        // is over; holding frames would strand them) but keeps
-        // per-channel FIFO, so the unit's final punctuation still lands
-        // behind every frame it fences.
-        let mut out = Vec::new();
-        let pending = &mut self.pending;
-        self.channels.retain_mut(|((_, dest), q)| {
-            if *dest == unit {
-                *pending -= q.len();
-                out.extend(q.drain(..));
-                false
-            } else {
-                true
-            }
-        });
-        out
-    }
-
-    fn forget_unit(&mut self, unit: JoinerId) {
-        ChaosNet::forget_unit(self, unit);
     }
 }
 

@@ -13,59 +13,18 @@
 //!   honouring per-channel FIFO — the schedule that exposes the
 //!   duplicate/missed-result races when the ordering protocol is off
 //!   (experiment E7).
+//!
+//! The engine owns a [`ChannelNet`] and, when fault injection is armed, a
+//! [`ChaosNet`](crate::chaos::ChaosNet) beside it; it picks between the
+//! two with a `match` where it sends and where it delivers. The live
+//! pipeline's threads keep the same pairwise-FIFO contract through their
+//! own transport seam (`crate::exec::driver`).
 
 use crate::layout::JoinerId;
-use bistream_types::punct::{RouterId, StreamMessage};
+use bistream_types::punct::RouterId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
-
-/// The delivery seam of the virtual-time engine: the fabrics a
-/// [`BicliqueEngine`](crate::engine::BicliqueEngine) can run on — the
-/// simulated [`ChannelNet`] and the fault-injecting
-/// [`ChaosNet`](crate::chaos::ChaosNet) — implement this trait. The live
-/// pipeline's threads do not: they keep the same pairwise-FIFO contract
-/// through their own per-thread seam (`crate::exec`, "transport").
-///
-/// # Contract
-///
-/// - **Pairwise FIFO (Definition 8).** Frames from one router to one
-///   joiner are delivered in send order. Cross-channel interleaving is
-///   implementation-defined.
-/// - **No silent loss.** A frame is either accepted (`send` returns
-///   `true`) and eventually delivered, or refused (`false`, e.g. a
-///   partitioned channel) and the *caller* keeps it for retry. Refusal is
-///   the only loss mode.
-/// - **Punctuation fencing.** A punctuation accepted after the data
-///   frames it covers is delivered after them on that channel (a direct
-///   consequence of pairwise FIFO); [`drain`](DataPlane::drain) preserves
-///   this, so a drained unit sees its final punctuation *behind* every
-///   copy it fences.
-/// - **Retirement.** [`forget_unit`](DataPlane::forget_unit) discards a
-///   retired unit's in-flight traffic; a future network backend maps this
-///   to closing the unit's connections.
-pub trait DataPlane<M> {
-    /// Enqueue a frame from `router` to `dest`. Returns `false` when the
-    /// fabric refuses it (partition, closed channel); the caller then
-    /// owns the frame and must retry or drop it knowingly.
-    #[must_use]
-    fn send(&mut self, router: RouterId, dest: JoinerId, msg: M) -> bool;
-
-    /// Deliver the next frame per the fabric's schedule.
-    fn deliver_next(&mut self) -> Option<InFlight<M>>;
-
-    /// Frames currently in flight.
-    fn pending(&self) -> usize;
-
-    /// Pull every in-flight frame destined for `unit`, preserving
-    /// per-channel send order (punctuation fencing included) — the
-    /// two-phase-shutdown primitive: close ingest, then drain each unit
-    /// in punctuation order.
-    fn drain(&mut self, unit: JoinerId) -> Vec<M>;
-
-    /// Discard all in-flight traffic to a retired unit.
-    fn forget_unit(&mut self, unit: JoinerId);
-}
 
 /// Delivery scheduling policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,7 +41,7 @@ pub enum DeliveryMode {
 
 /// One message in flight.
 #[derive(Debug, Clone, PartialEq)]
-pub struct InFlight<M = StreamMessage> {
+pub struct InFlight<M> {
     /// Destination unit.
     pub dest: JoinerId,
     /// The message.
@@ -104,10 +63,9 @@ enum NetImpl<M> {
     },
 }
 
-/// The simulated network, generic over the frame type it carries — the
-/// engine moves [`bistream_types::BatchMessage`] frames; per-tuple
-/// [`StreamMessage`] remains the default for protocol-level tests.
-pub struct ChannelNet<M = StreamMessage> {
+/// The simulated network, generic over the frame type it carries (the
+/// engine moves [`bistream_types::BatchMessage`] frames).
+pub struct ChannelNet<M> {
     inner: NetImpl<M>,
 }
 
@@ -190,63 +148,10 @@ impl<M> ChannelNet<M> {
     }
 }
 
-impl<M> DataPlane<M> for ChannelNet<M> {
-    /// The simulated network never refuses a frame.
-    fn send(&mut self, router: RouterId, dest: JoinerId, msg: M) -> bool {
-        ChannelNet::send(self, router, dest, msg);
-        true
-    }
-
-    fn deliver_next(&mut self) -> Option<InFlight<M>> {
-        ChannelNet::deliver_next(self)
-    }
-
-    fn pending(&self) -> usize {
-        ChannelNet::pending(self)
-    }
-
-    fn drain(&mut self, unit: JoinerId) -> Vec<M> {
-        match &mut self.inner {
-            NetImpl::InOrder { queue } => {
-                let mut out = Vec::new();
-                let mut keep = VecDeque::with_capacity(queue.len());
-                for f in queue.drain(..) {
-                    if f.dest == unit {
-                        out.push(f.msg);
-                    } else {
-                        keep.push_back(f);
-                    }
-                }
-                *queue = keep;
-                out
-            }
-            NetImpl::Shuffled { channels, pending, .. } => {
-                // Per-channel FIFO is preserved; channels drain in the
-                // order they were first used (deterministic).
-                let mut out = Vec::new();
-                channels.retain_mut(|((_, dest), q)| {
-                    if *dest == unit {
-                        *pending -= q.len();
-                        out.extend(q.drain(..));
-                        false
-                    } else {
-                        true
-                    }
-                });
-                out
-            }
-        }
-    }
-
-    fn forget_unit(&mut self, unit: JoinerId) {
-        ChannelNet::forget_unit(self, unit);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bistream_types::punct::Punctuation;
+    use bistream_types::punct::{Punctuation, StreamMessage};
 
     fn punct(router: RouterId, seq: u64) -> StreamMessage {
         StreamMessage::Punct(Punctuation { router, seq })
@@ -312,33 +217,6 @@ mod tests {
             assert_eq!(net.pending(), 1);
             let only = net.deliver_next().unwrap();
             assert_eq!(only.dest, JoinerId(1));
-        }
-    }
-
-    #[test]
-    fn data_plane_send_never_refuses_on_channel_net() {
-        let mut net: ChannelNet = ChannelNet::new(DeliveryMode::InOrder);
-        let plane: &mut dyn DataPlane<StreamMessage> = &mut net;
-        assert!(plane.send(0, JoinerId(0), punct(0, 1)));
-        assert_eq!(plane.pending(), 1);
-    }
-
-    #[test]
-    fn drain_extracts_one_unit_in_channel_order() {
-        for mode in [DeliveryMode::InOrder, DeliveryMode::Shuffled { seed: 3 }] {
-            let mut net = ChannelNet::new(mode);
-            for seq in 1..=5u64 {
-                net.send(0, JoinerId(0), punct(0, seq));
-                net.send(0, JoinerId(1), punct(0, seq));
-            }
-            let drained = DataPlane::drain(&mut net, JoinerId(0));
-            // Per-channel FIFO: unit 0's frames come out in send order,
-            // with the punctuation fence (highest seq) last.
-            let seqs: Vec<u64> = drained.iter().map(StreamMessage::seq).collect();
-            assert_eq!(seqs, vec![1, 2, 3, 4, 5]);
-            // The other unit's traffic is untouched.
-            assert_eq!(net.pending(), 5);
-            assert!(std::iter::from_fn(|| net.deliver_next()).all(|m| m.dest == JoinerId(1)));
         }
     }
 }

@@ -2,11 +2,18 @@
 //! elastic scaling.
 //!
 //! `BicliqueEngine` is the deterministic in-process form of the system —
-//! the same router/joiner cores the threaded runtime uses, wired through
-//! [`crate::delivery::ChannelNet`] instead of broker queues. Experiments
-//! that need long virtual horizons (autoscaling), adversarial message
-//! schedules (ordering correctness) or exact result capture run against
-//! this engine; wall-clock throughput numbers come from [`crate::exec`].
+//! the same router/joiner cores the threaded runtime uses, built by the
+//! same constructors ([`RouterCore::for_engine`], [`JoinerCore::for_engine`],
+//! [`AdaptiveShared::for_engine`], [`Layout::for_engine`]) and wired
+//! through [`crate::delivery::ChannelNet`] (or, with fault injection armed,
+//! [`crate::chaos::ChaosNet`]) instead of broker queues or rings. What the
+//! engine adds to the cores is who calls them — a caller-driven
+//! `ingest(tuple, now)` / `punctuate(now)` on a virtual clock — plus one
+//! `net_send` that accounts every frame where it is sent and one result
+//! emitter every release path goes through. Experiments that need long
+//! virtual horizons (autoscaling), adversarial message schedules (ordering
+//! correctness) or exact result capture run against this engine;
+//! wall-clock throughput numbers come from [`crate::exec`].
 //!
 //! ## Scaling without migration
 //!
@@ -28,7 +35,7 @@
 use crate::adaptive::AdaptiveShared;
 use crate::chaos::ChaosNet;
 use crate::config::{EngineConfig, RoutingStrategy};
-use crate::delivery::{ChannelNet, DataPlane, DeliveryMode};
+use crate::delivery::{ChannelNet, DeliveryMode};
 use crate::joiner::{JoinerCore, JoinerStats};
 use crate::layout::{JoinerId, Layout};
 use crate::router::{join_dests, BackoffPolicy, RetryQueue, RoutedBatch, RouterCore};
@@ -46,6 +53,7 @@ use bistream_types::rel::Rel;
 use bistream_types::time::Ts;
 use bistream_types::trace::HopKind;
 use bistream_types::tuple::{JoinResult, Tuple};
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 /// The in-process biclique engine.
@@ -171,6 +179,42 @@ impl ChaosState {
     }
 }
 
+/// Where every join result leaves the engine, whichever of `pump`, `flush`,
+/// `remove_router` or the corrupt-frontier hook made `joiner` emit it at
+/// virtual time `now`: drop the echo a crash replay re-derives, count the
+/// result, time it into the engine-wide and the unit's latency histograms,
+/// report it to the output oracle, capture it.
+fn emitter<'a>(
+    stats: &'a EngineStats,
+    auditor: Option<&'a Auditor>,
+    chaos: &'a mut Option<ChaosState>,
+    capture: &'a mut Option<Vec<JoinResult>>,
+    joiner: &JoinerCore,
+    now: Ts,
+) -> impl FnMut(JoinResult) + 'a {
+    let unit_latency = joiner.latency_histogram();
+    let mut seen = chaos.as_mut().map(|c| &mut c.emitted);
+    move |result: JoinResult| {
+        if let Some(seen) = seen.as_deref_mut() {
+            if !seen.insert(format!("{:?}", result.identity())) {
+                return;
+            }
+        }
+        stats.results.inc();
+        let latency = now.saturating_sub(result.ts);
+        stats.latency_ms.record(latency);
+        if let Some(h) = &unit_latency {
+            h.record(latency);
+        }
+        if let Some(a) = auditor.filter(|a| a.oracle_enabled()) {
+            a.observe_output(&result.r.to_string(), &result.s.to_string());
+        }
+        if let Some(buf) = capture.as_mut() {
+            buf.push(result);
+        }
+    }
+}
+
 impl BicliqueEngine {
     /// Build an engine with one router and in-order delivery.
     pub fn new(config: EngineConfig) -> Result<BicliqueEngine> {
@@ -288,15 +332,32 @@ impl BicliqueEngine {
 
         let r_idx = self.rr_next % self.routers.len();
         self.rr_next = self.rr_next.wrapping_add(1);
+        let extras = self.transition_extras(&self.routers[r_idx], tuple)?;
 
-        // Augment the join stream for scaling transitions: historical
-        // layouts and draining units of the opposite side, deduplicated
-        // against the current layout's join destinations (under adaptive
-        // routing those come from the chosen router's live probe union).
-        // The extra copies ride in the same batches under the same
-        // sequence stamp.
-        let current = self.routers[r_idx].planned_join_dests(tuple, &self.layout)?;
+        let router_id = self.routers[r_idx].id();
+        let mut frames = std::mem::take(&mut self.scratch);
+        frames.clear();
+        self.routers[r_idx].route_batched(tuple, &self.layout, &extras, &mut frames)?;
+        self.send_frames(router_id, &mut frames);
+        self.scratch = frames;
+        if self.auto_pump {
+            self.pump()?;
+        }
+        Ok(())
+    }
+
+    /// The join copies a scaling transition adds to `tuple`'s stream while
+    /// one is open (none otherwise): the destinations historical layouts
+    /// would have chosen and the draining units of the opposite side,
+    /// deduplicated against the join destinations `router` picks under the
+    /// current layout (under adaptive routing, its live probe union). The
+    /// extra copies ride in the same batches under the same sequence stamp.
+    fn transition_extras(&self, router: &RouterCore, tuple: &Tuple) -> Result<Vec<JoinerId>> {
         let mut extras: Vec<JoinerId> = Vec::new();
+        if self.historical.is_empty() && self.draining.is_empty() {
+            return Ok(extras);
+        }
+        let current = router.planned_join_dests(tuple, &self.layout)?;
         for (old, _) in &self.historical {
             for dest in join_dests(self.config.routing, &self.config.predicate, tuple, old)? {
                 if self.joiners.contains_key(&dest)
@@ -313,18 +374,7 @@ impl BicliqueEngine {
                 extras.push(id);
             }
         }
-
-        let router_id = self.routers[r_idx].id();
-        let mut frames = std::mem::take(&mut self.scratch);
-        frames.clear();
-        self.routers[r_idx].route_batched(tuple, &self.layout, &extras, &mut frames)?;
-        self.stats.copies.add(1 + current.len() as u64 + extras.len() as u64);
-        self.send_frames(router_id, &mut frames);
-        self.scratch = frames;
-        if self.auto_pump {
-            self.pump()?;
-        }
-        Ok(())
+        Ok(extras)
     }
 
     /// Report an ingested tuple to the auditor's nested-loop oracle. Only
@@ -366,29 +416,19 @@ impl BicliqueEngine {
         }
     }
 
-    /// The live delivery fabric as the unified [`DataPlane`] seam: the
-    /// chaos net when fault injection is armed, the plain channel net
-    /// otherwise. Delivery and drain always go through this; sends go
-    /// through [`net_send`](Self::net_send), whose chaos arm wraps the
-    /// plane with retransmission logging and partition retries.
-    fn plane(&mut self) -> &mut dyn DataPlane<BatchMessage> {
-        match &mut self.chaos {
-            Some(c) => &mut c.net,
-            None => &mut self.net,
-        }
-    }
-
-    /// Route one frame into the live data plane. With chaos armed the
-    /// frame goes via [`ChaosState::send`] (retransmission log + retry
-    /// queue around the plane's refusable send); otherwise straight into
-    /// the channel net, which never refuses.
+    /// Send one frame and account it — the one place `stats.copies` and
+    /// `stats.punctuations` move, so what they count is what was sent. With
+    /// chaos armed the frame goes via [`ChaosState::send`] (retransmission
+    /// log + retry queue around the chaos net's refusable send); otherwise
+    /// straight into the channel net, which never refuses.
     fn net_send(&mut self, router: RouterId, dest: JoinerId, msg: BatchMessage) {
+        match &msg {
+            BatchMessage::Batch(b) => self.stats.copies.add(b.len() as u64),
+            BatchMessage::Punct(_) => self.stats.punctuations.inc(),
+        }
         match &mut self.chaos {
             Some(c) => c.send(router, dest, msg),
-            None => {
-                let accepted = DataPlane::send(&mut self.net, router, dest, msg);
-                debug_assert!(accepted, "ChannelNet never refuses a frame");
-            }
+            None => self.net.send(router, dest, msg),
         }
     }
 
@@ -406,13 +446,10 @@ impl BicliqueEngine {
             // covers.
             self.routers[i].punctuate_batched(&self.layout, &mut frames);
             let p = Punctuation { router: self.routers[i].id(), seq: self.routers[i].last_seq() };
-            let puncts = frames.iter().filter(|f| matches!(f.msg, BatchMessage::Punct(_))).count();
-            self.stats.punctuations.add(puncts as u64);
             self.send_frames(p.router, &mut frames);
             let drain_ids: Vec<JoinerId> = self.draining.iter().map(|d| d.1).collect();
             for id in drain_ids {
                 self.net_send(p.router, id, BatchMessage::Punct(p));
-                self.stats.punctuations.inc();
             }
         }
         self.scratch = frames;
@@ -429,8 +466,6 @@ impl BicliqueEngine {
     /// backoff expired are re-attempted, and when nothing is deliverable
     /// but retries remain, the schedule fast-forwards to their due step.
     pub fn pump(&mut self) -> Result<()> {
-        let stats = Arc::clone(&self.stats);
-        let auditor = self.auditor.clone();
         let now = self.now;
         loop {
             if self.chaos.is_some() {
@@ -445,7 +480,10 @@ impl BicliqueEngine {
                     c.drain_retries();
                 }
             }
-            let flight = self.plane().deliver_next();
+            let flight = match &mut self.chaos {
+                Some(c) => c.net.deliver_next(),
+                None => self.net.deliver_next(),
+            };
             let Some(flight) = flight else {
                 // Nothing deliverable. Refused frames may be parked on
                 // backoff: fast-forward the chaos schedule to their due
@@ -489,41 +527,44 @@ impl BicliqueEngine {
                     }
                 }
             }
-            let capture = &mut self.capture;
-            let per_joiner_latency = joiner.latency_histogram();
-            let mut emitted = self.chaos.as_mut().map(|c| &mut c.emitted);
-            joiner.handle_batch(flight.msg, &mut |result: JoinResult| {
-                // Replayed probes after a crash re-derive results that
-                // already surfaced; the identity set drops the echoes.
-                if let Some(seen) = emitted.as_deref_mut() {
-                    if !seen.insert(format!("{:?}", result.identity())) {
-                        return;
-                    }
-                }
-                stats.results.inc();
-                let latency = now.saturating_sub(result.ts);
-                stats.latency_ms.record(latency);
-                if let Some(h) = &per_joiner_latency {
-                    h.record(latency);
-                }
-                if let Some(a) = auditor.as_ref().filter(|a| a.oracle_enabled()) {
-                    a.observe_output(&result.r.to_string(), &result.s.to_string());
-                }
-                if let Some(buf) = capture {
-                    buf.push(result);
-                }
-            })?;
+            let mut emit = emitter(
+                &self.stats,
+                self.auditor.as_ref(),
+                &mut self.chaos,
+                &mut self.capture,
+                joiner,
+                now,
+            );
+            joiner.handle_batch(flight.msg, &mut emit)?;
         }
         self.retire_drained();
         Ok(())
     }
 
-    /// Terminal flush: deliver everything in flight, then drain every
-    /// reorder buffer in global order. Call once at the end of a run so
-    /// the final punctuation gap does not strand buffered tuples.
-    pub fn flush(&mut self) -> Result<()> {
-        // Push out any copies still sitting in router batches, then drain
-        // the network before flushing the reorder buffers.
+    /// Run `op` on every joiner at the engine's clock, with the engine's
+    /// result emitter to emit into.
+    fn each_joiner(
+        &mut self,
+        mut op: impl FnMut(&mut JoinerCore, &mut dyn FnMut(JoinResult)) -> Result<()>,
+    ) -> Result<()> {
+        let now = self.now;
+        for joiner in self.joiners.values_mut() {
+            joiner.set_now(now);
+            let mut emit = emitter(
+                &self.stats,
+                self.auditor.as_ref(),
+                &mut self.chaos,
+                &mut self.capture,
+                joiner,
+                now,
+            );
+            op(joiner, &mut emit)?;
+        }
+        Ok(())
+    }
+
+    /// Flush every router's pending batches into the network.
+    fn flush_routers(&mut self) {
         let mut frames = std::mem::take(&mut self.scratch);
         for i in 0..self.routers.len() {
             frames.clear();
@@ -532,36 +573,17 @@ impl BicliqueEngine {
             self.send_frames(id, &mut frames);
         }
         self.scratch = frames;
+    }
+
+    /// Terminal flush: deliver everything in flight, then drain every
+    /// reorder buffer in global order. Call once at the end of a run so
+    /// the final punctuation gap does not strand buffered tuples.
+    pub fn flush(&mut self) -> Result<()> {
+        // Push out any copies still sitting in router batches, then drain
+        // the network before flushing the reorder buffers.
+        self.flush_routers();
         self.pump()?;
-        let stats = Arc::clone(&self.stats);
-        let auditor = self.auditor.clone();
-        let now = self.now;
-        for joiner in self.joiners.values_mut() {
-            joiner.set_now(now);
-            let capture = &mut self.capture;
-            let per_joiner_latency = joiner.latency_histogram();
-            let mut emitted = self.chaos.as_mut().map(|c| &mut c.emitted);
-            joiner.flush(&mut |result: JoinResult| {
-                if let Some(seen) = emitted.as_deref_mut() {
-                    if !seen.insert(format!("{:?}", result.identity())) {
-                        return;
-                    }
-                }
-                stats.results.inc();
-                let latency = now.saturating_sub(result.ts);
-                stats.latency_ms.record(latency);
-                if let Some(h) = &per_joiner_latency {
-                    h.record(latency);
-                }
-                if let Some(a) = auditor.as_ref().filter(|a| a.oracle_enabled()) {
-                    a.observe_output(&result.r.to_string(), &result.s.to_string());
-                }
-                if let Some(buf) = capture {
-                    buf.push(result);
-                }
-            })?;
-        }
-        Ok(())
+        self.each_joiner(|joiner, emit| joiner.flush(&mut |r| emit(r)))
     }
 
     /// Resize `side` to `n` active joiners at virtual time `now`. Returns
@@ -646,24 +668,7 @@ impl BicliqueEngine {
     /// configuration error instead of silently weakening the fence.
     pub fn add_router(&mut self) -> RouterId {
         let id = self.routers.len() as RouterId;
-        let mut router = RouterCore::new(
-            id,
-            self.config.routing,
-            self.config.predicate.clone(),
-            self.config.seed,
-            self.seq_counter(),
-        );
-        router.set_batch_size(self.config.batch_size);
-        router.attach_registry(&self.obs.registry);
-        router.attach_tracer(self.obs.tracer.clone());
-        if let Some(a) = &self.auditor {
-            router.set_auditor(a.clone());
-        }
-        if let Some(sh) = &self.adaptive {
-            if (id as usize) < sh.router_count() {
-                router.attach_adaptive(sh.handle(id));
-            }
-        }
+        let router = self.make_router(id, self.routers[0].seq_counter());
         let frontier = router.last_seq();
         for joiner in self.joiners.values_mut() {
             joiner.register_router(id, frontier);
@@ -700,31 +705,9 @@ impl BicliqueEngine {
             .collect();
         for dest in dests {
             self.net_send(id, dest, BatchMessage::Punct(p));
-            self.stats.punctuations.inc();
         }
         self.pump()?;
-        let stats = Arc::clone(&self.stats);
-        let auditor = self.auditor.clone();
-        let now = self.now;
-        for joiner in self.joiners.values_mut() {
-            joiner.set_now(now);
-            let capture = &mut self.capture;
-            let per_joiner_latency = joiner.latency_histogram();
-            joiner.deregister_router(id, &mut |result: JoinResult| {
-                stats.results.inc();
-                let latency = now.saturating_sub(result.ts);
-                stats.latency_ms.record(latency);
-                if let Some(h) = &per_joiner_latency {
-                    h.record(latency);
-                }
-                if let Some(a) = auditor.as_ref().filter(|a| a.oracle_enabled()) {
-                    a.observe_output(&result.r.to_string(), &result.s.to_string());
-                }
-                if let Some(buf) = capture {
-                    buf.push(result);
-                }
-            })?;
-        }
+        self.each_joiner(|joiner, emit| joiner.deregister_router(id, &mut |r| emit(r)))?;
         // The retired router's series would otherwise read as a frozen
         // counter forever; drop them from the scrape.
         self.obs.registry.unregister_labeled("router", &format!("r{id}"));
@@ -736,10 +719,6 @@ impl BicliqueEngine {
     /// Number of router instances.
     pub fn routers(&self) -> usize {
         self.routers.len()
-    }
-
-    fn seq_counter(&self) -> Arc<std::sync::atomic::AtomicU64> {
-        self.routers[0].seq_counter()
     }
 
     /// Per-joiner stored-tuple counts for `side` (load-balance metrics).
@@ -890,18 +869,10 @@ impl BicliqueEngine {
                 c.offer(router, id, msg);
             }
         }
-        let mut frames = std::mem::take(&mut self.scratch);
-        for i in 0..self.routers.len() {
-            frames.clear();
-            let rid = self.routers[i].id();
-            self.routers[i].flush_batches(&mut frames);
-            self.send_frames(rid, &mut frames);
-        }
-        self.scratch = frames;
+        self.flush_routers();
         for i in 0..self.routers.len() {
             let p = Punctuation { router: self.routers[i].id(), seq: self.routers[i].last_seq() };
             self.net_send(p.router, id, BatchMessage::Punct(p));
-            self.stats.punctuations.inc();
         }
         Ok(restored)
     }
@@ -965,22 +936,26 @@ impl BicliqueEngine {
     }
 
     fn make_joiner(&self, id: JoinerId, side: Rel, frontiers: &[(RouterId, SeqNo)]) -> JoinerCore {
-        let mut joiner = JoinerCore::new(
+        JoinerCore::for_engine(
             id,
             side,
-            self.config.predicate.clone(),
-            self.config.window,
-            self.config.archive_period_ms,
-            self.config.ordering,
-            frontiers,
+            &self.config,
             self.cost,
-        );
-        joiner.set_batch_size(self.config.batch_size);
-        joiner.attach_obs(&self.obs);
-        if let Some(a) = &self.auditor {
-            joiner.set_auditor(a.clone());
-        }
-        joiner
+            frontiers,
+            &self.obs,
+            self.auditor.as_ref(),
+        )
+    }
+
+    fn make_router(&self, id: RouterId, seq: Arc<AtomicU64>) -> RouterCore {
+        RouterCore::for_engine(
+            id,
+            &self.config,
+            seq,
+            &self.obs,
+            self.auditor.as_ref(),
+            self.adaptive.as_ref(),
+        )
     }
 
     /// Test-only fault injection: force-raise `router`'s frontier to `seq`
@@ -990,19 +965,9 @@ impl BicliqueEngine {
     /// channel punctuation is reported as a Definition 7 violation.
     #[doc(hidden)]
     pub fn debug_corrupt_frontier(&mut self, router: RouterId, seq: SeqNo) -> Result<()> {
-        let stats = Arc::clone(&self.stats);
-        let now = self.now;
-        for joiner in self.joiners.values_mut() {
-            joiner.set_now(now);
-            let capture = &mut self.capture;
-            joiner.debug_corrupt_frontier(router, seq, &mut |result: JoinResult| {
-                stats.results.inc();
-                if let Some(buf) = capture {
-                    buf.push(result);
-                }
-            })?;
-        }
-        Ok(())
+        self.each_joiner(|joiner, emit| {
+            joiner.debug_corrupt_frontier(router, seq, &mut |r| emit(r))
+        })
     }
 
     /// Test-only fault injection: freeze every active joiner's reorder
@@ -1134,70 +1099,18 @@ impl EngineBuilder {
     /// Construct the engine.
     pub fn build(self) -> Result<BicliqueEngine> {
         self.config.validate()?;
-        let subgroups = match self.config.routing {
-            RoutingStrategy::ContRand { subgroups } | RoutingStrategy::Adaptive { subgroups } => {
-                subgroups
-            }
-            _ => 1,
-        };
-        let layout = Layout::new(self.config.r_joiners, self.config.s_joiners, subgroups)?;
-        // One shared sequence counter across all routers (see RouterCore).
-        let seq = Arc::new(std::sync::atomic::AtomicU64::new(0));
+        let layout = Layout::for_engine(&self.config)?;
         let obs = self.obs.unwrap_or_default();
         let auditor = self.auditor.or_else(Auditor::new_if_debug);
         if let Some(a) = &auditor {
             a.attach_journal(obs.journal.clone());
         }
-        // Adaptive routing: one shared tuner for all routers. Superseded
-        // probe coverage must outlive the join window, measured in
-        // punctuation ticks (FullHistory pins it forever).
-        let adaptive = match self.config.routing {
-            RoutingStrategy::Adaptive { subgroups } => {
-                let punct = self.config.punctuation_interval_ms.max(1);
-                let retire_ticks = match self.config.window.size() {
-                    Some(w) => (w / punct).saturating_add(2),
-                    None => u64::MAX / 2,
-                };
-                let max_subgroups = self.config.r_joiners.min(self.config.s_joiners).max(1);
-                Some(AdaptiveShared::new(
-                    self.config.adaptive,
-                    self.routers,
-                    subgroups,
-                    max_subgroups,
-                    retire_ticks,
-                    self.config.seed,
-                ))
-            }
-            _ => None,
-        };
-        let routers: Vec<RouterCore> = (0..self.routers)
-            .map(|i| {
-                let mut r = RouterCore::new(
-                    i as RouterId,
-                    self.config.routing,
-                    self.config.predicate.clone(),
-                    self.config.seed,
-                    Arc::clone(&seq),
-                );
-                r.set_batch_size(self.config.batch_size);
-                r.attach_registry(&obs.registry);
-                r.attach_tracer(obs.tracer.clone());
-                if let Some(a) = &auditor {
-                    r.set_auditor(a.clone());
-                }
-                if let Some(sh) = &adaptive {
-                    r.attach_adaptive(sh.handle(i as RouterId));
-                }
-                r
-            })
-            .collect();
-        let frontiers: Vec<(RouterId, SeqNo)> = routers.iter().map(|r| (r.id(), 0)).collect();
         let stats = EngineStats::shared();
         stats.register_into(&obs.registry, &[("engine", &self.engine_label)]);
         let mut engine = BicliqueEngine {
             cost: self.cost,
             layout: layout.clone(),
-            routers,
+            routers: Vec::new(),
             rr_next: 0,
             joiners: FxHashMap::default(),
             draining: Vec::new(),
@@ -1206,7 +1119,7 @@ impl EngineBuilder {
             chaos: self.chaos.map(ChaosState::new),
             stats,
             obs,
-            adaptive,
+            adaptive: AdaptiveShared::for_engine(&self.config, self.routers),
             auditor,
             capture: None,
             auto_pump: self.auto_pump,
@@ -1214,6 +1127,14 @@ impl EngineBuilder {
             scratch: Vec::new(),
             config: self.config,
         };
+        // One shared sequence counter across all routers (see RouterCore).
+        let seq = Arc::new(AtomicU64::new(0));
+        for id in 0..self.routers as RouterId {
+            let router = engine.make_router(id, Arc::clone(&seq));
+            engine.routers.push(router);
+        }
+        let frontiers: Vec<(RouterId, SeqNo)> =
+            engine.routers.iter().map(|r| (r.id(), 0)).collect();
         for (side, id) in layout.all_units() {
             let joiner = engine.make_joiner(id, side, &frontiers);
             engine.joiners.insert(id, joiner);

@@ -25,7 +25,7 @@ mod broker;
 pub(crate) mod driver;
 
 use crate::adaptive::AdaptiveShared;
-use crate::config::{EngineConfig, RoutingStrategy};
+use crate::config::EngineConfig;
 use crate::joiner::JoinerStats;
 use crate::layout::{JoinerId, Layout};
 use crate::stats::{EngineSnapshot, EngineStats};
@@ -192,24 +192,9 @@ impl Pipeline {
     pub fn launch(config: PipelineConfig) -> Result<Pipeline> {
         config.engine.validate()?;
         let engine = &config.engine;
-        let subgroups = engine.routing.subgroups();
-        let layout = Arc::new(Layout::new(engine.r_joiners, engine.s_joiners, subgroups)?);
-        // Adaptive routing: one shared tuner spanning every router thread,
-        // built before launch so each thread gets its handle up front.
-        // Superseded probe coverage outlives the window, in punct ticks.
-        let adaptive = matches!(engine.routing, RoutingStrategy::Adaptive { .. }).then(|| {
-            let punct = engine.punctuation_interval_ms.max(1);
-            let retire_ticks =
-                engine.window.size().map_or(u64::MAX / 2, |w| (w / punct).saturating_add(2));
-            AdaptiveShared::new(
-                engine.adaptive,
-                config.routers.max(1),
-                subgroups,
-                engine.r_joiners.min(engine.s_joiners).max(1),
-                retire_ticks,
-                engine.seed,
-            )
-        });
+        let layout = Arc::new(Layout::for_engine(engine)?);
+        // Built before launch so each router thread gets its handle up front.
+        let adaptive = AdaptiveShared::for_engine(engine, config.routers);
         let obs = config.trace_one_in.map_or_else(Observability::new, Observability::with_tracing);
         let auditor = config.auditor.clone().or_else(Auditor::new_if_debug);
         if let Some(a) = &auditor {
@@ -374,6 +359,7 @@ impl Pipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::RoutingStrategy;
     use bistream_types::metric_names as names;
     use bistream_types::rel::Rel;
     use bistream_types::trace::HopKind;

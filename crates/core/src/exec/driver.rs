@@ -240,21 +240,15 @@ pub(crate) fn spawn(
 
     let mut joiners = Vec::new();
     for ((side, id), inbox) in layout.all_units().zip(wiring.units) {
-        let mut joiner = JoinerCore::new(
+        let joiner = JoinerCore::for_engine(
             id,
             side,
-            engine.predicate.clone(),
-            engine.window,
-            engine.archive_period_ms,
-            engine.ordering,
-            &router_ids,
+            engine,
             config.cost,
+            &router_ids,
+            obs,
+            auditor.as_ref(),
         );
-        joiner.attach_obs(obs);
-        joiner.set_batch_size(engine.batch_size);
-        if let Some(a) = auditor {
-            joiner.set_auditor(a.clone());
-        }
         let sink = ResultSink::new(ctx, &joiner, config.capture_results);
         joiners.push(worker(format!("unit-{}", id.0), move || run_joiner(joiner, inbox, sink))?);
     }
@@ -263,22 +257,14 @@ pub(crate) fn spawn(
     let seq = Arc::new(AtomicU64::new(0));
     let mut routers = Vec::new();
     for (&(rid, _), (ingest, frames)) in router_ids.iter().zip(wiring.routers) {
-        let mut core = RouterCore::new(
+        let core = RouterCore::for_engine(
             rid,
-            engine.routing,
-            engine.predicate.clone(),
-            engine.seed,
+            engine,
             Arc::clone(&seq),
+            obs,
+            auditor.as_ref(),
+            adaptive.as_ref(),
         );
-        core.attach_registry(&obs.registry);
-        core.attach_tracer(obs.tracer.clone());
-        core.set_batch_size(engine.batch_size);
-        if let Some(a) = auditor {
-            core.set_auditor(a.clone());
-        }
-        if let Some(shared) = adaptive {
-            core.attach_adaptive(shared.handle(rid));
-        }
         let (layout, ctx) = (Arc::clone(layout), ctx.clone());
         let run = move || run_router(core, &layout, ingest, frames, &ctx);
         routers.push(worker(format!("router-{rid}"), run)?);

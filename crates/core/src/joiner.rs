@@ -10,10 +10,16 @@
 //!   discarding, then probe the index with the predicate's plan; every
 //!   match is emitted as a [`JoinResult`].
 //!
+//! Frames enter through [`JoinerCore::handle_batch`]; whatever the reorder
+//! buffer lets go — on a punctuation, a router's retirement or the terminal
+//! [`JoinerCore::flush`] — is processed one way, as same-purpose runs of at
+//! most `batch_size` tuples through the index's batch entry points.
+//!
 //! Every operation charges the unit's [`ResourceMeter`] through the
 //! [`CostModel`], and the live-state byte count is pushed to the meter
 //! after every mutation — this is what the autoscaler sees.
 
+use crate::config::EngineConfig;
 use crate::layout::JoinerId;
 use crate::ordering::{Released, ReorderBuffer};
 use bistream_cluster::{CostModel, ResourceMeter};
@@ -24,7 +30,7 @@ use bistream_types::error::{Error, Result};
 use bistream_types::journal::{EventJournal, EventKind};
 use bistream_types::metrics::{Counter, Gauge, Histogram};
 use bistream_types::predicate::{JoinPredicate, ProbePlan};
-use bistream_types::punct::{Purpose, RouterId, SeqNo, StreamMessage};
+use bistream_types::punct::{Punctuation, Purpose, RouterId, SeqNo, StreamMessage};
 use bistream_types::registry::Observability;
 use bistream_types::rel::Rel;
 use bistream_types::time::Ts;
@@ -118,11 +124,11 @@ pub struct JoinerCore {
     /// Event-time high watermark over processed tuples — the stamp for
     /// journal events that have no tuple of their own (punctuations).
     last_ts: Ts,
-    /// Scratch buffer reused across handle() calls.
+    /// Scratch buffer reused across releases.
     released: Vec<Released>,
-    /// Scratch buffers of the batched path, reused across runs: what a
-    /// store run hands to `insert_batch`, what a join run hands to
-    /// `probe_batch`, and the result count of each of its probes.
+    /// Scratch buffers reused across runs: what a store run hands to
+    /// `insert_batch`, what a join run hands to `probe_batch`, and the
+    /// result count of each of its probes.
     items: Vec<(Value, Tuple)>,
     probes: Vec<(ProbePlan, Ts)>,
     results: Vec<usize>,
@@ -135,8 +141,8 @@ pub struct JoinerCore {
     now: Ts,
     /// Cached `"<side><unit>"` label for trace spans.
     unit_label: String,
-    /// Cap on the same-purpose runs the batched path processes at once
-    /// (1 = per-tuple processing, identical to [`JoinerCore::handle`]).
+    /// Cap on the same-purpose runs processed at once (1 = per-tuple
+    /// processing: every released tuple is its own run).
     batch_size: usize,
     /// Invariant auditor (test/debug harnesses): checks channel FIFO and
     /// release order on every message, and Theorem 1 via the index.
@@ -193,6 +199,37 @@ impl JoinerCore {
         }
     }
 
+    /// The joiner every runtime runs for unit `id` of `side`: built from
+    /// `config` (predicate, window, archive period, ordering, batch size)
+    /// with the `routers`' frontiers, and wired to the registry, journal
+    /// and tracer of `obs` and to the `auditor` if one is armed.
+    pub fn for_engine(
+        id: JoinerId,
+        side: Rel,
+        config: &EngineConfig,
+        cost: CostModel,
+        routers: &[(RouterId, SeqNo)],
+        obs: &Observability,
+        auditor: Option<&Auditor>,
+    ) -> JoinerCore {
+        let mut joiner = JoinerCore::new(
+            id,
+            side,
+            config.predicate.clone(),
+            config.window,
+            config.archive_period_ms,
+            config.ordering,
+            routers,
+            cost,
+        );
+        joiner.set_batch_size(config.batch_size);
+        joiner.attach_obs(obs);
+        if let Some(a) = auditor {
+            joiner.set_auditor(a.clone());
+        }
+        joiner
+    }
+
     /// One Theorem-1 expiry pass witnessed by `ts`, charged to the unit's
     /// counters and meter. Returns the number of tuples discarded.
     fn expire_at(&mut self, ts: Ts) -> usize {
@@ -214,15 +251,15 @@ impl JoinerCore {
         self.auditor = Some(auditor);
     }
 
-    /// Set the batched path's run cap (clamped to at least 1). Store and
-    /// join releases are grouped into same-purpose runs of at most this
-    /// many tuples and processed through the index's batch entry points;
-    /// `1` reproduces per-tuple processing exactly.
+    /// Set the run cap (clamped to at least 1). Store and join releases
+    /// are grouped into same-purpose runs of at most this many tuples and
+    /// processed through the index's batch entry points; at `1` (the
+    /// default) every tuple is its own run, i.e. per-tuple processing.
     pub fn set_batch_size(&mut self, n: usize) {
         self.batch_size = n.max(1);
     }
 
-    /// The batched path's run cap.
+    /// The run cap.
     pub fn batch_size(&self) -> usize {
         self.batch_size
     }
@@ -328,22 +365,7 @@ impl JoinerCore {
         router: RouterId,
         emit: &mut F,
     ) -> Result<()> {
-        if let Some(buf) = &mut self.reorder {
-            let mut released = std::mem::take(&mut self.released);
-            buf.deregister_router(router, &mut released);
-            if let Some(a) = &self.auditor {
-                let wm = buf.watermark().unwrap_or(SeqNo::MAX);
-                for r in &released {
-                    a.release(&self.unit_label, r.router, r.seq, wm);
-                }
-            }
-            for r in released.drain(..) {
-                self.process(r.purpose, r.seq, r.tuple, emit)?;
-            }
-            self.released = released;
-            self.sync_observables();
-        }
-        Ok(())
+        self.release(|buf, out| buf.deregister_router(router, out), None, true, emit)
     }
 
     /// Serialise this unit's stored window state (see
@@ -362,155 +384,113 @@ impl JoinerCore {
         Ok(n)
     }
 
-    /// Handle one incoming message, emitting any produced join results.
+    /// Handle one incoming frame, emitting any produced join results.
     ///
-    /// With the ordering protocol on, data messages may be buffered and
-    /// processed later (on a punctuation); the emit callback therefore
-    /// fires zero or more times per call.
-    pub fn handle<F: FnMut(JoinResult)>(&mut self, msg: StreamMessage, emit: &mut F) -> Result<()> {
-        self.meter.charge_cpu_us(self.cost.ingest_us);
-        match &mut self.reorder {
-            Some(buf) => {
-                debug_assert!(self.released.is_empty());
-                let punct = match &msg {
-                    StreamMessage::Punct(p) => Some((p.router, p.seq)),
-                    _ => None,
-                };
-                if let Some(a) = &self.auditor {
-                    match &msg {
-                        StreamMessage::Data { router, seq, purpose, .. } => {
-                            a.channel_recv(&self.unit_label, *router, *purpose, *seq)
-                        }
-                        StreamMessage::Punct(p) => {
-                            a.channel_punct(&self.unit_label, p.router, p.seq)
-                        }
-                    }
-                }
-                let wm_before = buf.watermark();
-                let mut released = std::mem::take(&mut self.released);
-                buf.offer(msg, &mut released);
-                if let Some(a) = &self.auditor {
-                    let wm = buf.watermark().unwrap_or(SeqNo::MAX);
-                    for r in &released {
-                        a.release(&self.unit_label, r.router, r.seq, wm);
-                    }
-                }
-                let advanced = buf.watermark() > wm_before;
-                if let (Some(m), Some((router, seq)), true) = (&self.metrics, punct, advanced) {
-                    m.journal.record(
-                        self.last_ts,
-                        EventKind::PunctuationAdvanced {
-                            side: self.side,
-                            unit: m.unit,
-                            router,
-                            seq,
-                        },
-                    );
-                }
-                for r in released.drain(..) {
-                    self.process(r.purpose, r.seq, r.tuple, emit)?;
-                }
-                self.released = released;
-            }
-            None => {
-                if let StreamMessage::Data { purpose, seq, tuple, .. } = msg {
-                    self.process(purpose, seq, tuple, emit)?;
-                }
-            }
-        }
-        self.sync_observables();
-        Ok(())
-    }
-
-    /// Handle one incoming batched frame, emitting any produced results.
-    ///
-    /// This is the micro-batched counterpart of [`JoinerCore::handle`]:
-    /// one frame is decoded (by the transport) and charged ingest cost
+    /// One frame is decoded (by the transport) and charged ingest cost
     /// once, however many tuples it carries. With the ordering protocol
     /// on, every entry is offered to the reorder buffer under its own
     /// `(router, seq)` stamp — batching never bends the global order —
-    /// and whatever a punctuation releases is processed as same-purpose
-    /// runs of at most [`JoinerCore::batch_size`] tuples through the
-    /// index's `insert_batch`/`probe_batch` entry points. With the
-    /// protocol off, the frame itself is the run. A run of join probes
-    /// expires state once, witnessed by its first probe's timestamp;
-    /// matches are window-checked per probe, so results are unaffected.
+    /// and data may be buffered and processed later (on a punctuation), so
+    /// the emit callback fires zero or more times per call. Whatever a
+    /// punctuation releases is processed as same-purpose runs of at most
+    /// [`JoinerCore::batch_size`] tuples through the index's
+    /// `insert_batch`/`probe_batch` entry points. With the protocol off,
+    /// the frame itself is the run. A run of join probes expires state
+    /// once, witnessed by its first probe's timestamp; matches are
+    /// window-checked per probe, so results are unaffected.
     pub fn handle_batch<F: FnMut(JoinResult)>(
         &mut self,
         msg: BatchMessage,
         emit: &mut F,
     ) -> Result<()> {
         self.meter.charge_cpu_us(self.cost.ingest_us);
-        match &mut self.reorder {
-            Some(buf) => {
-                debug_assert!(self.released.is_empty());
-                let punct = match &msg {
-                    BatchMessage::Punct(p) => Some((p.router, p.seq)),
-                    _ => None,
-                };
-                let wm_before = buf.watermark();
-                let mut released = std::mem::take(&mut self.released);
-                match msg {
-                    BatchMessage::Punct(p) => {
-                        if let Some(a) = &self.auditor {
-                            a.channel_punct(&self.unit_label, p.router, p.seq);
-                        }
-                        buf.offer(StreamMessage::Punct(p), &mut released)
-                    }
-                    BatchMessage::Batch(b) => {
-                        let router = b.router();
-                        let purpose = b.purpose();
-                        for e in b.into_entries() {
-                            if let Some(a) = &self.auditor {
-                                a.channel_recv(&self.unit_label, router, purpose, e.seq);
-                            }
-                            buf.offer(
-                                StreamMessage::Data { router, seq: e.seq, purpose, tuple: e.tuple },
-                                &mut released,
-                            );
-                        }
-                    }
-                }
-                if let Some(a) = &self.auditor {
-                    let wm = buf.watermark().unwrap_or(SeqNo::MAX);
-                    for r in &released {
-                        a.release(&self.unit_label, r.router, r.seq, wm);
-                    }
-                }
-                let advanced = buf.watermark() > wm_before;
-                if let (Some(m), Some((router, seq)), true) = (&self.metrics, punct, advanced) {
-                    m.journal.record(
-                        self.last_ts,
-                        EventKind::PunctuationAdvanced {
-                            side: self.side,
-                            unit: m.unit,
-                            router,
-                            seq,
-                        },
-                    );
-                }
-                for run in ReorderBuffer::purpose_runs(&released, self.batch_size) {
-                    self.process_run(run, emit)?;
-                }
-                released.clear();
-                self.released = released;
+        if self.reorder.is_none() {
+            if let BatchMessage::Batch(b) = msg {
+                let (router, purpose) = (b.router(), b.purpose());
+                let mut run = std::mem::take(&mut self.released);
+                run.extend(b.into_entries().into_iter().map(|e| Released {
+                    router,
+                    seq: e.seq,
+                    purpose,
+                    tuple: e.tuple,
+                }));
+                self.process_run(&run, emit)?;
+                run.clear();
+                self.released = run;
             }
-            None => {
-                if let BatchMessage::Batch(b) = msg {
-                    let (router, purpose) = (b.router(), b.purpose());
-                    let mut run = std::mem::take(&mut self.released);
-                    run.extend(b.into_entries().into_iter().map(|e| Released {
-                        router,
-                        seq: e.seq,
-                        purpose,
-                        tuple: e.tuple,
-                    }));
-                    self.process_run(&run, emit)?;
-                    run.clear();
-                    self.released = run;
+            self.sync_observables();
+            return Ok(());
+        }
+        if let Some(a) = &self.auditor {
+            match &msg {
+                BatchMessage::Punct(p) => a.channel_punct(&self.unit_label, p.router, p.seq),
+                BatchMessage::Batch(b) => {
+                    for e in b.entries() {
+                        a.channel_recv(&self.unit_label, b.router(), b.purpose(), e.seq);
+                    }
                 }
             }
         }
+        let punct = match &msg {
+            BatchMessage::Punct(p) => Some(*p),
+            BatchMessage::Batch(_) => None,
+        };
+        let offer = |buf: &mut ReorderBuffer, released: &mut Vec<Released>| match msg {
+            BatchMessage::Punct(p) => buf.offer(StreamMessage::Punct(p), released),
+            BatchMessage::Batch(b) => {
+                let (router, purpose) = (b.router(), b.purpose());
+                for e in b.into_entries() {
+                    buf.offer(
+                        StreamMessage::Data { router, seq: e.seq, purpose, tuple: e.tuple },
+                        released,
+                    );
+                }
+            }
+        };
+        self.release(offer, punct, true, emit)
+    }
+
+    /// The one release path: let `op` drive the reorder buffer, audit every
+    /// tuple it released against the resulting watermark (when `audited`),
+    /// journal the advance if `punct` moved the watermark, and process what
+    /// was released, in global order, as same-purpose runs of at most
+    /// [`JoinerCore::batch_size`] tuples. Does nothing with the ordering
+    /// protocol off.
+    fn release<F: FnMut(JoinResult)>(
+        &mut self,
+        op: impl FnOnce(&mut ReorderBuffer, &mut Vec<Released>),
+        punct: Option<Punctuation>,
+        audited: bool,
+        emit: &mut F,
+    ) -> Result<()> {
+        let Some(buf) = &mut self.reorder else { return Ok(()) };
+        debug_assert!(self.released.is_empty());
+        let wm_before = buf.watermark();
+        let mut released = std::mem::take(&mut self.released);
+        op(buf, &mut released);
+        if let (Some(a), true) = (&self.auditor, audited) {
+            let wm = buf.watermark().unwrap_or(SeqNo::MAX);
+            for r in &released {
+                a.release(&self.unit_label, r.router, r.seq, wm);
+            }
+        }
+        let advanced = buf.watermark() > wm_before;
+        if let (Some(m), Some(p), true) = (&self.metrics, punct, advanced) {
+            m.journal.record(
+                self.last_ts,
+                EventKind::PunctuationAdvanced {
+                    side: self.side,
+                    unit: m.unit,
+                    router: p.router,
+                    seq: p.seq,
+                },
+            );
+        }
+        for run in ReorderBuffer::purpose_runs(&released, self.batch_size) {
+            self.process_run(run, emit)?;
+        }
+        released.clear();
+        self.released = released;
         self.sync_observables();
         Ok(())
     }
@@ -525,9 +505,8 @@ impl JoinerCore {
     }
 
     /// Insert a run of store copies through one `insert_batch` call.
-    /// Per-tuple bookkeeping (journal, meter, trace spans) is preserved so
-    /// a 1-tuple run is indistinguishable from [`JoinerCore::handle`]'s
-    /// store branch.
+    /// Bookkeeping (journal, meter, trace spans) stays per tuple, so the
+    /// run cap changes how often the index is entered and nothing else.
     fn store_run(&mut self, run: &[Released]) -> Result<()> {
         let mut items = std::mem::take(&mut self.items);
         for Released { seq, tuple, .. } in run {
@@ -632,19 +611,10 @@ impl JoinerCore {
     /// closed and drained (shutdown/retirement) — see
     /// [`crate::ordering::ReorderBuffer::flush`].
     pub fn flush<F: FnMut(JoinResult)>(&mut self, emit: &mut F) -> Result<()> {
-        if let Some(buf) = &mut self.reorder {
-            let mut released = std::mem::take(&mut self.released);
-            buf.flush(&mut released);
-            // Terminal flush deliberately releases past the punctuation
-            // frontiers (the residue is complete and sorted), so the
-            // per-release audit hooks do not apply here.
-            for r in released.drain(..) {
-                self.process(r.purpose, r.seq, r.tuple, emit)?;
-            }
-            self.released = released;
-            self.sync_observables();
-        }
-        Ok(())
+        // Terminal flush deliberately releases past the punctuation
+        // frontiers (the residue is complete and sorted), so the
+        // per-release audit hooks do not apply here.
+        self.release(|buf, out| buf.flush(out), None, false, emit)
     }
 
     /// Fault injection for auditor tests: corrupt one router's punctuation
@@ -659,22 +629,7 @@ impl JoinerCore {
         seq: SeqNo,
         emit: &mut F,
     ) -> Result<()> {
-        if let Some(buf) = &mut self.reorder {
-            let mut released = std::mem::take(&mut self.released);
-            buf.debug_corrupt_frontier(router, seq, &mut released);
-            if let Some(a) = &self.auditor {
-                let wm = buf.watermark().unwrap_or(SeqNo::MAX);
-                for r in &released {
-                    a.release(&self.unit_label, r.router, r.seq, wm);
-                }
-            }
-            for r in released.drain(..) {
-                self.process(r.purpose, r.seq, r.tuple, emit)?;
-            }
-            self.released = released;
-            self.sync_observables();
-        }
-        Ok(())
+        self.release(|buf, out| buf.debug_corrupt_frontier(router, seq, out), None, true, emit)
     }
 
     /// Fault injection for watchdog tests: freeze this unit's reorder
@@ -686,85 +641,6 @@ impl JoinerCore {
         if let Some(buf) = &mut self.reorder {
             buf.debug_freeze_frontier(on);
         }
-    }
-
-    fn process<F: FnMut(JoinResult)>(
-        &mut self,
-        purpose: Purpose,
-        seq: SeqNo,
-        tuple: Tuple,
-        emit: &mut F,
-    ) -> Result<()> {
-        self.last_ts = self.last_ts.max(tuple.ts());
-        match purpose {
-            Purpose::Store => self.store(seq, tuple),
-            Purpose::Join => self.join(seq, tuple, emit),
-        }
-    }
-
-    fn store(&mut self, seq: SeqNo, tuple: Tuple) -> Result<()> {
-        debug_assert_eq!(tuple.rel(), self.side, "store copy on the wrong side");
-        let key = self.key_of(&tuple)?;
-        if let Some(m) = &self.metrics {
-            m.stored.inc();
-            m.journal
-                .record(tuple.ts(), EventKind::TupleStored { side: self.side, unit: m.unit, seq });
-        }
-        self.index.insert(key, tuple);
-        self.stats.stored += 1;
-        self.meter.charge_cpu_us(self.cost.insert_us);
-        if self.tracer.sampled(seq) {
-            self.tracer.span(seq, HopKind::Store, &self.unit_label, self.now, self.now);
-            self.tracer.end_branch(seq);
-        }
-        Ok(())
-    }
-
-    fn join<F: FnMut(JoinResult)>(&mut self, seq: SeqNo, probe: Tuple, emit: &mut F) -> Result<()> {
-        debug_assert_eq!(probe.rel(), self.side.opposite(), "join copy on the wrong side");
-        // Theorem-1 discarding first: the incoming opposite-side timestamp
-        // is the expiry witness.
-        let dropped = self.expire_at(probe.ts());
-
-        let plan = self.predicate.probe_plan(&probe)?;
-        let mut results = 0usize;
-        let mut failed = None;
-        let predicate = &self.predicate;
-        let stats = self.index.probe(&plan, probe.ts(), |stored| {
-            let hit = emit_if_match(predicate, &plan, stored, &probe, &mut failed, emit);
-            results += usize::from(hit);
-        });
-        if let Some(e) = failed {
-            return Err(e);
-        }
-        self.stats.probes += 1;
-        self.stats.candidates += stats.candidates as u64;
-        self.stats.results += results as u64;
-        if let Some(m) = &self.metrics {
-            m.probes.inc();
-            m.candidates.add(stats.candidates as u64);
-            m.results.add(results as u64);
-            m.expired.add(dropped as u64);
-            if results > 0 {
-                m.journal.record(
-                    probe.ts(),
-                    EventKind::JoinEmitted {
-                        side: self.side,
-                        unit: m.unit,
-                        results: results as u64,
-                    },
-                );
-            }
-        }
-        self.meter.charge_cpu_us(self.cost.probe_cost_us(stats.candidates, results));
-        if self.tracer.sampled(seq) {
-            self.tracer.span(seq, HopKind::Probe, &self.unit_label, self.now, self.now);
-            if results > 0 {
-                self.tracer.span(seq, HopKind::Emit, &self.unit_label, self.now, self.now);
-            }
-            self.tracer.end_branch(seq);
-        }
-        Ok(())
     }
 
     fn key_of(&self, tuple: &Tuple) -> Result<Value> {
@@ -828,25 +704,22 @@ mod tests {
         )
     }
 
-    fn data(seq: SeqNo, purpose: Purpose, rel: Rel, ts: Ts, k: i64) -> StreamMessage {
-        StreamMessage::Data {
-            router: 0,
-            seq,
-            purpose,
-            tuple: Tuple::new(rel, ts, vec![Value::Int(k)]),
-        }
+    /// One sequenced copy as its own frame — the default `batch_size = 1`
+    /// framing.
+    fn data(seq: SeqNo, purpose: Purpose, rel: Rel, ts: Ts, k: i64) -> BatchMessage {
+        BatchMessage::single(0, seq, purpose, Tuple::new(rel, ts, vec![Value::Int(k)]))
     }
 
-    fn punct(seq: SeqNo) -> StreamMessage {
-        StreamMessage::Punct(Punctuation { router: 0, seq })
+    fn punct(seq: SeqNo) -> BatchMessage {
+        BatchMessage::Punct(Punctuation { router: 0, seq })
     }
 
     #[test]
     fn store_then_join_produces_result_without_ordering() {
         let mut j = joiner(Rel::R, false);
         let mut results = Vec::new();
-        j.handle(data(1, Purpose::Store, Rel::R, 10, 5), &mut |r| results.push(r)).unwrap();
-        j.handle(data(2, Purpose::Join, Rel::S, 20, 5), &mut |r| results.push(r)).unwrap();
+        j.handle_batch(data(1, Purpose::Store, Rel::R, 10, 5), &mut |r| results.push(r)).unwrap();
+        j.handle_batch(data(2, Purpose::Join, Rel::S, 20, 5), &mut |r| results.push(r)).unwrap();
         assert_eq!(results.len(), 1);
         assert_eq!(results[0].r.ts(), 10);
         assert_eq!(results[0].s.ts(), 20);
@@ -861,10 +734,10 @@ mod tests {
         // Join copy (seq 2) arrives BEFORE the store copy (seq 1) — the
         // missed-result race of Fig. 8(c). With ordering, the buffer fixes
         // the order and the result is still produced.
-        j.handle(data(2, Purpose::Join, Rel::S, 20, 5), &mut |r| results.push(r)).unwrap();
-        j.handle(data(1, Purpose::Store, Rel::R, 10, 5), &mut |r| results.push(r)).unwrap();
+        j.handle_batch(data(2, Purpose::Join, Rel::S, 20, 5), &mut |r| results.push(r)).unwrap();
+        j.handle_batch(data(1, Purpose::Store, Rel::R, 10, 5), &mut |r| results.push(r)).unwrap();
         assert!(results.is_empty(), "buffered until punctuation");
-        j.handle(punct(2), &mut |r| results.push(r)).unwrap();
+        j.handle_batch(punct(2), &mut |r| results.push(r)).unwrap();
         assert_eq!(results.len(), 1, "store processed before join despite arrival order");
     }
 
@@ -872,8 +745,8 @@ mod tests {
     fn without_ordering_the_race_loses_the_result() {
         let mut j = joiner(Rel::R, false);
         let mut results = Vec::new();
-        j.handle(data(2, Purpose::Join, Rel::S, 20, 5), &mut |r| results.push(r)).unwrap();
-        j.handle(data(1, Purpose::Store, Rel::R, 10, 5), &mut |r| results.push(r)).unwrap();
+        j.handle_batch(data(2, Purpose::Join, Rel::S, 20, 5), &mut |r| results.push(r)).unwrap();
+        j.handle_batch(data(1, Purpose::Store, Rel::R, 10, 5), &mut |r| results.push(r)).unwrap();
         assert!(results.is_empty(), "join probed an empty window: missed result");
     }
 
@@ -883,13 +756,13 @@ mod tests {
         let mut sink = Vec::new();
         // Fill several archive periods.
         for ts in (0..500).step_by(50) {
-            j.handle(data(ts / 50 + 1, Purpose::Store, Rel::R, ts, 1), &mut |r| sink.push(r))
+            j.handle_batch(data(ts / 50 + 1, Purpose::Store, Rel::R, ts, 1), &mut |r| sink.push(r))
                 .unwrap();
         }
         let stored = j.index_stats().tuples;
         assert_eq!(stored, 10);
         // A join tuple far in the future expires everything archived.
-        j.handle(data(100, Purpose::Join, Rel::S, 10_000, 1), &mut |r| sink.push(r)).unwrap();
+        j.handle_batch(data(100, Purpose::Join, Rel::S, 10_000, 1), &mut |r| sink.push(r)).unwrap();
         assert!(sink.is_empty(), "window excludes everything");
         assert!(j.stats().expired > 0);
         assert!(j.index_stats().tuples < stored);
@@ -909,10 +782,10 @@ mod tests {
         );
         let mut results = Vec::new();
         for k in [1, 3, 6] {
-            j.handle(data(k as u64, Purpose::Store, Rel::S, 0, k), &mut |r| results.push(r))
+            j.handle_batch(data(k as u64, Purpose::Store, Rel::S, 0, k), &mut |r| results.push(r))
                 .unwrap();
         }
-        j.handle(data(9, Purpose::Join, Rel::R, 1, 4), &mut |r| results.push(r)).unwrap();
+        j.handle_batch(data(9, Purpose::Join, Rel::R, 1, 4), &mut |r| results.push(r)).unwrap();
         // |4-1|=3 no, |4-3|=1 yes, |4-6|=2 yes (inclusive).
         assert_eq!(results.len(), 2);
         assert!(results.iter().all(|r| r.r.rel() == Rel::R && r.s.rel() == Rel::S));
@@ -932,10 +805,12 @@ mod tests {
         );
         let mut results = Vec::new();
         for (seq, ts) in [(1, 0), (2, 50), (3, 200)] {
-            j.handle(data(seq, Purpose::Store, Rel::R, ts, seq as i64), &mut |r| results.push(r))
-                .unwrap();
+            j.handle_batch(data(seq, Purpose::Store, Rel::R, ts, seq as i64), &mut |r| {
+                results.push(r)
+            })
+            .unwrap();
         }
-        j.handle(data(4, Purpose::Join, Rel::S, 100, 99), &mut |r| results.push(r)).unwrap();
+        j.handle_batch(data(4, Purpose::Join, Rel::S, 100, 99), &mut |r| results.push(r)).unwrap();
         // Window 100 around probe ts=100 covers ts 0,50,200.
         assert_eq!(results.len(), 3);
     }
@@ -945,11 +820,11 @@ mod tests {
         let mut j = joiner(Rel::R, false);
         let meter = j.meter();
         let mut sink = Vec::new();
-        j.handle(data(1, Purpose::Store, Rel::R, 0, 1), &mut |r| sink.push(r)).unwrap();
+        j.handle_batch(data(1, Purpose::Store, Rel::R, 0, 1), &mut |r| sink.push(r)).unwrap();
         assert!(meter.cpu_busy_us() > 0);
         assert!(meter.memory_bytes() > 0);
         let before = meter.memory_bytes();
-        j.handle(data(2, Purpose::Store, Rel::R, 1, 2), &mut |r| sink.push(r)).unwrap();
+        j.handle_batch(data(2, Purpose::Store, Rel::R, 1, 2), &mut |r| sink.push(r)).unwrap();
         assert!(meter.memory_bytes() > before);
     }
 
@@ -959,9 +834,9 @@ mod tests {
         let mut j = joiner(Rel::R, true);
         j.attach_obs(&obs);
         let mut results = Vec::new();
-        j.handle(data(1, Purpose::Store, Rel::R, 10, 5), &mut |r| results.push(r)).unwrap();
-        j.handle(data(2, Purpose::Join, Rel::S, 20, 5), &mut |r| results.push(r)).unwrap();
-        j.handle(punct(2), &mut |r| results.push(r)).unwrap();
+        j.handle_batch(data(1, Purpose::Store, Rel::R, 10, 5), &mut |r| results.push(r)).unwrap();
+        j.handle_batch(data(2, Purpose::Join, Rel::S, 20, 5), &mut |r| results.push(r)).unwrap();
+        j.handle_batch(punct(2), &mut |r| results.push(r)).unwrap();
         assert_eq!(results.len(), 1);
 
         let snap = obs.registry.scrape(20);
@@ -1005,31 +880,58 @@ mod tests {
 
     #[test]
     fn batched_frames_match_per_tuple_handling_exactly() {
-        // Feed identical traffic through handle() per tuple and through
-        // handle_batch() as single-entry frames; every observable —
-        // results, counters, index state — must agree.
-        for ordering in [false, true] {
-            let mut per_tuple = joiner(Rel::R, ordering);
-            let mut batched = joiner(Rel::R, ordering);
-            batched.set_batch_size(1);
-            let msgs = vec![
-                data(1, Purpose::Store, Rel::R, 10, 5),
-                data(2, Purpose::Join, Rel::S, 20, 5),
-                data(3, Purpose::Store, Rel::R, 30, 6),
-                data(4, Purpose::Join, Rel::S, 40, 6),
-                punct(4),
-            ];
-            let mut a = Vec::new();
-            let mut b = Vec::new();
-            for m in &msgs {
-                per_tuple.handle(m.clone(), &mut |r| a.push(r)).unwrap();
-                batched
-                    .handle_batch(BatchMessage::from_stream(m.clone()), &mut |r| b.push(r))
-                    .unwrap();
+        // The same traffic as single-entry frames handled tuple by tuple
+        // (batch size 1) and as multi-entry frames handled in runs of up to
+        // 8; with the protocol on, a punctuation releases the first 9
+        // copies and the terminal flush the other 11. Every observable —
+        // results in order, counters, index state — must agree.
+        let groups = [
+            (Purpose::Store, 6, 0),
+            (Purpose::Join, 3, 100),
+            (Purpose::Store, 3, 200),
+            (Purpose::Join, 5, 300),
+            // …and a window later, so the last probes expire sealed links.
+            (Purpose::Store, 1, 400),
+            (Purpose::Join, 2, 5_000),
+        ];
+        let run = |ordering: bool, cap: usize| {
+            let mut j = joiner(Rel::R, ordering);
+            j.set_batch_size(cap);
+            let mut results = Vec::new();
+            let mut seq = 0;
+            for (purpose, n, base_ts) in groups {
+                let rel = if purpose == Purpose::Store { Rel::R } else { Rel::S };
+                let mut frame = bistream_types::TupleBatch::new(0, purpose);
+                for i in 0..n {
+                    seq += 1;
+                    frame.push(seq, Tuple::new(rel, base_ts + i, vec![Value::Int(i as i64 % 3)]));
+                }
+                let frames = if cap == 1 {
+                    let single = |e: bistream_types::batch::BatchEntry| {
+                        BatchMessage::single(0, e.seq, purpose, e.tuple)
+                    };
+                    frame.into_entries().into_iter().map(single).collect()
+                } else {
+                    vec![BatchMessage::Batch(frame)]
+                };
+                for f in frames {
+                    j.handle_batch(f, &mut |r| results.push(r)).unwrap();
+                }
+                if seq == 9 {
+                    assert_eq!(results.is_empty(), ordering, "buffered until punctuation");
+                    j.handle_batch(punct(9), &mut |r| results.push(r)).unwrap();
+                    assert_eq!(results.len(), 3 * 2, "each of 3 probes finds 2 stored tuples");
+                }
             }
-            assert_eq!(a, b, "ordering={ordering}: identical results in order");
-            assert_eq!(per_tuple.stats(), batched.stats());
-            assert_eq!(per_tuple.index_stats().tuples, batched.index_stats().tuples);
+            j.flush(&mut |r| results.push(r)).unwrap();
+            (results, j.stats(), j.index_stats().tuples)
+        };
+        for ordering in [false, true] {
+            let (results, stats, live) = run(ordering, 1);
+            assert_eq!((stats.stored, stats.probes), (10, 10));
+            assert_eq!(results.len(), 3 * 2 + 5 * 3, "then each of 5 probes finds 3");
+            assert!(stats.expired > 0 && live < 10, "the late probes expired sealed links");
+            assert_eq!(run(ordering, 8), (results, stats, live), "ordering={ordering}");
         }
     }
 
@@ -1088,13 +990,15 @@ mod tests {
         let mut j = joiner(Rel::R, true);
         j.register_router(9, 5);
         let mut results = Vec::new();
-        j.handle(data(6, Purpose::Store, Rel::R, 0, 1), &mut |r| results.push(r)).unwrap();
-        j.handle(punct(6), &mut |r| results.push(r)).unwrap();
+        j.handle_batch(data(6, Purpose::Store, Rel::R, 0, 1), &mut |r| results.push(r)).unwrap();
+        j.handle_batch(punct(6), &mut |r| results.push(r)).unwrap();
         // Router 9's frontier is 5 < 6, so seq 6 from router 0 must wait…
         assert_eq!(j.reorder_stats().unwrap().released, 0);
         // …until router 9 punctuates past it.
-        j.handle(StreamMessage::Punct(Punctuation { router: 9, seq: 6 }), &mut |r| results.push(r))
-            .unwrap();
+        j.handle_batch(BatchMessage::Punct(Punctuation { router: 9, seq: 6 }), &mut |r| {
+            results.push(r)
+        })
+        .unwrap();
         assert_eq!(j.reorder_stats().unwrap().released, 1);
     }
 }

@@ -10,6 +10,7 @@
 //! subgroup `i mod d` — which keeps subgroups balanced (sizes differ by at
 //! most one) as the side grows and shrinks.
 
+use crate::config::EngineConfig;
 use bistream_types::error::{Error, Result};
 use bistream_types::rel::Rel;
 use std::fmt;
@@ -65,6 +66,12 @@ impl Layout {
             l.s_units.push(id);
         }
         Ok(l)
+    }
+
+    /// The starting layout of an engine running `config`: its unit counts,
+    /// subgrouped as its routing strategy asks.
+    pub fn for_engine(config: &EngineConfig) -> Result<Layout> {
+        Layout::new(config.r_joiners, config.s_joiners, config.routing.subgroups())
     }
 
     fn mint(&mut self) -> JoinerId {

@@ -26,9 +26,8 @@
 //! - [`joiner`] — the joiner core: store/join branches over the chained
 //!   in-memory index, Theorem-1 discarding, result emission, resource
 //!   charging.
-//! - [`delivery`] — simulated pairwise-FIFO channels with pluggable
-//!   (in-order or adversarial) schedulers: the virtual-time engine's
-//!   delivery seam.
+//! - [`delivery`] — simulated pairwise-FIFO channels with an in-order or
+//!   an adversarial scheduler: the virtual-time engine's network.
 //! - [`engine`] — the assembled biclique for deterministic in-process
 //!   execution, including elastic scaling operations.
 //! - [`sim`] — the virtual-time driver for long-horizon experiments

@@ -193,9 +193,9 @@ impl ReorderBuffer {
     ///
     /// This is the joiner's batching hook: a run of consecutive store (or
     /// join) releases becomes one `insert_batch` (or `probe_batch`) call
-    /// instead of per-tuple calls. `max_len = 1` degenerates to per-tuple
-    /// processing, which is what makes `batch_size = 1` reproduce the
-    /// unbatched engine exactly. Entries inside a run often carry
+    /// instead of per-tuple calls. `max_len = 1` makes every release its
+    /// own run, which is what makes `batch_size = 1` per-tuple processing
+    /// on the same code. Entries inside a run often carry
     /// contiguous sequence numbers (releases walk the dense global order),
     /// but contiguity is not required — only order and purpose are.
     pub fn purpose_runs(

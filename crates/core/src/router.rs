@@ -6,9 +6,15 @@
 //! RNG for random placement. That is why the router tier scales trivially
 //! (competing consumers on the ingest queue) and why recovering a router
 //! is cheap in the real systems.
+//!
+//! There is one data path. [`RouterCore::route_batched`] appends a tuple's
+//! copies to per-(destination, purpose) batches and hands back the frames
+//! that filled up; [`RouterCore::punctuate_batched`] flushes the rest ahead
+//! of the punctuation. At `batch_size = 1` (the default) every copy is its
+//! own frame: per-tuple framing is a setting of this path, not a second one.
 
-use crate::adaptive::AdaptiveRouter;
-use crate::config::RoutingStrategy;
+use crate::adaptive::{AdaptiveRouter, AdaptiveShared};
+use crate::config::{EngineConfig, RoutingStrategy};
 use crate::layout::{JoinerId, Layout};
 use bistream_types::audit::Auditor;
 use bistream_types::batch::{BatchMessage, TupleBatch};
@@ -16,8 +22,8 @@ use bistream_types::error::{Error, Result};
 use bistream_types::hash::{bucket_of, hash_one, FxHashMap};
 use bistream_types::metrics::{Counter, Gauge, Histogram, RateMeter};
 use bistream_types::predicate::JoinPredicate;
-use bistream_types::punct::{Punctuation, Purpose, RouterId, SeqNo, StreamMessage};
-use bistream_types::registry::MetricsRegistry;
+use bistream_types::punct::{Punctuation, Purpose, RouterId, SeqNo};
+use bistream_types::registry::{MetricsRegistry, Observability};
 use bistream_types::trace::{HopKind, Tracer};
 use bistream_types::tuple::Tuple;
 use rand::rngs::StdRng;
@@ -25,17 +31,7 @@ use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// One message addressed to one joiner unit.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RoutedCopy {
-    /// Destination unit.
-    pub dest: JoinerId,
-    /// The message to deliver.
-    pub msg: StreamMessage,
-}
-
-/// One batched frame addressed to one joiner unit — what the micro-batched
-/// dataflow moves instead of [`RoutedCopy`].
+/// One frame addressed to one joiner unit.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RoutedBatch {
     /// Destination unit.
@@ -188,7 +184,8 @@ pub struct RouterCore {
     /// ingress: it opens the trace with the copy fan-out as the branch
     /// count and records the route hop.
     tracer: Tracer,
-    /// Flush threshold of the batched path (1 = per-tuple framing).
+    /// Flush threshold of the per-destination batches (1 = per-tuple
+    /// framing: every copy is its own frame).
     batch_size: usize,
     /// Per-(destination, purpose) batches accumulating towards a flush.
     /// Keyed by purpose as well as destination because one unit can
@@ -228,6 +225,34 @@ impl RouterCore {
             auditor: None,
             adaptive: None,
         }
+    }
+
+    /// The router every runtime runs: built from `config` (strategy,
+    /// predicate, seed, batch size) on the engine-shared `seq` counter and
+    /// wired to the registry and tracer of `obs`, to the `auditor` if one
+    /// is armed, and to its handle on the `adaptive` state — for an id the
+    /// switch protocol's ack set was sized for; a later id routes with a
+    /// clear configuration error instead of silently weakening the fence.
+    pub fn for_engine(
+        id: RouterId,
+        config: &EngineConfig,
+        seq: Arc<AtomicU64>,
+        obs: &Observability,
+        auditor: Option<&Auditor>,
+        adaptive: Option<&Arc<AdaptiveShared>>,
+    ) -> RouterCore {
+        let mut router =
+            RouterCore::new(id, config.routing, config.predicate.clone(), config.seed, seq);
+        router.set_batch_size(config.batch_size);
+        router.attach_registry(&obs.registry);
+        router.attach_tracer(obs.tracer.clone());
+        if let Some(a) = auditor {
+            router.set_auditor(a.clone());
+        }
+        if let Some(shared) = adaptive.filter(|sh| (id as usize) < sh.router_count()) {
+            router.attach_adaptive(shared.handle(id));
+        }
+        router
     }
 
     /// Attach the per-router handle of the engine-wide
@@ -335,130 +360,16 @@ impl RouterCore {
         self.rate.rate_per_sec(now_ms)
     }
 
-    /// Route one ingested tuple against the current layout, appending the
-    /// store copy and all join copies to `out`.
-    ///
-    /// Every copy of the tuple carries the same freshly assigned sequence
-    /// number; the store copy is emitted first (an arbitrary but fixed
-    /// order — ordering across units is the reorder buffer's job).
-    pub fn route(
-        &mut self,
-        tuple: &Tuple,
-        layout: &Layout,
-        out: &mut Vec<RoutedCopy>,
-    ) -> Result<()> {
-        let own = tuple.rel();
-        let seq = self.seq.fetch_add(1, Ordering::SeqCst) + 1;
-        if let Some(a) = &self.auditor {
-            a.router_emit(self.id, seq);
-        }
-        self.stats.tuples += 1;
-        self.rate.record(tuple.ts());
-
-        let store_dest: JoinerId = match self.strategy {
-            RoutingStrategy::Random => {
-                let own_units = layout.units(own);
-                own_units[self.rng.gen_range(0..own_units.len())]
-            }
-            RoutingStrategy::Hash => {
-                let h = self.key_hash(tuple)?;
-                let own_units = layout.units(own);
-                own_units[bucket_of(h, own_units.len())]
-            }
-            RoutingStrategy::ContRand { subgroups } => {
-                let h = self.key_hash(tuple)?;
-                let g = bucket_of(h, subgroups);
-                let own_group: Vec<JoinerId> = layout.subgroup_units(own, g).collect();
-                if own_group.is_empty() {
-                    return Err(Error::Config(format!("subgroup {g} of side {own} is empty")));
-                }
-                own_group[self.rng.gen_range(0..own_group.len())]
-            }
-            RoutingStrategy::Adaptive { .. } => {
-                let h = self.key_hash(tuple)?;
-                let Some(ad) = self.adaptive.as_mut() else {
-                    return Err(Error::Config(
-                        "adaptive routing requires an attached core::adaptive state".into(),
-                    ));
-                };
-                if ad.fence_skipped() {
-                    ad.debug_unfenced_adopt();
-                }
-                ad.observe(h);
-                ad.store_dest(layout, own, h, &mut self.rng)?
-            }
-        };
-        let join_dests = self.join_dests_for(tuple, layout)?;
-
-        if let Some(m) = self.metrics.as_mut() {
-            m.tuples.inc();
-            m.decisions.inc();
-            m.copies.add(1 + join_dests.len() as u64);
-            m.rate_tps.set(self.rate.rate_per_sec(tuple.ts()).round() as u64);
-            m.bump_dest(store_dest);
-            for dest in &join_dests {
-                m.bump_dest(*dest);
-            }
-        }
-
-        if self.tracer.sampled(seq) {
-            self.tracer.begin(seq, 1 + join_dests.len() as u32);
-            let unit = format!("r{}", self.id);
-            self.tracer.span(seq, HopKind::Route, &unit, tuple.ts(), tuple.ts());
-        }
-
-        out.push(RoutedCopy {
-            dest: store_dest,
-            msg: StreamMessage::Data {
-                router: self.id,
-                seq,
-                purpose: Purpose::Store,
-                tuple: tuple.clone(),
-            },
-        });
-        self.stats.copies += 1;
-        for dest in join_dests {
-            out.push(RoutedCopy {
-                dest,
-                msg: StreamMessage::Data {
-                    router: self.id,
-                    seq,
-                    purpose: Purpose::Join,
-                    tuple: tuple.clone(),
-                },
-            });
-            self.stats.copies += 1;
-        }
-        Ok(())
-    }
-
-    /// Emit a punctuation carrying the current counter to every unit of
-    /// both sides (joiners must hear from every router to advance their
-    /// watermark, even units this router never sent data to).
-    pub fn punctuate(&mut self, layout: &Layout, out: &mut Vec<RoutedCopy>) {
-        let p = Punctuation { router: self.id, seq: self.last_seq() };
-        if let Some(a) = &self.auditor {
-            a.router_punct(self.id, p.seq);
-        }
-        for (_, dest) in layout.all_units() {
-            out.push(RoutedCopy { dest, msg: StreamMessage::Punct(p) });
-            self.stats.punctuations += 1;
-            if let Some(m) = &self.metrics {
-                m.punctuations.inc();
-            }
-        }
-        // The punctuation fence: every copy routed so far is emitted and
-        // covered, so the adaptive state may now ack/adopt plan switches.
-        self.adaptive_tick();
-    }
-
-    /// Route one ingested tuple through the micro-batched path: assign the
-    /// sequence number and destinations exactly as [`RouterCore::route`]
-    /// does (same RNG draws, same counters), but append each copy to a
-    /// per-(destination, purpose) [`TupleBatch`] instead of emitting it.
-    /// Batches that reach the flush threshold are appended to `out` as
-    /// ready-to-send frames; the rest wait for more copies or for the next
-    /// [`RouterCore::punctuate_batched`].
+    /// Route one ingested tuple against the current layout: assign the
+    /// next sequence number, pick the store destination per strategy and
+    /// the join destinations, and append each copy to its
+    /// per-(destination, purpose) [`TupleBatch`]. Every copy of the tuple
+    /// carries the same sequence number; the store copy is appended first
+    /// (an arbitrary but fixed order — ordering across units is the
+    /// reorder buffer's job). Batches that reach the flush threshold are
+    /// appended to `out` as ready-to-send frames (every copy, at the
+    /// default `batch_size = 1`); the rest wait for more copies or for the
+    /// next [`RouterCore::punctuate_batched`].
     ///
     /// `extras` are additional join destinations the caller derived from
     /// scaling transitions (historical layouts, draining units); they ride
@@ -515,8 +426,8 @@ impl RouterCore {
         let join_dests = self.join_dests_for(tuple, layout)?;
 
         // Extras are engine-level copies: they count towards the engine's
-        // copy total (the caller's job) but, as in the per-tuple path,
-        // not towards this router's own communication counters.
+        // copy total (where the frames are sent) but not towards this
+        // router's own communication counters.
         if let Some(m) = self.metrics.as_mut() {
             m.tuples.inc();
             m.decisions.inc();
@@ -602,10 +513,11 @@ impl RouterCore {
         }
     }
 
-    /// Batched-path punctuation: flush all pending batches first (per-
-    /// channel FIFO then guarantees every covered copy precedes the
-    /// punctuation), then emit one punctuation frame to every unit of both
-    /// sides.
+    /// Punctuate: flush all pending batches first (per-channel FIFO then
+    /// guarantees every covered copy precedes the punctuation), then emit
+    /// one punctuation frame carrying the current counter to every unit of
+    /// both sides (joiners must hear from every router to advance their
+    /// watermark, even units this router never sent data to).
     pub fn punctuate_batched(&mut self, layout: &Layout, out: &mut Vec<RoutedBatch>) {
         self.flush_batches(out);
         let p = Punctuation { router: self.id, seq: self.last_seq() };
@@ -871,20 +783,28 @@ mod tests {
         JoinPredicate::Equi { r_attr: 0, s_attr: 0 }
     }
 
-    fn route_one(router: &mut RouterCore, layout: &Layout, t: &Tuple) -> Vec<RoutedCopy> {
+    /// Route one tuple at the default `batch_size = 1`: every copy comes
+    /// back as its own single-entry frame.
+    fn route_one(router: &mut RouterCore, layout: &Layout, t: &Tuple) -> Vec<RoutedBatch> {
         let mut out = Vec::new();
-        router.route(t, layout, &mut out).unwrap();
+        router.route_batched(t, layout, &[], &mut out).unwrap();
         out
     }
 
-    fn stores_and_joins(copies: &[RoutedCopy]) -> (Vec<JoinerId>, Vec<JoinerId>) {
+    fn batch_of(frame: &RoutedBatch) -> &TupleBatch {
+        match &frame.msg {
+            BatchMessage::Batch(b) => b,
+            other => panic!("data frame expected, got {other}"),
+        }
+    }
+
+    fn stores_and_joins(frames: &[RoutedBatch]) -> (Vec<JoinerId>, Vec<JoinerId>) {
         let mut stores = Vec::new();
         let mut joins = Vec::new();
-        for c in copies {
-            match c.msg {
-                StreamMessage::Data { purpose: Purpose::Store, .. } => stores.push(c.dest),
-                StreamMessage::Data { purpose: Purpose::Join, .. } => joins.push(c.dest),
-                _ => {}
+        for f in frames {
+            match batch_of(f).purpose() {
+                Purpose::Store => stores.push(f.dest),
+                Purpose::Join => joins.push(f.dest),
             }
         }
         (stores, joins)
@@ -951,10 +871,9 @@ mod tests {
         let mut r = RouterCore::standalone(3, RoutingStrategy::Random, equi(), 7);
         let first = route_one(&mut r, &layout, &tuple(Rel::R, 1));
         let second = route_one(&mut r, &layout, &tuple(Rel::S, 2));
-        let seqs1: Vec<SeqNo> = first.iter().map(|c| c.msg.seq()).collect();
-        assert!(seqs1.iter().all(|&s| s == 1), "all copies share seq 1");
-        assert!(second.iter().all(|c| c.msg.seq() == 2));
-        assert!(second.iter().all(|c| c.msg.router() == 3));
+        assert!(first.iter().all(|f| batch_of(f).first_seq() == Some(1)), "copies share seq 1");
+        assert!(second.iter().all(|f| batch_of(f).first_seq() == Some(2)));
+        assert!(second.iter().all(|f| f.msg.router() == 3));
         assert_eq!(r.last_seq(), 2);
     }
 
@@ -962,12 +881,11 @@ mod tests {
     fn punctuation_reaches_every_unit_of_both_sides() {
         let layout = Layout::new(2, 3, 1).unwrap();
         let mut r = RouterCore::standalone(0, RoutingStrategy::Random, equi(), 7);
+        route_one(&mut r, &layout, &tuple(Rel::R, 1));
         let mut out = Vec::new();
-        r.route(&tuple(Rel::R, 1), &layout, &mut out).unwrap();
-        out.clear();
-        r.punctuate(&layout, &mut out);
+        r.punctuate_batched(&layout, &mut out);
         assert_eq!(out.len(), 5);
-        assert!(out.iter().all(|c| matches!(c.msg, StreamMessage::Punct(p) if p.seq == 1)));
+        assert!(out.iter().all(|f| matches!(f.msg, BatchMessage::Punct(p) if p.seq == 1)));
         assert_eq!(r.stats().punctuations, 5);
     }
 
@@ -993,7 +911,8 @@ mod tests {
         for ms in 0..3_000u64 {
             if ms % 5 == 0 {
                 out.clear();
-                r.route(&Tuple::new(Rel::R, ms, vec![Value::Int(1)]), &layout, &mut out).unwrap();
+                let t = Tuple::new(Rel::R, ms, vec![Value::Int(1)]);
+                r.route_batched(&t, &layout, &[], &mut out).unwrap();
             }
         }
         let rate = r.observed_rate(3_000);
@@ -1007,8 +926,8 @@ mod tests {
         let reg = MetricsRegistry::new();
         r.attach_registry(&reg);
         let mut out = Vec::new();
-        r.route(&tuple(Rel::R, 5), &layout, &mut out).unwrap();
-        r.punctuate(&layout, &mut out);
+        r.route_batched(&tuple(Rel::R, 5), &layout, &[], &mut out).unwrap();
+        r.punctuate_batched(&layout, &mut out);
         let snap = reg.scrape(0);
         let labels: &[(&str, &str)] = &[("router", "r1")];
         assert_eq!(
@@ -1044,7 +963,7 @@ mod tests {
         assert_eq!(dest_total, 3);
         // Strategy switch re-labels subsequent decisions.
         r.set_strategy(RoutingStrategy::Hash);
-        r.route(&tuple(Rel::R, 5), &layout, &mut out).unwrap();
+        r.route_batched(&tuple(Rel::R, 5), &layout, &[], &mut out).unwrap();
         assert_eq!(
             reg.scrape(0).counter(
                 bistream_types::metric_names::ROUTER_ROUTE_DECISIONS_TOTAL,
@@ -1056,31 +975,39 @@ mod tests {
 
     #[test]
     fn batched_route_at_size_one_matches_per_tuple_framing() {
-        let layout = Layout::new(4, 4, 1).unwrap();
-        let mut per_tuple = RouterCore::standalone(0, RoutingStrategy::Hash, equi(), 7);
-        let mut batched = RouterCore::standalone(0, RoutingStrategy::Hash, equi(), 7);
-        for k in 0..20i64 {
-            let t = tuple(if k % 2 == 0 { Rel::R } else { Rel::S }, k % 5);
-            let copies = route_one(&mut per_tuple, &layout, &t);
-            let mut frames = Vec::new();
-            let seq = batched.route_batched(&t, &layout, &[], &mut frames).unwrap();
-            // Same sequence assignment, same destinations, same purposes,
-            // in the same emission order — one frame per copy.
-            assert_eq!(frames.len(), copies.len());
-            for (frame, copy) in frames.iter().zip(&copies) {
-                assert_eq!(frame.dest, copy.dest);
-                let BatchMessage::Batch(b) = &frame.msg else { panic!("data frame") };
-                assert_eq!(b.len(), 1);
-                assert_eq!(b.first_seq(), Some(seq));
-                assert_eq!(copy.msg.seq(), seq);
-                match copy.msg {
-                    StreamMessage::Data { purpose, .. } => assert_eq!(b.purpose(), purpose),
-                    _ => panic!("route emits data only"),
-                }
+        // At size 1 the path is per-tuple framing — a frame per copy, sent
+        // at once — and a larger size only regroups the same copies.
+        // What each (destination, purpose) channel carries, in order:
+        type Channels = std::collections::BTreeMap<(JoinerId, u8), Vec<SeqNo>>;
+        fn carry(frames: &[RoutedBatch], into: &mut Channels) {
+            for f in frames {
+                let b = batch_of(f);
+                let channel = into.entry((f.dest, b.purpose().as_byte())).or_default();
+                channel.extend(b.entries().iter().map(|e| e.seq));
             }
         }
-        assert_eq!(per_tuple.stats(), batched.stats());
-        assert_eq!(batched.pending_batched(), 0, "size 1 never leaves residue");
+        let layout = Layout::new(4, 4, 1).unwrap();
+        let mut single = RouterCore::standalone(0, RoutingStrategy::Random, equi(), 7);
+        let mut batched = RouterCore::standalone(0, RoutingStrategy::Random, equi(), 7);
+        batched.set_batch_size(8);
+        let (mut a, mut b) = (Channels::new(), Channels::new());
+        let mut frames = Vec::new();
+        for k in 0..20i64 {
+            let t = tuple(if k % 2 == 0 { Rel::R } else { Rel::S }, k % 5);
+            let copies = route_one(&mut single, &layout, &t);
+            assert!(copies.iter().all(|f| batch_of(f).len() == 1), "size 1: a frame per copy");
+            assert_eq!(copies.len(), 5, "1 store + 4 join copies, flushed at once");
+            carry(&copies, &mut a);
+            batched.route_batched(&t, &layout, &[], &mut frames).unwrap();
+        }
+        assert_eq!(single.pending_batched(), 0, "size 1 never leaves residue");
+        batched.flush_batches(&mut frames);
+        assert!(frames.iter().any(|f| batch_of(f).len() > 1), "size 8 shares frames");
+        carry(&frames, &mut b);
+        // Same sequence stamps, same RNG draws, same destinations and
+        // purposes, in the same per-channel order.
+        assert_eq!(a, b);
+        assert_eq!(single.stats(), batched.stats());
     }
 
     #[test]
@@ -1199,7 +1126,7 @@ mod tests {
         let pred = JoinPredicate::Band { r_attr: 0, s_attr: 0, band: 1.0 };
         let mut r = RouterCore::standalone(0, RoutingStrategy::Hash, pred, 7);
         let mut out = Vec::new();
-        assert!(r.route(&tuple(Rel::R, 1), &layout, &mut out).is_err());
+        assert!(r.route_batched(&tuple(Rel::R, 1), &layout, &[], &mut out).is_err());
     }
 
     #[test]
@@ -1295,7 +1222,7 @@ mod tests {
         let mut r =
             RouterCore::standalone(0, RoutingStrategy::Adaptive { subgroups: 1 }, equi(), 7);
         let mut out = Vec::new();
-        assert!(r.route(&tuple(Rel::R, 1), &layout, &mut out).is_err());
+        assert!(r.route_batched(&tuple(Rel::R, 1), &layout, &[], &mut out).is_err());
     }
 
     #[test]
@@ -1311,8 +1238,8 @@ mod tests {
         r.attach_registry(&reg);
         shared.force_flip_every_tick(true);
         let mut out = Vec::new();
-        r.route(&tuple(Rel::R, 5), &layout, &mut out).unwrap();
-        r.punctuate(&layout, &mut out);
+        r.route_batched(&tuple(Rel::R, 5), &layout, &[], &mut out).unwrap();
+        r.punctuate_batched(&layout, &mut out);
         let snap = reg.scrape(0);
         let labels: &[(&str, &str)] = &[("router", "r2")];
         assert_eq!(

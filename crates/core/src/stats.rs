@@ -14,9 +14,13 @@ pub struct EngineStats {
     pub ingested: Arc<Counter>,
     /// Join results emitted (across all joiners).
     pub results: Arc<Counter>,
-    /// Data copies sent by routers (communication cost).
+    /// Data copies sent by routers (communication cost), counted frame by
+    /// frame where the frame is sent: mid-run, copies still pending in a
+    /// router's unflushed batches (`batch_size > 1`) are not in it yet; once
+    /// the routers have flushed (a punctuation, `flush()`, `finish()`) it is
+    /// every copy routed.
     pub copies: Arc<Counter>,
-    /// Punctuation messages sent.
+    /// Punctuation messages sent, counted where they are sent.
     pub punctuations: Arc<Counter>,
     /// Result latency in ms (event-time ingest → emit).
     pub latency_ms: Arc<Histogram>,

@@ -52,11 +52,11 @@ impl MatrixConfig {
 }
 
 /// One matrix cell: fragments of both relations plus a resource meter.
-pub(crate) struct Cell {
-    pub(crate) r_index: ChainedIndex,
-    pub(crate) s_index: ChainedIndex,
-    pub(crate) meter: Arc<ResourceMeter>,
-    pub(crate) stored: u64,
+struct Cell {
+    r_index: ChainedIndex,
+    s_index: ChainedIndex,
+    meter: Arc<ResourceMeter>,
+    stored: u64,
 }
 
 impl Cell {
@@ -83,9 +83,8 @@ impl Cell {
 
     /// Process one replicated tuple at this cell: store it in its own
     /// relation's fragment, expire the opposite fragment (Theorem 1),
-    /// probe it, and emit matches. Shared by the synchronous engine and
-    /// the threaded pipeline.
-    pub(crate) fn process<F: FnMut(JoinResult)>(
+    /// probe it, and emit matches.
+    fn process<F: FnMut(JoinResult)>(
         &mut self,
         tuple: &Tuple,
         predicate: &JoinPredicate,
@@ -457,11 +456,6 @@ impl JoinMatrix {
     fn probe_everything_ts(&self) -> Ts {
         self.now
     }
-}
-
-/// Construct a standalone cell for the threaded pipeline.
-pub(crate) fn cell_for(config: &MatrixConfig) -> Cell {
-    Cell::new(config)
 }
 
 fn key_of(predicate: &JoinPredicate, tuple: &Tuple) -> Result<Value> {

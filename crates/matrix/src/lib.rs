@@ -23,13 +23,12 @@
 //! biclique: `√p` copies per tuple versus `1 + p/2` (E11 quantifies the
 //! trade).
 //!
-//! [`grid`] hosts the synchronous engine (used by the simulator-style
-//! experiments); [`exec`] the threaded live pipeline mirroring
-//! `bistream-core::exec` for wall-clock comparisons.
+//! [`grid`] hosts the engine: synchronous and in-process, like
+//! `bistream-core`'s `BicliqueEngine`, which is what every comparison of
+//! the two models drives it against.
 
 #![warn(missing_docs)]
 
-pub mod exec;
 pub mod grid;
 
 pub use grid::{JoinMatrix, MatrixConfig, MigrationReport};

@@ -1,4 +1,4 @@
-//! Micro-batched framing of the router→joiner streams.
+//! The frames of the router→joiner streams, and their only byte codec.
 //!
 //! The paper's model routes every tuple as its own store/join message; the
 //! per-tuple framing, queue hand-off and index probe dominate mechanical
@@ -6,7 +6,9 @@
 //! overhead: it groups tuple copies that share an emitting router, a
 //! delivery purpose and a side into **one** reference-counted [`Bytes`]
 //! frame, so a batch of `k` tuples costs one enqueue, one dequeue and one
-//! decode pass instead of `k`.
+//! decode pass instead of `k`. Every transport moves [`BatchMessage`]
+//! frames; the paper's per-tuple messages are the `batch_size = 1` case, a
+//! frame of one entry ([`BatchMessage::single`]).
 //!
 //! Batching is purely mechanical: every entry keeps its own `(router, seq)`
 //! stamp, so the ordering protocol's global sequence `Z` (Definition 7) is
@@ -28,9 +30,9 @@
 //! ```
 //!
 //! `seq_delta` is the entry's offset from `first_seq` (entries are
-//! seq-ascending; deltas are non-decreasing). [`BatchMessage`] adds the
-//! kind byte shared with [`StreamMessage`](crate::punct::StreamMessage):
-//! `0` is a punctuation (identical layout), `2` is a batch frame.
+//! seq-ascending; deltas are non-decreasing). [`BatchMessage`] puts a kind
+//! byte in front: `0` is a punctuation (`router(4) seq(8)` follow), `2` is
+//! a batch frame.
 
 use crate::error::{Error, Result};
 use crate::punct::{Punctuation, Purpose, RouterId, SeqNo, StreamMessage};
@@ -39,7 +41,7 @@ use crate::tuple::Tuple;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::fmt;
 
-/// Wire kind byte of a punctuation frame (shared with `StreamMessage`).
+/// Wire kind byte of a punctuation frame.
 const KIND_PUNCT: u8 = 0;
 /// Wire kind byte of a batch frame.
 const KIND_BATCH: u8 = 2;
@@ -248,11 +250,8 @@ impl fmt::Display for TupleBatch {
     }
 }
 
-/// One frame on a batched router→joiner channel: a tuple batch or a
-/// punctuation of the ordering protocol.
-///
-/// Punctuation frames reuse the single-tuple wire layout byte-for-byte, so
-/// a batched transport and a per-tuple transport agree on control traffic.
+/// One frame on a router→joiner channel: a tuple batch or a punctuation
+/// of the ordering protocol.
 #[derive(Debug, Clone, PartialEq)]
 pub enum BatchMessage {
     /// A run of sequenced tuple copies.
@@ -286,7 +285,7 @@ impl BatchMessage {
         BatchMessage::Batch(b)
     }
 
-    /// Convert a per-tuple [`StreamMessage`] into its batched framing.
+    /// Frame one in-memory stream entry ([`StreamMessage`]) on its own.
     pub fn from_stream(msg: StreamMessage) -> BatchMessage {
         match msg {
             StreamMessage::Punct(p) => BatchMessage::Punct(p),
@@ -469,14 +468,6 @@ mod tests {
         let p = BatchMessage::Punct(Punctuation { router: 2, seq: 77 });
         let mut wire = p.encode().unwrap();
         assert_eq!(BatchMessage::decode(&mut wire).unwrap(), p);
-    }
-
-    #[test]
-    fn punct_frame_matches_stream_message_layout() {
-        let p = Punctuation { router: 9, seq: 1234 };
-        let batched = BatchMessage::Punct(p).encode().unwrap();
-        let legacy = StreamMessage::Punct(p).encode();
-        assert_eq!(batched, legacy, "control frames are transport-compatible");
     }
 
     #[test]

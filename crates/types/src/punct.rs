@@ -14,10 +14,11 @@
 //! guarantees all of that router's tuples with `seq' <= seq` destined for
 //! this joiner have been received, so the joiner may release its buffer up
 //! to that frontier.
+//!
+//! The types here are the in-memory vocabulary of those streams; their
+//! byte form is the frame codec of [`crate::batch`].
 
-use crate::error::{Error, Result};
 use crate::tuple::Tuple;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::fmt;
 
 /// Identifier of a router instance.
@@ -36,7 +37,7 @@ pub enum Purpose {
 }
 
 impl Purpose {
-    /// Stable wire byte (shared by the single-tuple and batched framings).
+    /// Stable wire byte.
     pub fn as_byte(self) -> u8 {
         match self {
             Purpose::Store => 0,
@@ -64,7 +65,11 @@ pub struct Punctuation {
     pub seq: SeqNo,
 }
 
-/// One message on a router→joiner stream.
+/// One entry of a router→joiner stream in memory: what a joiner offers its
+/// reorder buffer, one call per sequenced copy or punctuation. It has no
+/// byte form — on a wire, entries travel inside the frames of
+/// [`BatchMessage`](crate::batch::BatchMessage), whose `single` /
+/// `from_stream` wrap one entry as a frame of its own.
 #[derive(Debug, Clone, PartialEq)]
 pub enum StreamMessage {
     /// A sequenced tuple copy.
@@ -98,54 +103,6 @@ impl StreamMessage {
             StreamMessage::Punct(p) => p.seq,
         }
     }
-
-    /// Encode to the broker wire format.
-    ///
-    /// Layout: `kind(1) router(4) seq(8) [purpose(1) tuple…]`.
-    pub fn encode(&self) -> Bytes {
-        match self {
-            StreamMessage::Punct(p) => {
-                let mut buf = BytesMut::with_capacity(13);
-                buf.put_u8(0);
-                buf.put_u32(p.router);
-                buf.put_u64(p.seq);
-                buf.freeze()
-            }
-            StreamMessage::Data { router, seq, purpose, tuple } => {
-                let body = tuple.encode();
-                let mut buf = BytesMut::with_capacity(14 + body.len());
-                buf.put_u8(1);
-                buf.put_u32(*router);
-                buf.put_u64(*seq);
-                buf.put_u8(purpose.as_byte());
-                buf.put_slice(&body);
-                buf.freeze()
-            }
-        }
-    }
-
-    /// Decode a message produced by [`StreamMessage::encode`].
-    pub fn decode(buf: &mut impl Buf) -> Result<StreamMessage> {
-        if buf.remaining() < 13 {
-            return Err(Error::Codec("stream message header truncated".into()));
-        }
-        let kind = buf.get_u8();
-        let router = buf.get_u32();
-        let seq = buf.get_u64();
-        match kind {
-            0 => Ok(StreamMessage::Punct(Punctuation { router, seq })),
-            1 => {
-                if buf.remaining() < 1 {
-                    return Err(Error::Codec("purpose byte missing".into()));
-                }
-                let purpose = Purpose::from_byte(buf.get_u8())
-                    .ok_or_else(|| Error::Codec("bad purpose byte".into()))?;
-                let tuple = Tuple::decode(buf)?;
-                Ok(StreamMessage::Data { router, seq, purpose, tuple })
-            }
-            k => Err(Error::Codec(format!("unknown stream message kind {k}"))),
-        }
-    }
 }
 
 impl fmt::Display for StreamMessage {
@@ -175,20 +132,6 @@ mod tests {
     }
 
     #[test]
-    fn data_roundtrip() {
-        let m = msg();
-        let mut wire = m.encode();
-        assert_eq!(StreamMessage::decode(&mut wire).unwrap(), m);
-    }
-
-    #[test]
-    fn punct_roundtrip() {
-        let m = StreamMessage::Punct(Punctuation { router: 1, seq: 42 });
-        let mut wire = m.encode();
-        assert_eq!(StreamMessage::decode(&mut wire).unwrap(), m);
-    }
-
-    #[test]
     fn accessors() {
         let m = msg();
         assert_eq!(m.router(), 3);
@@ -196,24 +139,5 @@ mod tests {
         let p = StreamMessage::Punct(Punctuation { router: 5, seq: 6 });
         assert_eq!(p.router(), 5);
         assert_eq!(p.seq(), 6);
-    }
-
-    #[test]
-    fn truncation_rejected() {
-        let full = msg().encode();
-        for cut in 0..full.len() {
-            let mut partial = full.slice(0..cut);
-            assert!(StreamMessage::decode(&mut partial).is_err(), "cut {cut}");
-        }
-    }
-
-    #[test]
-    fn unknown_kind_rejected() {
-        let mut buf = BytesMut::new();
-        buf.put_u8(7);
-        buf.put_u32(0);
-        buf.put_u64(0);
-        let mut b = buf.freeze();
-        assert!(StreamMessage::decode(&mut b).is_err());
     }
 }

@@ -85,6 +85,34 @@ fn corrupt_watermark_is_caught_with_event_chain() {
         "chain must include the journal tail: {:?}",
         v.chain
     );
+    // The prematurely released pair joined, and left through the engine's
+    // one emitter like any other result: counted once, timed once.
+    let stats = engine.stats();
+    assert_eq!(stats.results, 2, "the healthy round's result and the corrupt release's");
+    assert_eq!(stats.results, stats.latency.count, "every counted result is timed");
+}
+
+/// The same bookkeeping holds when the run ends in a router's retirement:
+/// what the retirement delivers and releases is counted and timed like
+/// everything before it.
+#[test]
+fn results_released_by_a_retiring_router_are_counted_and_timed() {
+    let mut engine = BicliqueEngine::builder(config()).routers(2).build().unwrap();
+    drive_stream(&mut engine, 40, |_| {});
+    let before = engine.stats().results;
+    // A tail routed by both routers whose copies and covering punctuations
+    // are still in flight when one of them retires.
+    engine.set_auto_pump(false);
+    for (i, ts) in (120..128).enumerate() {
+        let rel = if i % 2 == 0 { Rel::R } else { Rel::S };
+        engine.ingest(&t(rel, ts, 3), ts).unwrap();
+    }
+    engine.punctuate(130).unwrap();
+    assert_eq!(engine.stats().results, before, "nothing delivered yet");
+    engine.remove_router().unwrap();
+    let stats = engine.stats();
+    assert!(stats.results > before, "the tail joined");
+    assert_eq!(stats.results, stats.latency.count, "every counted result is timed");
 }
 
 fn adaptive_config() -> EngineConfig {

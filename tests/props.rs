@@ -11,10 +11,11 @@ use bistream::core::engine::BicliqueEngine;
 use bistream::core::exec::{Backend, Pipeline, PipelineConfig};
 use bistream::core::joiner::JoinerCore;
 use bistream::core::layout::{JoinerId, Layout};
-use bistream::core::router::{RoutedCopy, RouterCore};
+use bistream::core::router::{RoutedBatch, RouterCore};
 use bistream::index::{ChainedIndex, IndexKind, NaiveWindowIndex};
 use bistream::matrix::{JoinMatrix, MatrixConfig};
 use bistream::types::audit::Auditor;
+use bistream::types::batch::BatchMessage;
 use bistream::types::cases::{for_cases, Gen};
 use bistream::types::predicate::{JoinPredicate, ProbePlan};
 use bistream::types::punct::{Punctuation, Purpose, StreamMessage};
@@ -164,26 +165,6 @@ fn tuple_codec_roundtrip() {
         assert_eq!(back.rel(), t.rel());
         assert_eq!(back.ts(), t.ts());
         assert_eq!(back.values().len(), t.values().len());
-    });
-}
-
-/// Stream-message codec round-trips.
-#[test]
-fn stream_message_roundtrip() {
-    for_cases("stream_message_roundtrip", 256, |g| {
-        let (router, seq, k, punct) = (g.u64() as u32, g.u64(), g.i64(), g.bool());
-        let msg = if punct {
-            StreamMessage::Punct(Punctuation { router, seq })
-        } else {
-            StreamMessage::Data {
-                router,
-                seq,
-                purpose: Purpose::Store,
-                tuple: Tuple::new(Rel::R, 1, vec![Value::Int(k)]),
-            }
-        };
-        let mut wire = msg.encode();
-        assert_eq!(StreamMessage::decode(&mut wire).unwrap(), msg);
     });
 }
 
@@ -387,18 +368,22 @@ fn drive_engine(engine: &mut BicliqueEngine, tuples: &[Tuple]) -> Vec<Identity> 
     engine.take_captured().iter().map(JoinResult::identity).collect()
 }
 
-/// The per-tuple seed path wired by hand — `RouterCore::route`, a
-/// `StreamMessage` channel per pair delivering in `mode`, and
-/// `JoinerCore::handle` — with `auditor` on every hook it exposes and fed
-/// the oracle's inputs and outputs. Returns the results in emission order.
+/// The data path wired by hand, outside any runtime — one `RouterCore`
+/// framing at `batch_size`, a `BatchMessage` channel per (router, unit)
+/// pair delivering in `mode`, and one `JoinerCore` per unit processing runs
+/// of up to `batch_size` — with `auditor` on every hook the cores expose
+/// and fed the oracle's inputs and outputs. Returns the results in
+/// emission order.
 fn hand_wired_run(
     tuples: &[Tuple],
     routing: RoutingStrategy,
+    batch_size: usize,
     mode: DeliveryMode,
     auditor: &Auditor,
 ) -> Vec<Identity> {
     let layout = Layout::new(2, 3, routing.subgroups()).unwrap();
     let mut router = RouterCore::new(0, routing, equi(), SEED, Arc::new(AtomicU64::new(0)));
+    router.set_batch_size(batch_size);
     router.set_auditor(auditor.clone());
     let mut joiners: BTreeMap<JoinerId, JoinerCore> = layout
         .all_units()
@@ -414,27 +399,28 @@ fn hand_wired_run(
                 &[(0, 0)],
                 CostModel::default(),
             );
+            j.set_batch_size(batch_size);
             j.set_auditor(auditor.clone());
             (id, j)
         })
         .collect();
-    let mut net: ChannelNet = ChannelNet::new(mode);
+    let mut net: ChannelNet<BatchMessage> = ChannelNet::new(mode);
     let mut out: Vec<Identity> = Vec::new();
     let mut emit = |r: JoinResult| {
         auditor.observe_output(&r.r.to_string(), &r.s.to_string());
         out.push(r.identity());
     };
     // Send what the router produced, then deliver everything in flight.
-    let mut copies = Vec::new();
+    let mut frames = Vec::new();
     let mut pump =
-        |copies: &mut Vec<RoutedCopy>, joiners: &mut BTreeMap<JoinerId, JoinerCore>, now: Ts| {
-            for c in copies.drain(..) {
-                net.send(0, c.dest, c.msg);
+        |frames: &mut Vec<RoutedBatch>, joiners: &mut BTreeMap<JoinerId, JoinerCore>, now: Ts| {
+            for f in frames.drain(..) {
+                net.send(0, f.dest, f.msg);
             }
             while let Some(f) = net.deliver_next() {
                 let j = joiners.get_mut(&f.dest).unwrap();
                 j.set_now(now);
-                j.handle(f.msg, &mut emit).unwrap();
+                j.handle_batch(f.msg, &mut emit).unwrap();
             }
         };
     let mut next_punct = PUNCT;
@@ -442,16 +428,16 @@ fn hand_wired_run(
         let key = t.get(0).unwrap().to_string();
         auditor.observe_input(t.rel() == Rel::R, t.ts(), key, t.to_string());
         while next_punct <= t.ts() {
-            router.punctuate(&layout, &mut copies);
-            pump(&mut copies, &mut joiners, next_punct);
+            router.punctuate_batched(&layout, &mut frames);
+            pump(&mut frames, &mut joiners, next_punct);
             next_punct += PUNCT;
         }
-        router.route(t, &layout, &mut copies).unwrap();
-        pump(&mut copies, &mut joiners, t.ts());
+        router.route_batched(t, &layout, &[], &mut frames).unwrap();
+        pump(&mut frames, &mut joiners, t.ts());
     }
     let end = tuples.last().map_or(0, Tuple::ts) + PUNCT;
-    router.punctuate(&layout, &mut copies);
-    pump(&mut copies, &mut joiners, end);
+    router.punctuate_batched(&layout, &mut frames);
+    pump(&mut frames, &mut joiners, end);
     for j in joiners.values_mut() {
         j.set_now(end);
         j.flush(&mut emit).unwrap();
@@ -508,29 +494,30 @@ fn biclique_and_matrix_agree_with_reference() {
 }
 
 /// Micro-batching is purely mechanical: for any monotone-ts stream and
-/// every routing strategy, the engine at batch sizes {1, 3, 7, 64}
-/// produces the *identical ordered* result sequence (ordering on) and
-/// the same trace span totals as the per-tuple seed path (RouterCore::
-/// route + a StreamMessage channel + JoinerCore::handle), whose result
-/// multiset in turn equals the brute-force reference join.
+/// every routing strategy, batch size 1 — every copy its own frame, every
+/// released tuple its own run — is the ordered reference: its result
+/// multiset equals the brute-force reference join with a clean audit, on
+/// the hand-wired cores and in the engine alike; and the engine at batch
+/// sizes {3, 7, 64} produces the *identical ordered* result sequence
+/// (ordering on) and the same trace span totals.
 #[test]
 fn micro_batching_preserves_results_order_and_traces() {
     let check = |ops: Vec<(bool, i64, Ts)>, routing_pick: u64| {
         let routing = routing_of(routing_pick);
         let tuples = stream_of(&ops);
 
-        // The seed path itself matches the brute-force reference join.
-        let seed_audit = Auditor::new();
-        seed_audit.enable_oracle(Some(W));
-        let reference = hand_wired_run(&tuples, routing, DeliveryMode::InOrder, &seed_audit);
+        // Batch 1 on the hand-wired cores matches the brute-force join.
+        let wired_audit = Auditor::new();
+        wired_audit.enable_oracle(Some(W));
+        let reference = hand_wired_run(&tuples, routing, 1, DeliveryMode::InOrder, &wired_audit);
         let mut ref_sorted = reference.clone();
         ref_sorted.sort();
-        assert_eq!(&ref_sorted, &reference_join(&tuples), "per-tuple seed path {:?}", routing);
-        let seed_violations = seed_audit.finish();
-        assert!(seed_violations.is_empty(), "seed path audit: {:#?}", seed_violations);
+        assert_eq!(&ref_sorted, &reference_join(&tuples), "hand-wired batch 1 {:?}", routing);
+        let wired_violations = wired_audit.finish();
+        assert!(wired_violations.is_empty(), "hand-wired audit: {:#?}", wired_violations);
 
-        // The batched engine reproduces the seed path's *ordered* output at
-        // every batch size, with identical trace span totals.
+        // The engine reproduces that *ordered* output at every batch size,
+        // with identical trace span totals.
         let mut span_base: Option<usize> = None;
         for &batch in &[1usize, 3, 7, 64] {
             let obs = Observability::with_tracing(3);
@@ -566,30 +553,34 @@ fn micro_batching_preserves_results_order_and_traces() {
 
 /// Adversarial cross-channel delivery: a seeded scheduler that picks a
 /// random non-empty channel each step preserves only pairwise FIFO
-/// (Definition 8), yet the ordering protocol still produces exactly
-/// the reference join, and the invariant auditor — including its
-/// nested-loop output oracle — observes zero violations. Order
-/// consistency (Definition 7) is free of the delivery interleaving.
+/// (Definition 8), yet — whether a frame carries one copy or many — the
+/// ordering protocol still produces exactly the reference join, and the
+/// invariant auditor — including its nested-loop output oracle —
+/// observes zero violations. Order consistency (Definition 7) is free of
+/// the delivery interleaving and of the framing.
 #[test]
 fn adversarial_delivery_is_order_consistent_and_audit_clean() {
-    let check = |ops: Vec<(bool, i64, Ts)>, shuffle_seed: u64, routing_pick: u64| {
+    const BATCHES: [usize; 4] = [1, 3, 7, 64];
+    let check = |ops: Vec<(bool, i64, Ts)>, shuffle_seed: u64, routing_pick: u64, batch: usize| {
         let routing = routing_of(routing_pick);
         let tuples = stream_of(&ops);
         let auditor = Auditor::new();
         auditor.enable_oracle(Some(W));
         let mode = DeliveryMode::Shuffled { seed: shuffle_seed };
-        let mut out = hand_wired_run(&tuples, routing, mode, &auditor);
+        let mut out = hand_wired_run(&tuples, routing, batch, mode, &auditor);
         out.sort();
-        assert_eq!(&out, &reference_join(&tuples), "shuffled delivery {:?}", routing);
+        assert_eq!(&out, &reference_join(&tuples), "shuffled, batch {} {:?}", batch, routing);
         let violations = auditor.finish();
         assert!(violations.is_empty(), "adversarial delivery audit: {:#?}", violations);
     };
     for routing_pick in 0..3 {
-        check(window_boundary_ops(), 0, routing_pick);
+        for batch in BATCHES {
+            check(window_boundary_ops(), 0, routing_pick, batch);
+        }
     }
     for_cases("adversarial_delivery_is_order_consistent_and_audit_clean", 256, |g| {
         let ops = g.vec(10..100, |g| (g.bool(), g.int(0..10), g.uint(1..20)));
-        check(ops, g.u64(), g.uint(0..3));
+        check(ops, g.u64(), g.uint(0..3), *g.pick(&BATCHES));
     });
 }
 
