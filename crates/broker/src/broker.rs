@@ -3,7 +3,6 @@
 
 use crate::exchange::{Binding, Exchange, ExchangeKind};
 use crate::message::Message;
-use crate::pattern::valid_pattern;
 use crate::queue::{Consumer, QueueCore, QueueObs};
 use bistream_types::audit::Auditor;
 use bistream_types::error::{Error, Result};
@@ -35,9 +34,9 @@ struct Inner {
 /// use bistream_broker::{Broker, ExchangeKind, Message};
 ///
 /// let broker = Broker::new();
-/// broker.declare_exchange("events", ExchangeKind::Topic)?;
+/// broker.declare_exchange("events", ExchangeKind::Direct)?;
 /// broker.declare_queue("audit", 128)?;
-/// broker.bind("events", "audit", "user.*")?;
+/// broker.bind("events", "audit", "user.login")?;
 /// broker.publish("events", Message::new("user.login", b"payload".to_vec()))?;
 /// let consumer = broker.subscribe("audit")?;
 /// assert_eq!(&*consumer.try_recv().unwrap().routing_key, "user.login");
@@ -112,12 +111,9 @@ impl Broker {
         Ok(())
     }
 
-    /// Bind `queue` to `exchange` under `pattern` (exact key for direct
-    /// exchanges, `*`/`#` pattern for topic, ignored for fanout).
+    /// Bind `queue` to `exchange` under `pattern` (the exact routing key
+    /// for direct exchanges, ignored for fanout).
     pub fn bind(&self, exchange: &str, queue: &str, pattern: &str) -> Result<()> {
-        if !valid_pattern(pattern) {
-            return Err(Error::Broker(format!("invalid binding pattern `{pattern}`")));
-        }
         let mut inner = self.inner.write();
         let q = inner
             .queues
@@ -240,16 +236,16 @@ pub struct QueueStats {
 mod tests {
     use super::*;
 
-    fn broker_with_topic() -> Broker {
+    fn broker_with_fanout() -> Broker {
         let b = Broker::new();
-        b.declare_exchange("tuple.exchange", ExchangeKind::Topic).unwrap();
+        b.declare_exchange("tuple.exchange", ExchangeKind::Fanout).unwrap();
         b
     }
 
     #[test]
     fn declare_is_idempotent_but_kind_conflicts_error() {
-        let b = broker_with_topic();
-        assert!(b.declare_exchange("tuple.exchange", ExchangeKind::Topic).is_ok());
+        let b = broker_with_fanout();
+        assert!(b.declare_exchange("tuple.exchange", ExchangeKind::Fanout).is_ok());
         assert!(b.declare_exchange("tuple.exchange", ExchangeKind::Direct).is_err());
         b.declare_queue("q", 4).unwrap();
         assert!(b.declare_queue("q", 999).is_ok(), "redeclare is no-op");
@@ -258,9 +254,10 @@ mod tests {
 
     #[test]
     fn publish_routes_by_topic_pattern() {
-        let b = broker_with_topic();
+        let b = Broker::new();
+        b.declare_exchange("tuple.exchange", ExchangeKind::Direct).unwrap();
         b.declare_queue("rstore", 8).unwrap();
-        b.bind("tuple.exchange", "rstore", "R.store.#").unwrap();
+        b.bind("tuple.exchange", "rstore", "R.store.1").unwrap();
         let reached = b.publish("tuple.exchange", Message::new("R.store.1", vec![1u8])).unwrap();
         assert_eq!(reached, 1);
         let missed = b.publish("tuple.exchange", Message::new("S.store.1", vec![1u8])).unwrap();
@@ -280,7 +277,7 @@ mod tests {
 
     #[test]
     fn delete_queue_unbinds_and_disconnects() {
-        let b = broker_with_topic();
+        let b = broker_with_fanout();
         b.declare_queue("q", 8).unwrap();
         b.bind("tuple.exchange", "q", "#").unwrap();
         let c = b.subscribe("q").unwrap();
@@ -299,7 +296,7 @@ mod tests {
 
     #[test]
     fn stats_reflect_traffic() {
-        let b = broker_with_topic();
+        let b = broker_with_fanout();
         b.declare_queue("q", 8).unwrap();
         b.bind("tuple.exchange", "q", "#").unwrap();
         b.publish("tuple.exchange", Message::new("k", vec![1])).unwrap();
@@ -314,7 +311,7 @@ mod tests {
 
     #[test]
     fn blocking_recv_wakes_on_publish_and_deletion() {
-        let b = broker_with_topic();
+        let b = broker_with_fanout();
         b.declare_queue("q", 8).unwrap();
         b.bind("tuple.exchange", "q", "#").unwrap();
         let c = b.subscribe("q").unwrap();
@@ -350,7 +347,7 @@ mod tests {
         use bistream_types::journal::EventKind;
         use bistream_types::time::VirtualClock;
 
-        let b = broker_with_topic();
+        let b = broker_with_fanout();
         let obs = Observability::new();
         let clock = VirtualClock::starting_at(33);
         b.attach_observability(obs.clone(), Arc::new(clock));
@@ -418,7 +415,7 @@ mod tests {
 
     #[test]
     fn broker_clones_share_state() {
-        let b = broker_with_topic();
+        let b = broker_with_fanout();
         let b2 = b.clone();
         b2.declare_queue("q", 4).unwrap();
         assert!(b.subscribe("q").is_ok());
@@ -426,7 +423,7 @@ mod tests {
 
     #[test]
     fn concurrent_publish_and_consume() {
-        let b = broker_with_topic();
+        let b = broker_with_fanout();
         b.declare_queue("q", 128).unwrap();
         b.bind("tuple.exchange", "q", "#").unwrap();
         let n_producers = 4;

@@ -1,6 +1,5 @@
 //! Exchanges: the routing stage of the AMQ model.
 
-use crate::pattern::topic_matches;
 use crate::queue::QueueCore;
 use std::sync::Arc;
 
@@ -9,8 +8,6 @@ use std::sync::Arc;
 pub enum ExchangeKind {
     /// Route to bindings whose key equals the message's routing key.
     Direct,
-    /// Route to bindings whose `*`/`#` pattern matches the routing key.
-    Topic,
     /// Route to every bound queue regardless of key.
     Fanout,
 }
@@ -18,7 +15,7 @@ pub enum ExchangeKind {
 /// One exchange→queue binding.
 #[derive(Debug)]
 pub(crate) struct Binding {
-    /// Exact key (direct) or pattern (topic); ignored by fanout.
+    /// Exact key (direct); ignored by fanout.
     pub(crate) pattern: String,
     /// Destination queue.
     pub(crate) queue: Arc<QueueCore>,
@@ -38,15 +35,14 @@ impl Exchange {
 
     /// Queues that should receive a message with `routing_key`.
     ///
-    /// A queue bound multiple times with different matching patterns still
-    /// receives one copy (AMQP semantics).
+    /// A queue bound more than once still receives one copy (AMQP
+    /// semantics).
     pub(crate) fn route(&self, routing_key: &str) -> Vec<Arc<QueueCore>> {
         let mut out: Vec<Arc<QueueCore>> = Vec::new();
         for b in &self.bindings {
             let hit = match self.kind {
                 ExchangeKind::Fanout => true,
                 ExchangeKind::Direct => b.pattern == routing_key,
-                ExchangeKind::Topic => topic_matches(&b.pattern, routing_key),
             };
             if hit && !out.iter().any(|q| Arc::ptr_eq(q, &b.queue)) {
                 out.push(Arc::clone(&b.queue));
@@ -91,15 +87,6 @@ mod tests {
     }
 
     #[test]
-    fn topic_routes_on_pattern() {
-        let (store, join) = (q("store"), q("join"));
-        let e = bound(ExchangeKind::Topic, &[("R.store.*", &store), ("R.join.#", &join)]);
-        assert_eq!(e.route("R.store.4")[0].name(), "store");
-        assert_eq!(e.route("R.join.1.x")[0].name(), "join");
-        assert!(e.route("S.store.4").is_empty());
-    }
-
-    #[test]
     fn fanout_routes_everywhere() {
         let (a, b) = (q("a"), q("b"));
         let e = bound(ExchangeKind::Fanout, &[("", &a), ("", &b)]);
@@ -109,14 +96,16 @@ mod tests {
     #[test]
     fn duplicate_bindings_deliver_once() {
         let a = q("a");
-        let e = bound(ExchangeKind::Topic, &[("x.#", &a), ("x.*", &a)]);
+        let e = bound(ExchangeKind::Fanout, &[("x", &a), ("y", &a)]);
+        assert_eq!(e.route("x.y").len(), 1);
+        let e = bound(ExchangeKind::Direct, &[("x.y", &a), ("x.y", &a)]);
         assert_eq!(e.route("x.y").len(), 1);
     }
 
     #[test]
     fn unbind_removes_all_bindings_of_queue() {
         let (a, b) = (q("a"), q("b"));
-        let mut e = bound(ExchangeKind::Topic, &[("p1", &a), ("p2", &a), ("p1", &b)]);
+        let mut e = bound(ExchangeKind::Direct, &[("p1", &a), ("p2", &a), ("p1", &b)]);
         assert_eq!(e.unbind_queue("a"), 2);
         assert_eq!(e.bindings.len(), 1);
         assert_eq!(e.bindings[0].queue.name(), "b");

@@ -5,12 +5,11 @@
 //! The model's components map one-to-one onto this crate:
 //!
 //! - **Exchanges** ([`exchange`]) receive published messages and route them
-//!   by routing key: *direct* (exact match), *topic* (`*`/`#` patterns,
-//!   [`pattern`]) or *fanout* (unconditional).
+//!   by routing key: *direct* (exact match) or *fanout* (unconditional).
 //! - **Queues** ([`queue`]) buffer routed messages until consumed. Queues
 //!   are bounded; publishing into a full queue blocks, which is the
 //!   backpressure mechanism of the live runtime.
-//! - **Bindings** connect an exchange to a queue under a pattern.
+//! - **Bindings** connect an exchange to a queue under a routing key.
 //! - **Consumer groups** are realised the Spring-Cloud-Stream way: one
 //!   shared queue per group (competing consumers — the *queuing* model).
 //!
@@ -26,7 +25,6 @@
 pub mod broker;
 pub mod exchange;
 pub mod message;
-pub mod pattern;
 pub mod queue;
 
 pub use broker::{Broker, BrokerStats, QueueStats};

@@ -7,7 +7,7 @@ use std::sync::Arc;
 /// A broker message: an opaque payload plus the routing key the publisher
 /// attached. Cloning is cheap — the payload is reference-counted `Bytes`,
 /// the routing key is an interned `Arc<str>` and the trace headers share
-/// one `Arc<[u64]>` — which matters because a fanout/topic exchange clones
+/// one `Arc<[u64]>` — which matters because a fanout exchange clones
 /// the message once per matched queue.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Message {

@@ -4,12 +4,12 @@
 //! The simulator cannot measure real CPU (it processes a 60-minute virtual
 //! experiment in seconds), so joiners charge their meter per operation
 //! using these constants. The defaults were calibrated against the live
-//! threaded runtime on the development machine (release build, equi-join,
-//! see `bistream-bench`'s `index_bench`/`router_bench`): they reproduce the
-//! property the experiments rely on — utilization proportional to tuple
-//! rate × per-tuple work — and their absolute scale sets how many
-//! tuples/second saturate one pod, which E1 tunes to match the thesis's
-//! "300 t/s ≈ 145 % of one joiner" operating point.
+//! threaded runtime on the development machine (release build,
+//! equi-join): they reproduce the property the experiments rely on —
+//! utilization proportional to tuple rate × per-tuple work — and their
+//! absolute scale sets how many tuples/second saturate one pod, which E1
+//! tunes to match the thesis's "300 t/s ≈ 145 % of one joiner" operating
+//! point.
 
 /// Per-operation CPU charges in microseconds of virtual CPU time.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -26,10 +26,6 @@ pub struct CostModel {
     pub emit_us: f64,
     /// Expiring one archived sub-index (O(1) dereference).
     pub expire_subindex_us: f64,
-    /// Evicting one tuple individually (naive index only).
-    pub expire_tuple_us: f64,
-    /// Router: routing decision + publish of one tuple copy.
-    pub route_copy_us: f64,
 }
 
 impl Default for CostModel {
@@ -41,8 +37,6 @@ impl Default for CostModel {
             probe_base_us: 2.0,
             emit_us: 1.5,
             expire_subindex_us: 5.0,
-            expire_tuple_us: 2.5,
-            route_copy_us: 1.2,
         }
     }
 }
@@ -62,8 +56,6 @@ impl CostModel {
             probe_base_us: 500.0,
             emit_us: 400.0,
             expire_subindex_us: 150.0,
-            expire_tuple_us: 100.0,
-            route_copy_us: 400.0,
         }
     }
 

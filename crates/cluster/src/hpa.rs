@@ -60,22 +60,6 @@ impl HpaConfig {
             scale_down_stabilization_ms: 5 * MINUTE,
         }
     }
-
-    /// The configuration of experiment E2 (thesis Fig. 21): memory target
-    /// 85 % of a 612 MB limit (≈ 520 MB trigger), 1–3 joiners.
-    pub fn thesis_memory() -> HpaConfig {
-        HpaConfig {
-            min_replicas: 1,
-            max_replicas: 3,
-            target: MetricTarget::MemoryUtilization {
-                fraction: 0.85,
-                limit_bytes: 612 * 1024 * 1024,
-            },
-            period_ms: 30_000,
-            tolerance: 0.1,
-            scale_down_stabilization_ms: 5 * MINUTE,
-        }
-    }
 }
 
 /// One autoscaling decision.

@@ -17,23 +17,15 @@
 //!    `desired = ceil(current · metric/target)`, a ±tolerance dead-band,
 //!    min/max clamping, and a scale-down stabilization window.
 //!
-//! [`nodes`] adds the fixed VM fleet pods are placed onto (first-fit),
-//! deriving the autoscaler's replica cap from infrastructure the way the
-//! thesis's 8-vCPU free-tier quota did.
-//!
-//! The engine plugs in through [`scale::ScaleTarget`], so this crate knows
-//! nothing about joins.
+//! The simulator (`bistream_core::sim`) drives [`Hpa`] and
+//! [`UtilizationTracker`] directly, so this crate knows nothing about joins.
 
 #![warn(missing_docs)]
 
 pub mod cost;
 pub mod hpa;
 pub mod meter;
-pub mod nodes;
-pub mod scale;
 
 pub use cost::CostModel;
 pub use hpa::{Hpa, HpaConfig, MetricTarget};
 pub use meter::{ResourceMeter, UtilizationTracker};
-pub use nodes::{NodePool, Resources};
-pub use scale::{Autoscaled, ScaleTarget};

@@ -4,9 +4,9 @@
 //! The paper's ContRand scheme fixes the subgroup count `d` at deployment
 //! time. This module makes the router self-tuning in the style of PanJoin:
 //!
-//! - every router maintains a **count-min sketch** and a **space-saving**
-//!   heavy-hitter summary over the key hashes it routes (bounded memory,
-//!   no per-tuple allocation on the store path);
+//! - every router maintains a **space-saving** heavy-hitter summary over
+//!   the key hashes it routes (bounded memory, no per-tuple allocation on
+//!   the store path);
 //! - a **periodic tuning step** — run at punctuation ticks under one
 //!   shared lock, never on the per-tuple path — classifies keys into a
 //!   *hot* tier (stored on a random unit of the whole side, probed by
@@ -52,85 +52,6 @@ use bistream_types::rel::Rel;
 use rand::Rng;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-
-/// Count-min sketch rows (pairwise-independent hash seeds).
-const CM_DEPTH: usize = 4;
-/// Count-min sketch row width (power of two; index is a mask).
-const CM_WIDTH: usize = 1024;
-
-/// SplitMix64 — the seed expander used to derive row hash seeds.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-/// A count-min sketch over pre-hashed keys: `estimate` never
-/// underestimates the true count, and overestimates by at most the
-/// collision mass of the lightest row.
-#[derive(Debug, Clone)]
-pub struct CountMinSketch {
-    rows: Vec<u64>,
-    seeds: [u64; CM_DEPTH],
-}
-
-impl CountMinSketch {
-    /// An empty sketch whose row hashes derive deterministically from
-    /// `seed` (two sketches with the same seed are mergeable).
-    pub fn new(seed: u64) -> CountMinSketch {
-        let mut seeds = [0u64; CM_DEPTH];
-        let mut s = seed;
-        for slot in &mut seeds {
-            s = splitmix64(s);
-            *slot = s;
-        }
-        CountMinSketch { rows: vec![0; CM_DEPTH * CM_WIDTH], seeds }
-    }
-
-    fn slot(&self, row: usize, h: u64) -> usize {
-        row * CM_WIDTH + (splitmix64(h ^ self.seeds[row]) as usize & (CM_WIDTH - 1))
-    }
-
-    /// Count one occurrence of key hash `h`.
-    pub fn observe(&mut self, h: u64) {
-        for row in 0..CM_DEPTH {
-            let i = self.slot(row, h);
-            self.rows[i] = self.rows[i].saturating_add(1);
-        }
-    }
-
-    /// Estimated count of key hash `h` (an overestimate, never under).
-    pub fn estimate(&self, h: u64) -> u64 {
-        (0..CM_DEPTH).map(|row| self.rows[self.slot(row, h)]).min().unwrap_or(0)
-    }
-
-    /// Add `other`'s counters into this sketch (same seed required for
-    /// the merge to be meaningful; shapes are fixed at compile time).
-    pub fn merge(&mut self, other: &CountMinSketch) {
-        for (a, b) in self.rows.iter_mut().zip(&other.rows) {
-            *a = a.saturating_add(*b);
-        }
-    }
-
-    /// Halve every counter: ages the sketch so it tracks the recent
-    /// workload rather than all history.
-    pub fn decay(&mut self) {
-        for c in &mut self.rows {
-            *c /= 2;
-        }
-    }
-
-    /// Zero every counter.
-    pub fn clear(&mut self) {
-        self.rows.fill(0);
-    }
-
-    /// Fixed memory footprint in 64-bit words (bounded-memory witness).
-    pub fn memory_words(&self) -> usize {
-        self.rows.len() + self.seeds.len()
-    }
-}
 
 /// One space-saving summary entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -289,7 +210,6 @@ struct Pending {
 struct Inner {
     committed: RoutePlan,
     pending: Option<Pending>,
-    cm: CountMinSketch,
     ss: SpaceSaving,
     /// Merged per-unit store counts — the per-unit load series `d` is
     /// re-tuned from.
@@ -305,7 +225,7 @@ struct Inner {
 }
 
 /// The engine-wide adaptive routing state: the committed plan, the
-/// pending two-phase switch, and the merged sketches the tuner reads.
+/// pending two-phase switch, and the merged summaries the tuner reads.
 ///
 /// Routers interact through per-router [`AdaptiveRouter`] handles; the
 /// shared side is locked once per punctuation tick per router.
@@ -317,7 +237,6 @@ pub struct AdaptiveShared {
     /// Router-ticks between tuning steps (`tune_every_puncts` rounds).
     tune_period: u64,
     retire_ticks: u64,
-    seed: u64,
     // protocol: field epoch monotone plan-commit clock; written with
     // store-Release by the committing router while holding `inner`, read
     // with load-Acquire by observers; the mutex orders commits, the
@@ -337,14 +256,15 @@ impl AdaptiveShared {
     /// `max_subgroups` bounds `d` from above (at most `min(n, m)`),
     /// `retire_ticks` is how many punctuation ticks a superseded store
     /// plan stays in the probe union (window span / punctuation interval,
-    /// plus slack), and `seed` derives the sketch hash seeds.
+    /// plus slack). `_seed` is ignored — nothing in the tuner is seeded —
+    /// and stays only because callers pass six arguments.
     pub fn new(
         tuning: AdaptiveTuning,
         routers: usize,
         base_subgroups: usize,
         max_subgroups: usize,
         retire_ticks: u64,
-        seed: u64,
+        _seed: u64,
     ) -> Arc<AdaptiveShared> {
         let routers = routers.max(1);
         Arc::new(AdaptiveShared {
@@ -353,13 +273,11 @@ impl AdaptiveShared {
             max_subgroups: max_subgroups.max(1),
             tune_period: u64::from(tuning.tune_every_puncts.max(1)) * routers as u64,
             retire_ticks: retire_ticks.max(1),
-            seed,
             epoch: AtomicU64::new(0),
             switches: AtomicU64::new(0),
             inner: Mutex::new(Inner {
                 committed: RoutePlan::base(base_subgroups),
                 pending: None,
-                cm: CountMinSketch::new(seed),
                 ss: SpaceSaving::new(tuning.hot_capacity.max(1) * 8),
                 loads: FxHashMap::default(),
                 total: 0,
@@ -398,7 +316,6 @@ impl AdaptiveShared {
         AdaptiveRouter {
             shared: Arc::clone(self),
             router,
-            cm: CountMinSketch::new(self.seed),
             ss: SpaceSaving::new(self.tuning.hot_capacity.max(1) * 8),
             loads: FxHashMap::default(),
             total: 0,
@@ -484,14 +401,13 @@ pub struct TickReport {
     pub adopted: bool,
 }
 
-/// Per-router adaptive routing state: local sketches fed from the hot
+/// Per-router adaptive routing state: a local summary fed from the hot
 /// path, the router's current store plan, and the probe union of every
 /// plan that may still hold live tuples.
 #[derive(Debug)]
 pub struct AdaptiveRouter {
     shared: Arc<AdaptiveShared>,
     router: RouterId,
-    cm: CountMinSketch,
     ss: SpaceSaving,
     loads: FxHashMap<JoinerId, u64>,
     total: u64,
@@ -502,11 +418,10 @@ pub struct AdaptiveRouter {
 }
 
 impl AdaptiveRouter {
-    /// Feed one routed key hash into the local sketches (hot path;
-    /// bounded memory, no allocation beyond the summaries' fixed
+    /// Feed one routed key hash into the local summary (hot path;
+    /// bounded memory, no allocation beyond the summary's fixed
     /// capacity).
     pub fn observe(&mut self, h: u64) {
-        self.cm.observe(h);
         self.ss.observe(h);
         self.total += 1;
     }
@@ -616,7 +531,7 @@ impl AdaptiveRouter {
 
     /// The punctuation-tick fence point. Call right after this router
     /// flushed its batches and emitted its punctuation: merges the local
-    /// sketches into the shared tuner state, acks/commits/adopts pending
+    /// summary into the shared tuner state, acks/commits/adopts pending
     /// switches, retires expired probe coverages and runs the tuning step
     /// when due.
     pub fn tick(&mut self) -> TickReport {
@@ -635,8 +550,6 @@ impl AdaptiveRouter {
         let inner = &mut *guard;
 
         // 1. Merge this router's local deltas into the tuner state.
-        inner.cm.merge(&self.cm);
-        self.cm.clear();
         inner.ss.merge(&self.ss);
         self.ss.clear();
         for (u, c) in self.loads.drain() {
@@ -692,7 +605,6 @@ impl AdaptiveRouter {
                 })
             } else if inner.ticks.is_multiple_of(shared.tune_period) {
                 let p = retune(inner, &shared.tuning, shared.max_subgroups, next_epoch);
-                inner.cm.decay();
                 inner.ss.decay();
                 for c in inner.loads.values_mut() {
                     *c /= 2;
@@ -762,6 +674,13 @@ impl AdaptiveRouter {
     }
 }
 
+/// Widen subgroups (halve `d`) when the max/mean per-unit store load
+/// reaches this percentage.
+const WIDEN_ABOVE_PCT: u64 = 200;
+/// Narrow subgroups (double `d`) when the max/mean per-unit store load
+/// falls to this percentage.
+const NARROW_BELOW_PCT: u64 = 120;
+
 /// Compute a new plan from the merged statistics, or `None` when the
 /// committed plan still fits.
 fn retune(
@@ -781,11 +700,11 @@ fn retune(
         let sum: u64 = inner.loads.values().sum();
         let mean = sum / inner.loads.len() as u64;
         if let Some(pct) = max.saturating_mul(100).checked_div(mean) {
-            if pct >= u64::from(tuning.widen_above_pct) {
+            if pct >= WIDEN_ABOVE_PCT {
                 // Load concentrates: widen the subgroups (halve d) so
                 // cold-key storage spreads over more units.
                 new_d = (d / 2).max(1);
-            } else if pct <= u64::from(tuning.narrow_below_pct) {
+            } else if pct <= NARROW_BELOW_PCT {
                 // Balanced: narrow the subgroups (double d) to shrink
                 // the probe fan-out.
                 new_d = (d * 2).min(max_subgroups);
@@ -807,41 +726,6 @@ mod tests {
 
     fn tuning() -> AdaptiveTuning {
         AdaptiveTuning::default()
-    }
-
-    #[test]
-    fn count_min_never_underestimates_and_is_deterministic() {
-        let mut a = CountMinSketch::new(42);
-        let mut b = CountMinSketch::new(42);
-        let mut truth: HashMap<u64, u64> = HashMap::new();
-        let mut rng = StdRng::seed_from_u64(7);
-        for _ in 0..20_000 {
-            // Zipf-ish: low keys dominate.
-            let k = (rng.gen_range(0..1000u64)).pow(2) / 1000;
-            a.observe(k);
-            b.observe(k);
-            *truth.entry(k).or_insert(0) += 1;
-        }
-        for (&k, &t) in &truth {
-            assert!(a.estimate(k) >= t, "count-min underestimated key {k}");
-            assert_eq!(a.estimate(k), b.estimate(k), "same seed, same estimates");
-        }
-        // The heavy key's overestimate is bounded by the collision mass
-        // of one row: total / CM_WIDTH per colliding key, far below 2x.
-        let (&heavy, &ht) = truth.iter().max_by_key(|(_, &c)| c).unwrap();
-        assert!(a.estimate(heavy) <= ht + 20_000 / 64, "gross overestimate on {heavy}");
-    }
-
-    #[test]
-    fn count_min_memory_is_fixed() {
-        let mut cm = CountMinSketch::new(1);
-        let words = cm.memory_words();
-        for k in 0..100_000u64 {
-            cm.observe(k);
-        }
-        assert_eq!(cm.memory_words(), words, "observing never grows the sketch");
-        cm.decay();
-        assert_eq!(cm.memory_words(), words);
     }
 
     #[test]

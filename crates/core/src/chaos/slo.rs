@@ -19,7 +19,7 @@
 //!   Publishers park, the ingest counter flatlines while the queue's
 //!   stall-ms series grows, and the activity-gated throughput floor
 //!   breaches — the one fault family virtual time cannot express, because
-//!   a `ChaosNet` stall window elapses within a single pump call.
+//!   a simulated stall window elapses within a single pump call.
 
 use crate::chaos::trial::scenario_profile;
 use crate::config::{EngineConfig, RoutingStrategy};

@@ -68,8 +68,8 @@ pub fn scenario_profile(scenario: &str, spec: &TrialSpec) -> ChaosProfile {
         "crash" => p.crashes = 2,
         "stall" => {
             // Stall windows target the per-unit broker queues; in the
-            // simulator the chaos net maps a `unit.N` stall onto every
-            // channel into unit N (see [`crate::chaos::net::ChaosNet`]).
+            // simulator the net maps a `unit.N` stall onto every channel
+            // into unit N (see [`crate::delivery::ChannelNet`]).
             p.queues = p.units.iter().map(|u| format!("unit.{u}")).collect();
             p.stalls = 2;
         }

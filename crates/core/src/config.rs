@@ -75,23 +75,11 @@ pub struct AdaptiveTuning {
     /// Minimum share of the observed stream (parts per million) for a
     /// key to enter the hot tier.
     pub hot_min_share_ppm: u32,
-    /// Widen subgroups (halve `d`) when the max/mean per-unit store load
-    /// reaches this percentage.
-    pub widen_above_pct: u32,
-    /// Narrow subgroups (double `d`) when the max/mean per-unit store
-    /// load falls to this percentage.
-    pub narrow_below_pct: u32,
 }
 
 impl Default for AdaptiveTuning {
     fn default() -> AdaptiveTuning {
-        AdaptiveTuning {
-            tune_every_puncts: 4,
-            hot_capacity: 16,
-            hot_min_share_ppm: 20_000,
-            widen_above_pct: 200,
-            narrow_below_pct: 120,
-        }
+        AdaptiveTuning { tune_every_puncts: 4, hot_capacity: 16, hot_min_share_ppm: 20_000 }
     }
 }
 

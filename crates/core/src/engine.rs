@@ -5,8 +5,8 @@
 //! the same router/joiner cores the threaded runtime uses, built by the
 //! same constructors ([`RouterCore::for_engine`], [`JoinerCore::for_engine`],
 //! [`AdaptiveShared::for_engine`], [`Layout::for_engine`]) and wired
-//! through [`crate::delivery::ChannelNet`] (or, with fault injection armed,
-//! [`crate::chaos::ChaosNet`]) instead of broker queues or rings. What the
+//! through [`crate::delivery::ChannelNet`] — in order, shuffled, or
+//! executing a fault plan — instead of broker queues or rings. What the
 //! engine adds to the cores is who calls them — a caller-driven
 //! `ingest(tuple, now)` / `punctuate(now)` on a virtual clock — plus one
 //! `net_send` that accounts every frame where it is sent and one result
@@ -33,7 +33,6 @@
 //!   cheap.
 
 use crate::adaptive::AdaptiveShared;
-use crate::chaos::ChaosNet;
 use crate::config::{EngineConfig, RoutingStrategy};
 use crate::delivery::{ChannelNet, DeliveryMode};
 use crate::joiner::{JoinerCore, JoinerStats};
@@ -83,8 +82,8 @@ pub struct BicliqueEngine {
     /// Superseded layouts and when they stop mattering.
     historical: Vec<(Layout, Ts)>,
     net: ChannelNet<BatchMessage>,
-    /// Armed fault injection; when present, delivery runs on the chaos
-    /// net and [`net`](Self::net) is bypassed.
+    /// Recovery state, armed by [`EngineBuilder::chaos`] only: `net` then
+    /// executes the fault plan.
     chaos: Option<ChaosState>,
     stats: Arc<EngineStats>,
     obs: Observability,
@@ -98,12 +97,11 @@ pub struct BicliqueEngine {
     scratch: Vec<RoutedBatch>,
 }
 
-/// Everything the engine needs to execute a [`FaultPlan`]: the
-/// plan-driven network, the router retry queue for partitioned sends,
+/// What the engine needs to recover from the faults a [`FaultPlan`]
+/// makes the net inject: the router retry queue for partitioned sends,
 /// the retransmission log and checkpoints behind the crash/recover
 /// drill, and the result-identity set that deduplicates replayed probes.
 struct ChaosState {
-    net: ChaosNet<BatchMessage>,
     retries: RetryQueue,
     /// Per-unit log of every data frame sent to it, for retransmission
     /// after a crash. Trimmed at each checkpoint to the frames the
@@ -122,9 +120,8 @@ struct ChaosState {
 }
 
 impl ChaosState {
-    fn new(plan: FaultPlan) -> ChaosState {
+    fn new() -> ChaosState {
         ChaosState {
-            net: ChaosNet::new(plan),
             retries: RetryQueue::new(BackoffPolicy::default()),
             sent_log: FxHashMap::default(),
             checkpoints: FxHashMap::default(),
@@ -134,45 +131,14 @@ impl ChaosState {
         }
     }
 
-    /// Send a frame, logging data frames for crash retransmission.
-    fn send(&mut self, router: RouterId, dest: JoinerId, msg: BatchMessage) {
-        if matches!(msg, BatchMessage::Batch(_)) {
-            self.sent_log.entry(dest).or_default().push((router, msg.clone()));
-        }
-        self.offer(router, dest, msg);
-    }
-
-    /// Send a frame without logging (the recovery replay path — those
-    /// frames are already in the log). Frames refused by a partition, or
-    /// queued behind earlier refused frames of the same channel (FIFO),
-    /// park in the retry queue.
-    fn offer(&mut self, router: RouterId, dest: JoinerId, msg: BatchMessage) {
-        let step = self.net.step();
-        if self.retries.has_pending(router, dest) || !self.net.channel_open(router, dest.0) {
-            self.retries.push(router, dest, msg, step);
-        } else {
-            let accepted = self.net.send(router, dest, msg);
-            debug_assert!(accepted, "open channel refused a frame");
-        }
-    }
-
     /// Re-attempt parked frames whose backoff has expired.
-    fn drain_retries(&mut self) -> usize {
-        let step = self.net.step();
-        let net = &mut self.net;
-        self.retries.drain_due(step, |router, dest, msg| {
-            if net.channel_open(router, dest.0) {
-                let accepted = net.send(router, dest, msg.clone());
-                debug_assert!(accepted, "open channel refused a retry");
-                true
-            } else {
-                false
-            }
+    fn drain_retries(&mut self, net: &mut ChannelNet<BatchMessage>) -> usize {
+        self.retries.drain_due(net.step(), |router, dest, msg| {
+            net.channel_open(router, dest.0) && net.send(router, dest, msg.clone())
         })
     }
 
     fn forget_unit(&mut self, unit: JoinerId) {
-        self.net.forget_unit(unit);
         self.retries.forget_unit(unit);
         self.sent_log.remove(&unit);
         self.checkpoints.remove(&unit);
@@ -253,8 +219,8 @@ impl BicliqueEngine {
 
     /// The engine's observability bundle: the labeled metrics registry
     /// every unit registers into and the shared event journal. Scrape
-    /// with `observability().registry.scrape(now)` /
-    /// `.prometheus_text(now)`; drain events with
+    /// with `observability().registry.scrape(now)`, render with
+    /// `telemetry::prometheus_text(&registry, now)`; drain events with
     /// `observability().journal.drain()`.
     pub fn observability(&self) -> &Observability {
         &self.obs
@@ -418,18 +384,34 @@ impl BicliqueEngine {
 
     /// Send one frame and account it — the one place `stats.copies` and
     /// `stats.punctuations` move, so what they count is what was sent. With
-    /// chaos armed the frame goes via [`ChaosState::send`] (retransmission
-    /// log + retry queue around the chaos net's refusable send); otherwise
-    /// straight into the channel net, which never refuses.
+    /// recovery armed, data frames are logged for crash retransmission.
     fn net_send(&mut self, router: RouterId, dest: JoinerId, msg: BatchMessage) {
         match &msg {
-            BatchMessage::Batch(b) => self.stats.copies.add(b.len() as u64),
+            BatchMessage::Batch(b) => {
+                self.stats.copies.add(b.len() as u64);
+                if let Some(c) = &mut self.chaos {
+                    c.sent_log.entry(dest).or_default().push((router, msg.clone()));
+                }
+            }
             BatchMessage::Punct(_) => self.stats.punctuations.inc(),
         }
-        match &mut self.chaos {
-            Some(c) => c.send(router, dest, msg),
-            None => self.net.send(router, dest, msg),
+        self.offer(router, dest, msg);
+    }
+
+    /// Hand a frame to the net without accounting or logging it (the
+    /// recovery replay path — those frames are already in the log). Only
+    /// a fault plan makes the net refuse: a frame refused by a partition,
+    /// or queued behind earlier refused frames of the same channel (FIFO),
+    /// parks in the retry queue.
+    fn offer(&mut self, router: RouterId, dest: JoinerId, msg: BatchMessage) {
+        if let Some(c) = &mut self.chaos {
+            if c.retries.has_pending(router, dest) || !self.net.channel_open(router, dest.0) {
+                c.retries.push(router, dest, msg, self.net.step());
+                return;
+            }
         }
+        let accepted = self.net.send(router, dest, msg);
+        debug_assert!(accepted, "open channel refused a frame");
     }
 
     /// Emit punctuations from every router to every unit (active and
@@ -469,32 +451,22 @@ impl BicliqueEngine {
         let now = self.now;
         loop {
             if self.chaos.is_some() {
-                let due = match self.chaos.as_mut() {
-                    Some(c) => c.net.take_due_crashes(),
-                    None => Vec::new(),
-                };
-                for unit in due {
+                for unit in self.net.take_due_crashes() {
                     self.crash_unit(JoinerId(unit))?;
                 }
                 if let Some(c) = self.chaos.as_mut() {
-                    c.drain_retries();
+                    c.drain_retries(&mut self.net);
                 }
             }
-            let flight = match &mut self.chaos {
-                Some(c) => c.net.deliver_next(),
-                None => self.net.deliver_next(),
-            };
-            let Some(flight) = flight else {
+            let Some(flight) = self.net.deliver_next() else {
                 // Nothing deliverable. Refused frames may be parked on
-                // backoff: fast-forward the chaos schedule to their due
-                // step and try again. (Crash events get no such jump —
-                // they fire only when deliveries naturally reach their
-                // step, else every crash would fire on the first pump.)
-                match self.chaos.as_mut().and_then(|c| c.retries.earliest_due()) {
+                // backoff: fast-forward the schedule to their due step and
+                // try again. (Crash events get no such jump — they fire
+                // only when deliveries naturally reach their step, else
+                // every crash would fire on the first pump.)
+                match self.chaos.as_ref().and_then(|c| c.retries.earliest_due()) {
                     Some(step) => {
-                        if let Some(c) = self.chaos.as_mut() {
-                            c.net.advance_to(step);
-                        }
+                        self.net.advance_to(step);
                         continue;
                     }
                     None => break,
@@ -838,8 +810,8 @@ impl BicliqueEngine {
         else {
             return Err(Error::Fault(format!("no such active unit {id}")));
         };
+        self.net.forget_unit(id);
         if let Some(c) = self.chaos.as_mut() {
-            c.net.forget_unit(id);
             c.retries.forget_unit(id);
             c.crashes_fired += 1;
         }
@@ -863,11 +835,9 @@ impl BicliqueEngine {
             }
         }
         self.joiners.insert(id, fresh);
-        if let Some(c) = self.chaos.as_mut() {
-            let log = c.sent_log.get(&id).cloned().unwrap_or_default();
-            for (router, msg) in log {
-                c.offer(router, id, msg);
-            }
+        let log = self.chaos.as_ref().and_then(|c| c.sent_log.get(&id)).cloned();
+        for (router, msg) in log.unwrap_or_default() {
+            self.offer(router, id, msg);
         }
         self.flush_routers();
         for i in 0..self.routers.len() {
@@ -884,7 +854,7 @@ impl BicliqueEngine {
 
     /// The chaos schedule's current step, if fault injection is armed.
     pub fn chaos_step(&self) -> Option<u64> {
-        self.chaos.as_ref().map(|c| c.net.step())
+        self.chaos.as_ref().map(|_| self.net.step())
     }
 
     /// Test-only seeded bug: restart crashed units *without* re-hydrating
@@ -925,7 +895,7 @@ impl BicliqueEngine {
     }
 
     /// Resource meters of `side`'s active units, keyed by stable unit id —
-    /// the [`bistream_cluster::ScaleTarget`] contract.
+    /// what `sim::run_dynamic_scaling` feeds the utilization tracker.
     pub fn pod_meters(&self, side: Rel) -> Vec<(usize, Arc<ResourceMeter>)> {
         self.layout.units(side).iter().map(|id| (id.0 as usize, self.joiners[id].meter())).collect()
     }
@@ -1047,7 +1017,7 @@ impl EngineBuilder {
     }
 
     /// The `engine` label value on engine-wide series (default
-    /// `"engine"`; the harnesses use `"sim"` / `"live"`).
+    /// `"engine"`).
     pub fn engine_label(mut self, label: impl Into<String>) -> Self {
         self.engine_label = label.into();
         self
@@ -1069,8 +1039,8 @@ impl EngineBuilder {
         self
     }
 
-    /// Arm plan-driven fault injection: delivery runs on a
-    /// [`ChaosNet`] executing `plan` (the configured
+    /// Arm plan-driven fault injection: the net executes `plan` (its seed
+    /// names the schedule; the configured
     /// [`delivery`](EngineBuilder::delivery) mode is bypassed), sends
     /// refused by a partition retry with capped exponential backoff, and
     /// the plan's crash events trigger
@@ -1107,6 +1077,10 @@ impl EngineBuilder {
         }
         let stats = EngineStats::shared();
         stats.register_into(&obs.registry, &[("engine", &self.engine_label)]);
+        let (net, chaos) = match self.chaos {
+            Some(plan) => (ChannelNet::with_plan(plan), Some(ChaosState::new())),
+            None => (ChannelNet::new(self.delivery), None),
+        };
         let mut engine = BicliqueEngine {
             cost: self.cost,
             layout: layout.clone(),
@@ -1115,8 +1089,8 @@ impl EngineBuilder {
             joiners: FxHashMap::default(),
             draining: Vec::new(),
             historical: Vec::new(),
-            net: ChannelNet::new(self.delivery),
-            chaos: self.chaos.map(ChaosState::new),
+            net,
+            chaos,
             stats,
             obs,
             adaptive: AdaptiveShared::for_engine(&self.config, self.routers),

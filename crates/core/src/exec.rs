@@ -273,21 +273,16 @@ impl Pipeline {
     }
 
     /// Stall or resume one named queue — the chaos drills use this to
-    /// inject stalls into a live run on either backend. On the broker,
-    /// publishers park while consumers keep draining (see
+    /// inject stalls into a live run. A unit queue (`unit.N`) can be
+    /// stalled on either backend: on the broker, publishers park while
+    /// consumers keep draining (see
     /// [`bistream_broker::Broker::set_queue_stalled`]); on the rings the
     /// unit's consumer holds and frames pile up. Both charge the same
-    /// backpressure/stall series.
+    /// backpressure/stall series. The ingest queue can be stalled on the
+    /// broker backend only — the ring handle knows only unit queues and
+    /// answers it with `Err`.
     pub fn set_queue_stalled(&self, queue: &str, on: bool) -> Result<()> {
         self.handle.set_stalled(queue, on)
-    }
-
-    /// Point-in-time Prometheus text exposition of every registered series
-    /// — the payload a `/metrics` endpoint would serve while the pipeline
-    /// runs. Rendering goes through [`bistream_types::telemetry`], the
-    /// single exposition-format emitter.
-    pub fn telemetry_text(&self) -> String {
-        bistream_types::telemetry::prometheus_text(&self.parts.obs.registry, self.now())
     }
 
     /// Stop feeding, drain everything, join all threads and report.
@@ -362,6 +357,7 @@ mod tests {
     use crate::config::RoutingStrategy;
     use bistream_types::metric_names as names;
     use bistream_types::rel::Rel;
+    use bistream_types::telemetry::prometheus_text;
     use bistream_types::trace::HopKind;
     use bistream_types::value::Value;
 
@@ -600,7 +596,7 @@ mod tests {
         let p = Pipeline::launch(config(Backend::Broker, RoutingStrategy::Hash, true)).unwrap();
         feed_pairs(&p, 200);
         std::thread::sleep(Duration::from_millis(150));
-        let text = p.telemetry_text();
+        let text = prometheus_text(&p.observability().registry, p.now());
         assert!(text.contains("# TYPE bistream_queue_depth gauge"), "got: {text}");
         assert!(text.contains("bistream_tuples_ingested_total{engine=\"live\"} 400"));
         let report = p.finish().unwrap();
@@ -654,6 +650,11 @@ mod tests {
         for backend in BACKENDS {
             let p = Pipeline::launch(config(backend, RoutingStrategy::Hash, true)).unwrap();
             assert!(p.set_queue_stalled("no.such.queue", true).is_err(), "{backend:?}");
+            assert_eq!(
+                p.set_queue_stalled(INGEST_QUEUE, false).is_ok(),
+                backend == Backend::Broker,
+                "{backend:?}: only the broker can stall the ingest queue"
+            );
             p.set_queue_stalled("unit.0", true).unwrap();
             feed_pairs(&p, 100);
             std::thread::sleep(Duration::from_millis(60));

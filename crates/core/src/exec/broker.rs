@@ -1,7 +1,7 @@
 //! The broker transport: edges are AMQP-model queues of the in-process
 //! [`Broker`], items cross them byte-encoded.
 //!
-//! Topology: a topic **ingest** exchange feeding one queue all routers
+//! Topology: a fanout **ingest** exchange feeding one queue all routers
 //! compete on, and a direct **units** exchange fanning frames out to one
 //! queue per joiner unit (per-sender FIFO inside a queue gives each
 //! `(router, unit)` pair its pairwise-FIFO channel). The queues themselves
@@ -42,10 +42,10 @@ pub(crate) fn wire(
     if let Some(a) = &parts.auditor {
         broker.attach_auditor(a.clone());
     }
-    broker.declare_exchange(INGEST_EXCHANGE, ExchangeKind::Topic)?;
+    broker.declare_exchange(INGEST_EXCHANGE, ExchangeKind::Fanout)?;
     broker.declare_exchange(UNITS_EXCHANGE, ExchangeKind::Direct)?;
     broker.declare_queue(INGEST_QUEUE, config.ingest_capacity)?;
-    broker.bind(INGEST_EXCHANGE, INGEST_QUEUE, "#")?;
+    broker.bind(INGEST_EXCHANGE, INGEST_QUEUE, "")?;
 
     // Interned routing keys: one `Arc<str>` per unit, shared by every
     // router so the publish path never re-allocates the key.

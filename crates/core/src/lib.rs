@@ -14,7 +14,7 @@
 //!
 //! - [`config`] — engine configuration (sides, routing strategy, archive
 //!   period, punctuation interval).
-//! - [`adaptive`] — skew-adaptive routing: hot-key sketches in the router
+//! - [`adaptive`] — skew-adaptive routing: a hot-key summary in the router
 //!   hot path, the self-tuning hot/cold tier classifier, and the
 //!   punctuation-fenced two-phase strategy-switch protocol.
 //! - [`layout`] — the mutable biclique topology: unit ids per side,

@@ -33,11 +33,6 @@ impl JoinQuery {
         &self.config
     }
 
-    /// Consume into the engine configuration.
-    pub fn into_config(self) -> EngineConfig {
-        self.config
-    }
-
     /// The schema of `side`'s stream.
     pub fn schema(&self, side: Rel) -> &Schema {
         match side {
@@ -91,7 +86,6 @@ pub struct QueryBuilder {
     s_joiners: usize,
     archive_period_ms: Option<Ts>,
     punctuation_interval_ms: Ts,
-    ordering: bool,
     seed: u64,
     batch_size: usize,
     adaptive: AdaptiveTuning,
@@ -111,7 +105,6 @@ impl QueryBuilder {
             s_joiners: 2,
             archive_period_ms: None,
             punctuation_interval_ms: 20,
-            ordering: true,
             seed: 0xB1C1,
             batch_size: 1,
             adaptive: AdaptiveTuning::default(),
@@ -176,13 +169,6 @@ impl QueryBuilder {
     /// Punctuation interval of the ordering protocol (default 20 ms).
     pub fn punctuation_interval_ms(mut self, ms: Ts) -> QueryBuilder {
         self.punctuation_interval_ms = ms;
-        self
-    }
-
-    /// Disable the ordering protocol (at-least/at-most-once results
-    /// under reordering; see experiment E7 before doing this).
-    pub fn without_ordering(mut self) -> QueryBuilder {
-        self.ordering = false;
         self
     }
 
@@ -271,7 +257,7 @@ impl QueryBuilder {
             routing,
             archive_period_ms,
             punctuation_interval_ms: self.punctuation_interval_ms,
-            ordering: self.ordering,
+            ordering: true,
             seed: self.seed,
             batch_size: self.batch_size,
             adaptive: self.adaptive,
@@ -435,7 +421,7 @@ mod tests {
             .seed(3)
             .build()
             .unwrap();
-        let mut engine = crate::engine::BicliqueEngine::new(q.clone().into_config()).unwrap();
+        let mut engine = crate::engine::BicliqueEngine::new(q.config().clone()).unwrap();
         engine.capture_results();
         let r = TupleBuilder::new(q.schema(Rel::R), Rel::R, 10)
             .set("order_id", 42i64)

@@ -566,7 +566,7 @@ impl RouterCore {
         }
     }
 
-    /// Run the adaptive punctuation-tick (sketch merge, switch
+    /// Run the adaptive punctuation-tick (summary merge, switch
     /// ack/commit/adopt, tuning) and publish the outcome to this router's
     /// metric series. Must be called only at a fence: after the pending
     /// batches are flushed and the punctuation is emitted.

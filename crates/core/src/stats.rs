@@ -33,8 +33,7 @@ impl EngineStats {
     }
 
     /// Expose the engine-wide series in `registry` under `labels`
-    /// (typically `engine="sim"` / `engine="live"`), using the same metric
-    /// names as the legacy [`EngineSnapshot::prometheus_text`] endpoint.
+    /// (e.g. `engine="sim"`).
     pub fn register_into(&self, registry: &MetricsRegistry, labels: &[(&str, &str)]) {
         registry.register_counter(
             bistream_types::metric_names::TUPLES_INGESTED_TOTAL,
@@ -96,58 +95,6 @@ impl EngineSnapshot {
             self.copies as f64 / self.ingested as f64
         }
     }
-
-    /// Render in the Prometheus text exposition format, with an optional
-    /// `engine` label — the scrape endpoint payload an operator would
-    /// point their monitoring at (the role the RabbitMQ management API /
-    /// Heapster played in the original deployments). Formatting goes
-    /// through [`bistream_types::telemetry`], the single exposition-format
-    /// emitter.
-    pub fn prometheus_text(&self, engine_label: &str) -> String {
-        let engine_labels = [("engine", engine_label)];
-        let labels: &[(&str, &str)] = if engine_label.is_empty() { &[] } else { &engine_labels };
-        let mut out = String::new();
-        let mut metric = |name: &str, help: &str, kind: &str, value: f64| {
-            bistream_types::telemetry::write_sample(&mut out, name, help, kind, labels, value);
-        };
-        metric(
-            bistream_types::metric_names::TUPLES_INGESTED_TOTAL,
-            "Tuples ingested",
-            "counter",
-            self.ingested as f64,
-        );
-        metric(
-            bistream_types::metric_names::JOIN_RESULTS_TOTAL,
-            "Join results emitted",
-            "counter",
-            self.results as f64,
-        );
-        metric(
-            bistream_types::metric_names::COPIES_TOTAL,
-            "Data copies routed",
-            "counter",
-            self.copies as f64,
-        );
-        metric(
-            bistream_types::metric_names::PUNCTUATIONS_TOTAL,
-            "Punctuation messages sent",
-            "counter",
-            self.punctuations as f64,
-        );
-        metric(
-            bistream_types::metric_names::RESULT_LATENCY_MS_P50,
-            "Median result latency",
-            "gauge",
-            self.latency.p50 as f64,
-        );
-        metric(
-            bistream_types::metric_names::RESULT_LATENCY_MS_P99,
-            "99th percentile result latency",
-            "gauge",
-            self.latency.p99 as f64,
-        );
-        out
-    }
 }
 
 #[cfg(test)]
@@ -172,30 +119,6 @@ mod tests {
     fn copies_per_tuple_handles_empty() {
         let snap = EngineStats::default().snapshot();
         assert_eq!(snap.copies_per_tuple(), 0.0);
-    }
-
-    #[test]
-    fn prometheus_text_is_well_formed() {
-        let s = EngineStats::default();
-        s.ingested.add(3);
-        s.results.add(2);
-        let text = s.snapshot().prometheus_text("join1");
-        assert!(text.contains("# TYPE bistream_tuples_ingested_total counter"));
-        assert!(text.contains("bistream_tuples_ingested_total{engine=\"join1\"} 3"));
-        assert!(text.contains("bistream_join_results_total{engine=\"join1\"} 2"));
-        // Every metric line follows a HELP and TYPE line.
-        let metric_lines = text.lines().filter(|l| !l.starts_with('#')).count();
-        let help_lines = text.lines().filter(|l| l.starts_with("# HELP")).count();
-        assert_eq!(metric_lines, help_lines);
-        // No label block when the label is empty.
-        let unlabelled = s.snapshot().prometheus_text("");
-        assert!(unlabelled.contains("bistream_tuples_ingested_total 3"));
-    }
-
-    #[test]
-    fn prometheus_text_escapes_engine_label() {
-        let text = EngineStats::default().snapshot().prometheus_text("a\"b\\c\nd");
-        assert!(text.contains(r#"{engine="a\"b\\c\nd"}"#), "got: {text}");
     }
 
     #[test]

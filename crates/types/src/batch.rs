@@ -35,7 +35,7 @@
 //! a batch frame.
 
 use crate::error::{Error, Result};
-use crate::punct::{Punctuation, Purpose, RouterId, SeqNo, StreamMessage};
+use crate::punct::{Punctuation, Purpose, RouterId, SeqNo};
 use crate::rel::Rel;
 use crate::tuple::Tuple;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -80,22 +80,6 @@ impl TupleBatch {
     /// An empty batch with room for `cap` entries.
     pub fn with_capacity(router: RouterId, purpose: Purpose, cap: usize) -> TupleBatch {
         TupleBatch { router, purpose, entries: Vec::with_capacity(cap) }
-    }
-
-    /// Build a batch from pre-collected entries.
-    ///
-    /// # Panics
-    /// Debug-asserts the entry invariants (ascending seqs, one side).
-    pub fn from_entries(
-        router: RouterId,
-        purpose: Purpose,
-        entries: Vec<BatchEntry>,
-    ) -> TupleBatch {
-        let mut b = TupleBatch { router, purpose, entries: Vec::new() };
-        for e in entries {
-            b.push(e.seq, e.tuple);
-        }
-        b
     }
 
     /// Append one sequenced tuple.
@@ -285,16 +269,6 @@ impl BatchMessage {
         BatchMessage::Batch(b)
     }
 
-    /// Frame one in-memory stream entry ([`StreamMessage`]) on its own.
-    pub fn from_stream(msg: StreamMessage) -> BatchMessage {
-        match msg {
-            StreamMessage::Punct(p) => BatchMessage::Punct(p),
-            StreamMessage::Data { router, seq, purpose, tuple } => {
-                BatchMessage::single(router, seq, purpose, tuple)
-            }
-        }
-    }
-
     /// Encode to the broker wire format: `kind(1)` then the punctuation or
     /// batch body.
     ///
@@ -472,13 +446,8 @@ mod tests {
 
     #[test]
     fn single_wraps_one_stream_data_message() {
-        let msg = StreamMessage::Data {
-            router: 4,
-            seq: 42,
-            purpose: Purpose::Join,
-            tuple: t(Rel::S, 9, 5),
-        };
-        let BatchMessage::Batch(b) = BatchMessage::from_stream(msg) else {
+        let BatchMessage::Batch(b) = BatchMessage::single(4, 42, Purpose::Join, t(Rel::S, 9, 5))
+        else {
             panic!("data wraps into a batch");
         };
         assert_eq!(b.len(), 1);

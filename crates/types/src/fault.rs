@@ -309,17 +309,6 @@ impl FaultPlan {
         })
     }
 
-    /// Units whose crash fires exactly at `step`, in plan order.
-    pub fn crashes_at(&self, step: u64) -> Vec<u32> {
-        self.events
-            .iter()
-            .filter_map(|e| match e {
-                FaultEvent::CrashUnit { unit, at_step } if *at_step == step => Some(*unit),
-                _ => None,
-            })
-            .collect()
-    }
-
     /// The last step at which any event can still have an effect; beyond
     /// it a scheduler may ignore the plan entirely (termination guard).
     pub fn horizon(&self) -> u64 {
@@ -594,8 +583,6 @@ mod tests {
         assert!(!plan.partitions_channel(1, 0, 4));
         assert!(plan.queue_stalled("q", 2));
         assert!(!plan.queue_stalled("r", 2));
-        assert_eq!(plan.crashes_at(6), vec![2]);
-        assert!(plan.crashes_at(5).is_empty());
         assert_eq!(plan.horizon(), 9);
     }
 

@@ -140,7 +140,7 @@ impl Hasher for IdentityHasher {
 /// top bits [`bucket_of`] reads.
 ///
 /// This is THE partitioning function of the whole system: the router, the
-/// adaptive sketches and the join-matrix baseline all call it, so "same key
+/// adaptive router and the join-matrix baseline all call it, so "same key
 /// ⇒ same partition" holds across components by construction. Its low bits
 /// are weak (module doc); never take a table slot from them — use
 /// [`map_hash`].

@@ -264,21 +264,6 @@ impl EventJournal {
         }
         out
     }
-
-    /// Drain all buffered events as a JSON array (one object per event).
-    pub fn drain_json(&self) -> String {
-        let events = self.drain();
-        let mut out = String::with_capacity(16 + 96 * events.len());
-        out.push('[');
-        for (i, ev) in events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&ev.to_json());
-        }
-        out.push(']');
-        out
-    }
 }
 
 #[cfg(test)]
@@ -317,13 +302,12 @@ mod tests {
         let j = EventJournal::with_capacity(8);
         j.record(5, EventKind::PunctuationAdvanced { side: Rel::R, unit: 2, router: 1, seq: 9 });
         j.record(6, EventKind::BackpressureStall { queue: "unit.\"R0\"\n".into() });
-        let json = j.drain_json();
-        assert!(json.starts_with('['), "got: {json}");
-        assert!(json.contains(
+        let json: Vec<String> = j.drain().iter().map(Event::to_json).collect();
+        assert_eq!(
+            json[0],
             r#"{"ts":5,"kind":"PunctuationAdvanced","side":"R","unit":2,"router":1,"seq":9}"#
-        ));
-        assert!(json.contains(r#""queue":"unit.\"R0\"\n""#), "got: {json}");
-        assert!(json.ends_with(']'));
+        );
+        assert!(json[1].contains(r#""queue":"unit.\"R0\"\n""#), "got: {}", json[1]);
     }
 
     #[test]
@@ -331,9 +315,9 @@ mod tests {
         let j = EventJournal::default();
         j.record(7, EventKind::SubIndexArchived { side: Rel::S, unit: 4, tuples: 10, bytes: 320 });
         j.record(8, EventKind::SubIndexDiscarded { side: Rel::S, unit: 4, tuples: 10, bytes: 320 });
-        let json = j.drain_json();
-        assert!(json
+        let json: Vec<String> = j.drain().iter().map(Event::to_json).collect();
+        assert!(json[0]
             .contains(r#""kind":"SubIndexArchived","side":"S","unit":4,"tuples":10,"bytes":320"#));
-        assert!(json.contains(r#""kind":"SubIndexDiscarded""#));
+        assert!(json[1].contains(r#""kind":"SubIndexDiscarded""#));
     }
 }

@@ -130,10 +130,6 @@ pub const COPIES_TOTAL: &str = "bistream_copies_total";
 pub const PUNCTUATIONS_TOTAL: &str = "bistream_punctuations_total";
 /// End-to-end result latency histogram (ms).
 pub const RESULT_LATENCY_MS: &str = "bistream_result_latency_ms";
-/// Median result latency (legacy single-engine scrape endpoint).
-pub const RESULT_LATENCY_MS_P50: &str = "bistream_result_latency_ms_p50";
-/// 99th-percentile result latency (legacy single-engine scrape endpoint).
-pub const RESULT_LATENCY_MS_P99: &str = "bistream_result_latency_ms_p99";
 /// Busy CPU microseconds accounted to a pod.
 pub const POD_CPU_BUSY_US_TOTAL: &str = "bistream_pod_cpu_busy_us_total";
 /// Resident bytes accounted to a pod.
@@ -161,13 +157,6 @@ pub const ALERT_SLO_BURN: &str = "alert_slo_burn";
 /// Alert: the watchdog saw buffered input without frontier or queue
 /// progress for K consecutive ticks.
 pub const ALERT_PROGRESS_STALL: &str = "alert_progress_stall";
-
-// ---------------------------------------------------------------- bench
-
-/// Scratch counter exercised by the metrics benchmark.
-pub const BENCH_COUNTER: &str = "bistream_bench_counter";
-/// Scratch latency histogram exercised by the metrics benchmark.
-pub const BENCH_LATENCY_MS: &str = "bistream_bench_latency_ms";
 
 #[cfg(test)]
 mod tests {

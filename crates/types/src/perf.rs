@@ -20,7 +20,6 @@
 
 use crate::metric_names as names;
 use crate::registry::{MetricValue, RegistrySnapshot};
-use std::collections::BTreeSet;
 
 /// The analyzer's output: per-unit queueing estimates, per-hop latency
 /// decomposition and per-queue Little's-law checks. Attached to
@@ -97,48 +96,10 @@ pub struct QueueLaw {
     pub residual: Option<f64>,
 }
 
-/// Counter value for `name{label_key="label_val"}` in one snapshot.
-fn counter_with(snap: &RegistrySnapshot, name: &str, label_key: &str, label_val: &str) -> u64 {
-    snap.samples
-        .iter()
-        .find(|s| s.key.name == name && s.key.has_label(label_key, label_val))
-        .and_then(|s| match &s.value {
-            MetricValue::Counter(v) => Some(*v),
-            _ => None,
-        })
-        .unwrap_or(0)
-}
-
-/// Gauge value for `name{label_key="label_val"}` in one snapshot.
-fn gauge_with(snap: &RegistrySnapshot, name: &str, label_key: &str, label_val: &str) -> u64 {
-    snap.samples
-        .iter()
-        .find(|s| s.key.name == name && s.key.has_label(label_key, label_val))
-        .and_then(|s| match &s.value {
-            MetricValue::Gauge(v) => Some(*v),
-            _ => None,
-        })
-        .unwrap_or(0)
-}
-
-/// All values of `label_key` across samples named `name`, sorted.
-fn label_values(snap: &RegistrySnapshot, name: &str, label_key: &str) -> Vec<String> {
-    let mut out = BTreeSet::new();
-    for s in &snap.samples {
-        if s.key.name != name {
-            continue;
-        }
-        if let Some((_, v)) = s.key.labels.iter().find(|(k, _)| k == label_key) {
-            out.insert(v.clone());
-        }
-    }
-    out.into_iter().collect()
-}
-
 /// Stores + probes processed by `unit` as of one snapshot.
 fn items_at(snap: &RegistrySnapshot, unit: &str) -> u64 {
-    counter_with(snap, names::JOINER_STORED_TOTAL, "joiner", unit)
-        + counter_with(snap, names::JOINER_PROBES_TOTAL, "joiner", unit)
+    snap.counter_with(names::JOINER_STORED_TOTAL, "joiner", unit).unwrap_or(0)
+        + snap.counter_with(names::JOINER_PROBES_TOTAL, "joiner", unit).unwrap_or(0)
 }
 
 /// Analyze a scrape series (sorted by scrape time, as `Sampler` emits it)
@@ -156,13 +117,14 @@ pub fn analyze(series: &[RegistrySnapshot]) -> PerfReport {
     // Midpoint split: [first, mid] calibrates Ŝ, [mid, last] evaluates.
     let mid = if series.len() >= 3 { &series[series.len() / 2] } else { first };
 
-    for unit in label_values(last, names::POD_CPU_BUSY_US_TOTAL, "pod") {
-        let busy_cal = counter_with(mid, names::POD_CPU_BUSY_US_TOTAL, "pod", &unit)
-            .saturating_sub(counter_with(first, names::POD_CPU_BUSY_US_TOTAL, "pod", &unit));
-        let items_cal = items_at(mid, &unit).saturating_sub(items_at(first, &unit));
-        let busy_eval = counter_with(last, names::POD_CPU_BUSY_US_TOTAL, "pod", &unit)
-            .saturating_sub(counter_with(mid, names::POD_CPU_BUSY_US_TOTAL, "pod", &unit));
-        let items_eval = items_at(last, &unit).saturating_sub(items_at(mid, &unit));
+    for unit in last.label_values(names::POD_CPU_BUSY_US_TOTAL, "pod") {
+        let busy_at = |snap: &RegistrySnapshot| {
+            snap.counter_with(names::POD_CPU_BUSY_US_TOTAL, "pod", unit).unwrap_or(0)
+        };
+        let busy_cal = busy_at(mid).saturating_sub(busy_at(first));
+        let items_cal = items_at(mid, unit).saturating_sub(items_at(first, unit));
+        let busy_eval = busy_at(last).saturating_sub(busy_at(mid));
+        let items_eval = items_at(last, unit).saturating_sub(items_at(mid, unit));
         let eval_ms = last.at.saturating_sub(mid.at).max(1);
 
         // Degenerate calibration window (no work yet): fall back to the
@@ -171,15 +133,14 @@ pub fn analyze(series: &[RegistrySnapshot]) -> PerfReport {
         let (s_busy, s_items) = if items_cal > 0 {
             (busy_cal, items_cal)
         } else {
-            let busy_all = counter_with(last, names::POD_CPU_BUSY_US_TOTAL, "pod", &unit)
-                .saturating_sub(counter_with(first, names::POD_CPU_BUSY_US_TOTAL, "pod", &unit));
-            let items_all = items_at(last, &unit).saturating_sub(items_at(first, &unit));
+            let busy_all = busy_at(last).saturating_sub(busy_at(first));
+            let items_all = items_at(last, unit).saturating_sub(items_at(first, unit));
             (busy_all, items_all)
         };
         let service_us = if s_items > 0 { s_busy as f64 / s_items as f64 } else { 0.0 };
         let lambda = items_eval as f64 * 1_000.0 / eval_ms as f64;
         report.units.push(UnitPerf {
-            unit,
+            unit: unit.to_owned(),
             arrivals: items_eval,
             arrival_rate_tps: lambda,
             busy_us: busy_eval,
@@ -190,15 +151,10 @@ pub fn analyze(series: &[RegistrySnapshot]) -> PerfReport {
         });
     }
 
-    for hop in label_values(last, names::TRACE_HOP_WAIT_MS, "hop") {
-        let hist = |name: &str| {
-            last.samples
-                .iter()
-                .find(|s| s.key.name == name && s.key.has_label("hop", &hop))
-                .and_then(|s| match &s.value {
-                    MetricValue::Histogram(h) => Some(h.clone()),
-                    _ => None,
-                })
+    for hop in last.label_values(names::TRACE_HOP_WAIT_MS, "hop") {
+        let hist = |name: &str| match last.get_with(name, "hop", hop)? {
+            MetricValue::Histogram(h) => Some(h),
+            _ => None,
         };
         let (Some(wait), Some(service)) =
             (hist(names::TRACE_HOP_WAIT_MS), hist(names::TRACE_HOP_SERVICE_MS))
@@ -209,7 +165,7 @@ pub fn analyze(series: &[RegistrySnapshot]) -> PerfReport {
             continue;
         }
         report.hops.push(HopPerf {
-            hop,
+            hop: hop.to_owned(),
             samples: wait.count,
             wait_ms_mean: wait.mean,
             wait_ms_p95: wait.p95,
@@ -224,17 +180,21 @@ pub fn analyze(series: &[RegistrySnapshot]) -> PerfReport {
         .find(|h| h.hop == "dequeue")
         .filter(|h| h.samples > 0)
         .map(|h| h.wait_ms_mean);
-    for queue in label_values(last, names::QUEUE_DEPTH, "queue") {
-        let depth_sum: u64 =
-            series.iter().map(|s| gauge_with(s, names::QUEUE_DEPTH, "queue", &queue)).sum();
+    for queue in last.label_values(names::QUEUE_DEPTH, "queue") {
+        let depth_sum: u64 = series
+            .iter()
+            .map(|s| s.gauge_with(names::QUEUE_DEPTH, "queue", queue).unwrap_or(0))
+            .sum();
         let mean_depth = depth_sum as f64 / series.len() as f64;
-        let delivered = counter_with(last, names::QUEUE_DELIVERED_TOTAL, "queue", &queue)
-            .saturating_sub(counter_with(first, names::QUEUE_DELIVERED_TOTAL, "queue", &queue));
+        let delivered_at = |snap: &RegistrySnapshot| {
+            snap.counter_with(names::QUEUE_DELIVERED_TOTAL, "queue", queue).unwrap_or(0)
+        };
+        let delivered = delivered_at(last).saturating_sub(delivered_at(first));
         let lambda = delivered as f64 * 1_000.0 / elapsed_ms as f64;
         let implied_wait_ms = if lambda > 0.0 { mean_depth / lambda * 1_000.0 } else { 0.0 };
         let residual = dequeue_wait.map(|w| (implied_wait_ms - w).abs() / w.max(1.0));
         report.queues.push(QueueLaw {
-            queue,
+            queue: queue.to_owned(),
             mean_depth,
             throughput_tps: lambda,
             implied_wait_ms,

@@ -68,8 +68,8 @@ pub struct Punctuation {
 /// One entry of a router→joiner stream in memory: what a joiner offers its
 /// reorder buffer, one call per sequenced copy or punctuation. It has no
 /// byte form — on a wire, entries travel inside the frames of
-/// [`BatchMessage`](crate::batch::BatchMessage), whose `single` /
-/// `from_stream` wrap one entry as a frame of its own.
+/// [`BatchMessage`](crate::batch::BatchMessage), whose `single` wraps
+/// one data entry as a frame of its own.
 #[derive(Debug, Clone, PartialEq)]
 pub enum StreamMessage {
     /// A sequenced tuple copy.

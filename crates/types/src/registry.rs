@@ -7,9 +7,9 @@
 //! no coordination to per-tuple work.
 //!
 //! A scrape is a point-in-time read of every registered metric, sorted by
-//! `(name, labels)` so output is stable across runs; [`MetricsRegistry::prometheus_text`]
-//! renders the scrape in the Prometheus text exposition format (with label
-//! values properly escaped). [`Sampler`] turns periodic scrapes into a
+//! `(name, labels)` so output is stable across runs;
+//! [`crate::telemetry::prometheus_text`] renders the registry in the
+//! Prometheus text exposition format (with label values properly escaped). [`Sampler`] turns periodic scrapes into a
 //! time-series the experiment harness can dump, and [`Observability`]
 //! bundles a registry with an event journal as the single handle the
 //! engines thread through their components.
@@ -101,6 +101,22 @@ pub enum MetricValue {
     Histogram(HistogramSnapshot),
 }
 
+impl MetricValue {
+    fn as_counter(&self) -> Option<u64> {
+        match self {
+            MetricValue::Counter(v) => Some(*v),
+            _ => None,
+        }
+    }
+
+    fn as_gauge(&self) -> Option<u64> {
+        match self {
+            MetricValue::Gauge(v) => Some(*v),
+            _ => None,
+        }
+    }
+}
+
 /// One `(key, value)` pair in a scrape.
 ///
 /// The key is an `Arc` shared with the registry's own map, so scraping a
@@ -139,18 +155,46 @@ impl RegistrySnapshot {
 
     /// Counter value for `(name, labels)`, or `None` if absent or not a counter.
     pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Option<u64> {
-        match self.get(name, labels)? {
-            MetricValue::Counter(v) => Some(*v),
-            _ => None,
-        }
+        self.get(name, labels)?.as_counter()
     }
 
     /// Gauge value for `(name, labels)`, or `None` if absent or not a gauge.
     pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Option<u64> {
-        match self.get(name, labels)? {
-            MetricValue::Gauge(v) => Some(*v),
-            _ => None,
-        }
+        self.get(name, labels)?.as_gauge()
+    }
+
+    /// The first sample named `name` that carries the label pair
+    /// `(label, value)`, whatever other labels it has.
+    pub(crate) fn get_with(&self, name: &str, label: &str, value: &str) -> Option<&MetricValue> {
+        self.samples
+            .iter()
+            .find(|s| s.key.name == name && s.key.has_label(label, value))
+            .map(|s| &s.value)
+    }
+
+    /// Counter value of [`get_with`](Self::get_with)`(name, label, value)`.
+    pub(crate) fn counter_with(&self, name: &str, label: &str, value: &str) -> Option<u64> {
+        self.get_with(name, label, value)?.as_counter()
+    }
+
+    /// Gauge value of [`get_with`](Self::get_with)`(name, label, value)`.
+    pub(crate) fn gauge_with(&self, name: &str, label: &str, value: &str) -> Option<u64> {
+        self.get_with(name, label, value)?.as_gauge()
+    }
+
+    /// Every value `label` takes across the samples named `name`, sorted
+    /// and deduplicated.
+    pub(crate) fn label_values(&self, name: &str, label: &str) -> Vec<&str> {
+        let mut out: Vec<&str> = self
+            .samples
+            .iter()
+            .filter(|s| s.key.name == name)
+            .filter_map(|s| s.key.labels.iter().find(|(k, _)| k == label))
+            .map(|(_, v)| v.as_str())
+            .collect();
+        out.sort_unstable();
+        out.dedup();
+        out
     }
 }
 
@@ -264,7 +308,7 @@ impl MetricsRegistry {
     /// Keys are `Arc`s shared with the registry's map, so a steady-state
     /// scrape loop allocates nothing per series once the buffer has grown
     /// to the registry's size — the fix for per-scrape allocation churn on
-    /// large registries (see `metrics_bench`).
+    /// large registries.
     pub fn scrape_into(&self, at: Ts, snap: &mut RegistrySnapshot) {
         snap.at = at;
         snap.samples.clear();
@@ -280,16 +324,6 @@ impl MetricsRegistry {
                 },
             });
         }
-    }
-
-    /// Render every metric in the Prometheus text exposition format.
-    ///
-    /// Delegates to [`crate::telemetry`], the single exposition-format
-    /// emitter: counters and gauges become single sample lines; histograms
-    /// are rendered summary-style with `quantile` labels plus cumulative
-    /// `_bucket` lines and `_count`/`_sum`/`_max` series.
-    pub fn prometheus_text(&self, at: Ts) -> String {
-        crate::telemetry::prometheus_text(self, at)
     }
 
     /// Visit every registered handle in `(name, labels)` order. Scrape-time
@@ -555,7 +589,7 @@ mod tests {
     fn prometheus_text_escapes_label_values() {
         let reg = MetricsRegistry::new();
         reg.counter("c_total", &[("engine", "we\"ird\\lab\nel")]).inc();
-        let text = reg.prometheus_text(0);
+        let text = crate::telemetry::prometheus_text(&reg, 0);
         assert!(text.contains(r#"engine="we\"ird\\lab\nel""#), "got: {text}");
         // The literal newline must not survive inside the label block.
         assert!(!text.lines().any(|l| l.starts_with("el\"")), "got: {text}");
@@ -568,7 +602,7 @@ mod tests {
         for v in [1u64, 2, 3, 4] {
             h.record(v);
         }
-        let text = reg.prometheus_text(0);
+        let text = crate::telemetry::prometheus_text(&reg, 0);
         assert!(text.contains("# TYPE lat_ms summary"));
         assert!(text.contains("lat_ms{joiner=\"S1\",quantile=\"0.5\"}"));
         assert!(text.contains("lat_ms_count{joiner=\"S1\"} 4"));

@@ -85,13 +85,6 @@ impl SloSpec {
         self.max_lost_tuples = Some(ceiling);
         self
     }
-
-    /// `true` when at least one objective is set.
-    pub fn has_objectives(&self) -> bool {
-        self.p99_latency_ms.is_some()
-            || self.min_ingest_tps.is_some()
-            || self.max_lost_tuples.is_some()
-    }
 }
 
 /// The trailing-window evidence attached to one side of a burn alert.
@@ -212,21 +205,11 @@ fn histogram_p99(snap: &RegistrySnapshot, name: &str) -> Option<(u64, u64)> {
 /// healthy broker (and trivially in the queue-less simulator).
 fn lost_tuples(snap: &RegistrySnapshot) -> u64 {
     let mut lost = 0u64;
-    for s in &snap.samples {
-        if s.key.name != names::QUEUE_PUBLISHED_TOTAL {
-            continue;
-        }
-        let Some((_, queue)) = s.key.labels.iter().find(|(k, _)| k == "queue") else {
-            continue;
-        };
-        let published = match &s.value {
-            MetricValue::Counter(v) => *v,
-            _ => continue,
-        };
-        let delivered =
-            snap.counter(names::QUEUE_DELIVERED_TOTAL, &[("queue", queue)]).unwrap_or(0);
-        let depth = snap.gauge(names::QUEUE_DEPTH, &[("queue", queue)]).unwrap_or(0);
-        lost += published.saturating_sub(delivered + depth);
+    for queue in snap.label_values(names::QUEUE_PUBLISHED_TOTAL, "queue") {
+        let counter = |name| snap.counter_with(name, "queue", queue).unwrap_or(0);
+        let depth = snap.gauge_with(names::QUEUE_DEPTH, "queue", queue).unwrap_or(0);
+        let buffered_or_delivered = counter(names::QUEUE_DELIVERED_TOTAL) + depth;
+        lost += counter(names::QUEUE_PUBLISHED_TOTAL).saturating_sub(buffered_or_delivered);
     }
     lost
 }

@@ -3,11 +3,11 @@
 //! Every exposition-format string that leaves the process goes through
 //! this module: `cargo xtask lint` rejects `# TYPE`/`# HELP` string
 //! literals anywhere else in the workspace, so the text shape stays
-//! consistent across the CLI (`--telemetry-out`), the threaded executor's
-//! scrape endpoint and the legacy engine snapshot. The format is
-//! hand-rolled (zero new deps) and reuses the registry's label-escaping
-//! rules ([`crate::registry::escape_label_value`] semantics, written
-//! inline to avoid per-label allocation).
+//! consistent across the CLI (`--telemetry-out`) and the threaded
+//! executor's scrape endpoint. The format is hand-rolled (zero new deps)
+//! and reuses the registry's label-escaping rules
+//! ([`crate::registry::escape_label_value`] semantics, written inline to
+//! avoid per-label allocation).
 //!
 //! Counters and gauges render as single sample lines. Histograms render
 //! summary-style (pinned `quantile` lines plus `_count`/`_sum`/`_max`)
@@ -75,42 +75,6 @@ pub fn prometheus_text(registry: &MetricsRegistry, at: Ts) -> String {
     let mut exporter = TextExporter::new();
     exporter.render(registry, at);
     exporter.buf
-}
-
-/// Append one self-describing sample — `# HELP` + `# TYPE` header plus a
-/// single `name{labels} value` line. This is the hook for components that
-/// expose a snapshot outside the registry (the legacy engine endpoint);
-/// they pass their values here instead of formatting exposition text
-/// themselves.
-pub fn write_sample(
-    out: &mut String,
-    name: &str,
-    help: &str,
-    kind: &str,
-    labels: &[(&str, &str)],
-    value: f64,
-) {
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} {kind}");
-    out.push_str(name);
-    if !labels.is_empty() {
-        out.push('{');
-        for (i, (k, v)) in labels.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(k);
-            out.push_str("=\"");
-            write_escaped(out, v);
-            out.push('"');
-        }
-        out.push('}');
-    }
-    if value.fract() == 0.0 && value.abs() < 9e15 {
-        let _ = writeln!(out, " {}", value as i64);
-    } else {
-        let _ = writeln!(out, " {value}");
-    }
 }
 
 /// Write `name` + optional `suffix` + a `{…}` label block (labels in key
@@ -319,18 +283,6 @@ acme_requests_total{svc=\"a\"} 3
             assert_eq!(exporter.render(&reg, 0), first);
         }
         assert_eq!(exporter.buf.capacity(), grown, "steady-state renders must not regrow");
-    }
-
-    #[test]
-    fn write_sample_renders_help_type_and_value() {
-        let mut out = String::new();
-        write_sample(&mut out, "x_total", "things counted", "counter", &[("e", "a\"b")], 4.0);
-        write_sample(&mut out, "y_ms", "a latency", "gauge", &[], 1.5);
-        assert_eq!(
-            out,
-            "# HELP x_total things counted\n# TYPE x_total counter\nx_total{e=\"a\\\"b\"} 4\n\
-             # HELP y_ms a latency\n# TYPE y_ms gauge\ny_ms 1.5\n"
-        );
     }
 
     #[test]

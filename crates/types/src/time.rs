@@ -79,11 +79,6 @@ impl VirtualClock {
     pub fn advance_to(&self, t: Ts) {
         self.now.fetch_max(t, Ordering::Relaxed);
     }
-
-    /// Move time forward by `delta` milliseconds and return the new time.
-    pub fn advance_by(&self, delta: Ts) -> Ts {
-        self.now.fetch_add(delta, Ordering::Relaxed) + delta
-    }
 }
 
 impl Clock for VirtualClock {
@@ -130,9 +125,6 @@ impl Stopwatch {
     }
 }
 
-/// A shareable handle to any clock.
-pub type SharedClock = Arc<dyn Clock>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,8 +135,6 @@ mod tests {
         assert_eq!(c.now(), 0);
         c.advance_to(42);
         assert_eq!(c.now(), 42);
-        assert_eq!(c.advance_by(8), 50);
-        assert_eq!(c.now(), 50);
     }
 
     #[test]

@@ -245,11 +245,6 @@ impl Tracer {
         self.inner.is_some()
     }
 
-    /// The sampling rate (`Some(one_in)`) or `None` when disabled.
-    pub fn sample_rate(&self) -> Option<u64> {
-        self.inner.as_ref().map(|i| i.one_in)
-    }
-
     /// Deterministic sampling decision for a sequence number. Sequence
     /// numbers start at 1; seq 1 is always in the sample so even tiny runs
     /// produce at least one trace. Never locks.
@@ -274,18 +269,6 @@ impl Tracer {
             .entry(seq)
             .and_modify(|t| t.open_branches += branches)
             .or_insert_with(|| PendingTrace { spans: Vec::new(), open_branches: branches });
-    }
-
-    /// Add extra branches to an open trace (historical-layout and draining
-    /// copies the engine fans out after routing).
-    pub fn add_branches(&self, seq: u64, extra: u32) {
-        if extra == 0 || !self.sampled(seq) {
-            return;
-        }
-        let inner = self.inner.as_ref().expect("sampled implies enabled");
-        if let Some(t) = inner.pending.lock().get_mut(&seq) {
-            t.open_branches += extra;
-        }
     }
 
     /// Record one hop. Timestamps are clamped into causal order: the

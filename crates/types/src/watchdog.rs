@@ -20,7 +20,7 @@
 //! [`crate::metric_names::ALERT_PROGRESS_STALL`] alert.
 
 use crate::metric_names as names;
-use crate::registry::{MetricValue, RegistrySnapshot};
+use crate::registry::RegistrySnapshot;
 use std::collections::BTreeSet;
 
 /// Watchdog tuning: how many consecutive no-progress ticks make a stall.
@@ -92,48 +92,13 @@ impl StallVerdict {
     }
 }
 
-/// Gauge value for `name{label_key="label_val"}`, or `None` if absent.
-fn gauge_with(
-    snap: &RegistrySnapshot,
+/// All values of `label` across samples named `name` in any snapshot.
+fn all_label_values<'a>(
+    series: &'a [RegistrySnapshot],
     name: &str,
-    label_key: &str,
-    label_val: &str,
-) -> Option<u64> {
-    snap.samples
-        .iter()
-        .find(|s| s.key.name == name && s.key.has_label(label_key, label_val))
-        .and_then(|s| match &s.value {
-            MetricValue::Gauge(v) => Some(*v),
-            _ => None,
-        })
-}
-
-/// Counter value for `name{label_key="label_val"}`, or 0 if absent.
-fn counter_with(snap: &RegistrySnapshot, name: &str, label_key: &str, label_val: &str) -> u64 {
-    snap.samples
-        .iter()
-        .find(|s| s.key.name == name && s.key.has_label(label_key, label_val))
-        .and_then(|s| match &s.value {
-            MetricValue::Counter(v) => Some(*v),
-            _ => None,
-        })
-        .unwrap_or(0)
-}
-
-/// All values of `label_key` across samples named `name` in any snapshot.
-fn all_label_values(series: &[RegistrySnapshot], name: &str, label_key: &str) -> Vec<String> {
-    let mut out = BTreeSet::new();
-    for snap in series {
-        for s in &snap.samples {
-            if s.key.name != name {
-                continue;
-            }
-            if let Some((_, v)) = s.key.labels.iter().find(|(k, _)| k == label_key) {
-                out.insert(v.clone());
-            }
-        }
-    }
-    out.into_iter().collect()
+    label: &str,
+) -> BTreeSet<&'a str> {
+    series.iter().flat_map(|snap| snap.label_values(name, label)).collect()
 }
 
 /// Scan one unit's `(buffered, progress)` readings per scrape for runs of
@@ -194,24 +159,24 @@ pub fn scan(cfg: &WatchdogConfig, series: &[RegistrySnapshot]) -> Vec<StallVerdi
             .iter()
             .map(|s| {
                 (
-                    gauge_with(s, names::JOINER_REORDER_DEPTH, "joiner", &joiner).unwrap_or(0),
-                    gauge_with(s, names::JOINER_WATERMARK, "joiner", &joiner).unwrap_or(0),
+                    s.gauge_with(names::JOINER_REORDER_DEPTH, "joiner", joiner).unwrap_or(0),
+                    s.gauge_with(names::JOINER_WATERMARK, "joiner", joiner).unwrap_or(0),
                 )
             })
             .collect();
-        scan_unit(StallKind::FrontierStall, &joiner, series, &readings, cfg.stall_ticks, &mut out);
+        scan_unit(StallKind::FrontierStall, joiner, series, &readings, cfg.stall_ticks, &mut out);
     }
     for queue in all_label_values(series, names::QUEUE_DEPTH, "queue") {
         let readings: Vec<(u64, u64)> = series
             .iter()
             .map(|s| {
                 (
-                    gauge_with(s, names::QUEUE_DEPTH, "queue", &queue).unwrap_or(0),
-                    counter_with(s, names::QUEUE_DELIVERED_TOTAL, "queue", &queue),
+                    s.gauge_with(names::QUEUE_DEPTH, "queue", queue).unwrap_or(0),
+                    s.counter_with(names::QUEUE_DELIVERED_TOTAL, "queue", queue).unwrap_or(0),
                 )
             })
             .collect();
-        scan_unit(StallKind::QueueStall, &queue, series, &readings, cfg.stall_ticks, &mut out);
+        scan_unit(StallKind::QueueStall, queue, series, &readings, cfg.stall_ticks, &mut out);
     }
     out
 }

@@ -211,7 +211,6 @@ pub struct ZipfSampler {
     alpha: f64,
     zeta_n: f64,
     eta: f64,
-    zeta_2: f64,
 }
 
 impl ZipfSampler {
@@ -226,7 +225,7 @@ impl ZipfSampler {
         let zeta_2 = Self::zeta(2, theta);
         let alpha = 1.0 / (1.0 - theta);
         let eta = (1.0 - (2.0 / n as f64).powf(1.0 - theta)) / (1.0 - zeta_2 / zeta_n);
-        ZipfSampler { n, theta, alpha, zeta_n, eta, zeta_2 }
+        ZipfSampler { n, theta, alpha, zeta_n, eta }
     }
 
     /// The generalised harmonic number `H_{n,theta}`.
@@ -259,13 +258,6 @@ impl ZipfSampler {
     /// sanity-check the empirical skew.
     pub fn hottest_probability(&self) -> f64 {
         1.0 / self.zeta_n
-    }
-
-    /// Suppress dead-code warnings for the constant kept for documentation
-    /// of the two-point speedup; `zeta_2` participates in `eta` already.
-    #[doc(hidden)]
-    pub fn zeta2(&self) -> f64 {
-        self.zeta_2
     }
 }
 

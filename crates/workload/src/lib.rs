@@ -16,7 +16,6 @@
 //!   300→400→200→300 t/s profile of the dynamic-scaling experiments).
 //! - [`source`] — per-relation tuple sources producing `(ts, Tuple)`
 //!   streams, and an interleaver merging R and S by timestamp.
-//! - [`scenarios`] — the named workloads the experiments and examples use.
 //! - [`io`] — line-oriented file adapters (the stream-service edge).
 
 #![warn(missing_docs)]
@@ -24,7 +23,6 @@
 pub mod arrival;
 pub mod io;
 pub mod keys;
-pub mod scenarios;
 pub mod schedule;
 pub mod source;
 

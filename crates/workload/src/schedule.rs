@@ -52,20 +52,6 @@ impl RateSchedule {
         }
     }
 
-    /// Expected number of tuples in `[0, until_ts)` — the integral of the
-    /// step function, used to size experiment buffers.
-    pub fn expected_count(&self, until_ts: Ts) -> f64 {
-        let mut total = 0.0;
-        for (i, &(from, rate)) in self.steps.iter().enumerate() {
-            if from >= until_ts {
-                break;
-            }
-            let to = self.steps.get(i + 1).map(|&(t, _)| t.min(until_ts)).unwrap_or(until_ts);
-            total += rate * (to.saturating_sub(from)) as f64 / 1_000.0;
-        }
-        total
-    }
-
     /// The steps of the schedule.
     pub fn steps(&self) -> &[(Ts, f64)] {
         &self.steps
@@ -91,19 +77,6 @@ mod tests {
         assert_eq!(s.rate_at(10 * MINUTE), 400.0);
         assert_eq!(s.rate_at(40 * MINUTE), 200.0);
         assert_eq!(s.rate_at(55 * MINUTE), 300.0);
-    }
-
-    #[test]
-    fn expected_count_integrates_steps() {
-        let s = RateSchedule::new(vec![(0, 100.0), (1_000, 200.0)]);
-        // 1 second at 100/s + 1 second at 200/s.
-        assert_eq!(s.expected_count(2_000), 300.0);
-        // Truncated mid-step.
-        assert_eq!(s.expected_count(1_500), 200.0);
-        // Thesis profile: 10'·300 + 30'·400 + 10'·200 + 10'·300 per second.
-        let t = RateSchedule::thesis_profile();
-        let expect = (10.0 * 300.0 + 30.0 * 400.0 + 10.0 * 200.0 + 10.0 * 300.0) * 60.0;
-        assert_eq!(t.expected_count(60 * MINUTE), expect);
     }
 
     #[test]

@@ -77,15 +77,6 @@ impl StreamSource {
         Tuple::new(self.rel, ts, values)
     }
 
-    /// Produce all tuples with timestamp strictly below `until`.
-    pub fn drain_until(&mut self, until: Ts) -> Vec<Tuple> {
-        let mut out = Vec::new();
-        while self.peek_ts() < until {
-            out.push(self.next_tuple());
-        }
-        out
-    }
-
     /// Tuples produced so far.
     pub fn produced(&self) -> i64 {
         self.seq
@@ -212,15 +203,6 @@ mod tests {
         }
         assert!(feed.iter().any(|t| t.rel() == Rel::R));
         assert!(feed.iter().any(|t| t.rel() == Rel::S));
-    }
-
-    #[test]
-    fn drain_until_respects_bound() {
-        let mut r = source(Rel::R, 100.0, 1);
-        let batch = r.drain_until(105);
-        assert_eq!(batch.len(), 11, "arrivals at 0,10,…,100");
-        assert!(batch.iter().all(|t| t.ts() < 105));
-        assert_eq!(r.peek_ts(), 110);
     }
 
     #[test]

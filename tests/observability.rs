@@ -12,6 +12,7 @@ use bistream::types::journal::EventKind;
 use bistream::types::predicate::JoinPredicate;
 use bistream::types::registry::{Observability, RegistrySnapshot};
 use bistream::types::rel::Rel;
+use bistream::types::telemetry::prometheus_text;
 use bistream::types::trace::{HopKind, Trace};
 use bistream::types::tuple::Tuple;
 use bistream::types::value::Value;
@@ -154,7 +155,7 @@ fn live_run_exposes_every_tier_in_one_scrape_including_queues() {
     assert!(events.iter().all(|e| e.ts <= now));
 
     // The Prometheus rendering covers the same single-scrape surface.
-    let text = p.observability().registry.prometheus_text(p.now());
+    let text = prometheus_text(&p.observability().registry, p.now());
     assert!(text.contains("# TYPE bistream_queue_depth gauge"));
     assert!(text.contains("queue=\"unit.0\""));
     assert!(text.contains("# TYPE bistream_joiner_stored_total counter"));
