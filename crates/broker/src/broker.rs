@@ -253,7 +253,7 @@ mod tests {
     }
 
     #[test]
-    fn publish_routes_by_topic_pattern() {
+    fn direct_exchange_routes_by_exact_key() {
         let b = Broker::new();
         b.declare_exchange("tuple.exchange", ExchangeKind::Direct).unwrap();
         b.declare_queue("rstore", 8).unwrap();

@@ -27,11 +27,11 @@ pub enum RoutingStrategy {
         subgroups: usize,
     },
     /// Self-tuning ContRand ([`core::adaptive`](crate::adaptive)): a
-    /// hot-key sketch in the router hot path classifies keys into a hot
-    /// tier (widened fan-out: store anywhere on the own side, probe the
-    /// whole opposite side) and a cold tier (ContRand under the current
-    /// `d`), and a periodic tuning step re-tunes `d` from the per-unit
-    /// load series. Strategy switches install as punctuation-fenced epoch
+    /// space-saving hot-key summary in the router hot path classifies keys
+    /// into a hot tier (widened fan-out: store anywhere on the own side,
+    /// probe the whole opposite side) and a cold tier (ContRand under the
+    /// current `d`), and a periodic tuning step re-tunes `d` from the
+    /// per-unit load series. Strategy switches install as punctuation-fenced epoch
     /// changes. Only valid for equi predicates. Tuning knobs live in
     /// [`EngineConfig::adaptive`].
     Adaptive {

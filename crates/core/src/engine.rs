@@ -66,7 +66,7 @@ use std::sync::Arc;
 /// engine.capture_results();
 /// engine.ingest(&Tuple::new(Rel::R, 10, vec![Value::Int(42)]), 10)?;
 /// engine.ingest(&Tuple::new(Rel::S, 20, vec![Value::Int(42)]), 20)?;
-/// engine.punctuate(40)?; // ordering protocol releases on punctuations
+/// engine.punctuate(40)?; // releases what no data frame has covered yet
 /// assert_eq!(engine.take_captured().len(), 1);
 /// # Ok::<(), bistream_types::error::Error>(())
 /// ```
@@ -416,8 +416,9 @@ impl BicliqueEngine {
 
     /// Emit punctuations from every router to every unit (active and
     /// draining) at virtual time `now`. Call this on the configured
-    /// punctuation interval; without it the ordering protocol never
-    /// releases buffered tuples.
+    /// punctuation interval: data frames release what their covers prove,
+    /// but only a punctuation flushes the routers' pending batches and
+    /// advances a channel that carries no data.
     pub fn punctuate(&mut self, now: Ts) -> Result<()> {
         self.now = self.now.max(now);
         let mut frames = std::mem::take(&mut self.scratch);
@@ -930,9 +931,10 @@ impl BicliqueEngine {
 
     /// Test-only fault injection: force-raise `router`'s frontier to `seq`
     /// in every active joiner's reorder buffer, bypassing the monotonic
-    /// punctuation path — simulating a broken watermark computation. With
-    /// an auditor attached, any release this provokes ahead of the real
-    /// channel punctuation is reported as a Definition 7 violation.
+    /// punctuation and cover path — simulating a broken watermark
+    /// computation. With an auditor attached, any release this provokes
+    /// ahead of what the channel has really proven is reported as a
+    /// Definition 7 violation.
     #[doc(hidden)]
     pub fn debug_corrupt_frontier(&mut self, router: RouterId, seq: SeqNo) -> Result<()> {
         self.each_joiner(|joiner, emit| {
@@ -942,9 +944,9 @@ impl BicliqueEngine {
 
     /// Test-only fault injection: freeze every active joiner's reorder
     /// frontier (see [`JoinerCore::debug_freeze_frontier`]). While frozen,
-    /// punctuations no longer advance watermarks, so buffered tuples pile
-    /// up behind a flatlined frontier — the seeded stall the progress
-    /// watchdog must detect within its tick bound.
+    /// neither punctuations nor covers advance watermarks, so buffered
+    /// tuples pile up behind a flatlined frontier — the seeded stall the
+    /// progress watchdog must detect within its tick bound.
     #[doc(hidden)]
     pub fn debug_freeze_frontier(&mut self, on: bool) {
         for joiner in self.joiners.values_mut() {

@@ -129,6 +129,11 @@ impl ResultSink {
 /// `punct_interval`, and — once the ingest edge is closed and drained —
 /// send one final punctuation behind all data before returning (which
 /// drops `frames`, this router's half of its unit channels).
+///
+/// A frame leaves when it is full, at a punctuation, or as soon as the
+/// ingest edge runs dry: while copies are pending the edge is only looked
+/// at (a zero wait), and an idle look flushes them. So a result waits for
+/// neither a full batch nor the timer; under load the batches still fill.
 pub(crate) fn run_router<I: Inbox<Tuple>, O: Outbox>(
     mut core: RouterCore,
     layout: &Layout,
@@ -141,14 +146,18 @@ pub(crate) fn run_router<I: Inbox<Tuple>, O: Outbox>(
     loop {
         let now = Instant::now();
         let wait = next_punct.saturating_duration_since(now);
+        let look = if core.pending_batched() > 0 { Duration::ZERO } else { wait };
         let closed = !wait.is_zero()
-            && match ingest.poll(wait)? {
+            && match ingest.poll(look)? {
                 Polled::Item(tuple) => {
                     ctx.stats.ingested.inc();
                     core.route_batched(&tuple, layout, &[], &mut out)?;
                     false
                 }
-                Polled::Idle => false,
+                Polled::Idle => {
+                    core.flush_batches(&mut out);
+                    false
+                }
                 Polled::Closed => true,
             };
         if closed || wait.is_zero() {
@@ -290,6 +299,7 @@ mod tests {
     use crate::config::RoutingStrategy;
     use bistream_cluster::CostModel;
     use bistream_types::predicate::JoinPredicate;
+    use bistream_types::punct::Purpose;
     use bistream_types::rel::Rel;
     use bistream_types::value::Value;
     use bistream_types::window::WindowSpec;
@@ -298,18 +308,27 @@ mod tests {
 
     const EQUI: JoinPredicate = JoinPredicate::Equi { r_attr: 0, s_attr: 0 };
 
-    /// An inbox that plays back a script, checking before every step that
-    /// no result has been emitted yet.
+    /// An inbox that plays back a script and logs, for every poll, the
+    /// wait it was given and the results emitted before it.
     struct Script<T> {
         steps: VecDeque<Polled<T>>,
         stats: Arc<EngineStats>,
+        log: mpsc::Sender<(Duration, u64)>,
     }
 
     impl<T: Send + 'static> Inbox<T> for Script<T> {
-        fn poll(&mut self, _wait: Duration) -> Result<Polled<T>> {
-            assert_eq!(self.stats.results.get(), 0, "nothing is flushed before `Closed`");
+        fn poll(&mut self, wait: Duration) -> Result<Polled<T>> {
+            self.log.send((wait, self.stats.results.get())).expect("the test holds the log");
             Ok(self.steps.pop_front().expect("polled past `Closed`"))
         }
+    }
+
+    fn script<T>(
+        ctx: &WorkerCtx,
+        steps: impl IntoIterator<Item = Polled<T>>,
+    ) -> (Script<T>, mpsc::Receiver<(Duration, u64)>) {
+        let (log, seen) = mpsc::channel();
+        (Script { steps: steps.into_iter().collect(), stats: Arc::clone(&ctx.stats), log }, seen)
     }
 
     /// An outbox that records what it is sent; refuses once the receiving
@@ -350,7 +369,7 @@ mod tests {
                 Polled::Item(tuple(Rel::S, 1)),
                 Polled::Closed,
             ];
-            let ingest = Script { steps: steps.into(), stats: Arc::clone(&ctx.stats) };
+            let (ingest, _log) = script(&ctx, steps);
             let (tx, rx) = mpsc::channel();
             run_router(router(batch_size), &layout, ingest, tx, &ctx).unwrap();
 
@@ -383,17 +402,57 @@ mod tests {
         let layout = Layout::new(1, 1, 1).unwrap();
         let ctx = ctx();
         let steps = [Polled::Item(tuple(Rel::R, 1)), Polled::Closed];
-        let ingest = Script { steps: steps.into(), stats: Arc::clone(&ctx.stats) };
+        let (ingest, _log) = script(&ctx, steps);
         let (tx, rx) = mpsc::channel();
         drop(rx);
         assert!(run_router(router(1), &layout, ingest, tx, &ctx).is_err());
     }
 
     #[test]
+    fn router_flushes_when_ingest_goes_idle() {
+        // At batch 16 two same-key R tuples would share one frame per
+        // channel; an idle look between them sends the first tuple's copies
+        // on their own, each frame covering every seq routed so far. While
+        // copies are pending the router only looks (a zero wait).
+        let layout = Layout::new(1, 1, 1).unwrap();
+        let ctx = ctx();
+        let steps = [
+            Polled::Item(tuple(Rel::R, 1)),
+            Polled::Idle,
+            Polled::Idle,
+            Polled::Item(tuple(Rel::R, 1)),
+            Polled::Closed,
+        ];
+        let (ingest, log) = script(&ctx, steps);
+        let (tx, rx) = mpsc::channel();
+        run_router(router(16), &layout, ingest, tx, &ctx).unwrap();
+
+        let looked: Vec<bool> = log.try_iter().map(|(wait, _)| wait.is_zero()).collect();
+        assert_eq!(looked, [false, true, false, false, true], "zero wait iff copies pend");
+        let sent: Vec<(JoinerId, BatchMessage)> = rx.try_iter().collect();
+        for (_, unit) in layout.all_units() {
+            let channel: Vec<&BatchMessage> =
+                sent.iter().filter(|(d, _)| *d == unit).map(|(_, m)| m).collect();
+            let data: Vec<(Option<SeqNo>, SeqNo)> = channel
+                .iter()
+                .filter_map(|m| match m {
+                    BatchMessage::Batch(b) => Some((b.first_seq(), b.covers())),
+                    BatchMessage::Punct(_) => None,
+                })
+                .collect();
+            assert_eq!(data, [(Some(1), 1), (Some(2), 2)], "a frame per tuple, each covered");
+            assert!(matches!(channel.last(), Some(BatchMessage::Punct(p)) if p.seq == 2));
+        }
+        assert_eq!(ctx.stats.punctuations.get(), 2, "only the final punctuation");
+    }
+
+    #[test]
     fn joiner_drains_to_closed_and_only_then_flushes() {
-        // The R unit's channel: the R tuple's store copy, then the S
-        // tuple's join copy — and no punctuation, so the reorder buffer
-        // can release nothing until the terminal flush.
+        // The R unit's channel: the R tuple's store copy and the S tuple's
+        // join copy as the router framed them — each covering its own seq,
+        // so the pair joins as soon as the second arrives — then a join
+        // copy framed by hand, which claims no cover: only the terminal
+        // flush at `Closed` may release it.
         let layout = Layout::new(1, 1, 1).unwrap();
         let (_, unit) = layout.all_units().next().unwrap();
         let mut core = router(1);
@@ -404,6 +463,8 @@ mod tests {
             routed.into_iter().filter(|f| f.dest == unit).map(|f| Polled::Item(f.msg)).collect();
         assert_eq!(steps.len(), 2);
         steps.insert(1, Polled::Idle);
+        let uncovered = BatchMessage::single(0, 3, Purpose::Join, tuple(Rel::S, 1));
+        steps.push_back(Polled::Item(uncovered));
         steps.push_back(Polled::Closed);
 
         let ctx = ctx();
@@ -418,10 +479,12 @@ mod tests {
             CostModel::default(),
         );
         let sink = ResultSink::new(&ctx, &joiner, true);
-        let inbox = Script { steps, stats: Arc::clone(&ctx.stats) };
+        let (inbox, log) = script(&ctx, steps);
         let (stats, captured) = run_joiner(joiner, inbox, sink).unwrap();
-        assert_eq!((stats.stored, stats.probes), (1, 1));
-        assert_eq!(ctx.stats.results.get(), 1, "the flush released and joined both copies");
-        assert_eq!(captured.len(), 1);
+        let results: Vec<u64> = log.try_iter().map(|(_, results)| results).collect();
+        assert_eq!(results, [0, 0, 0, 1, 1], "results emitted before each poll");
+        assert_eq!((stats.stored, stats.probes), (1, 2));
+        assert_eq!(ctx.stats.results.get(), 2, "the flush released the uncovered probe");
+        assert_eq!(captured.len(), 2);
     }
 }

@@ -11,9 +11,10 @@
 //!   match is emitted as a [`JoinResult`].
 //!
 //! Frames enter through [`JoinerCore::handle_batch`]; whatever the reorder
-//! buffer lets go — on a punctuation, a router's retirement or the terminal
-//! [`JoinerCore::flush`] — is processed one way, as same-purpose runs of at
-//! most `batch_size` tuples through the index's batch entry points.
+//! buffer lets go — on a data frame's cover, a punctuation, a router's
+//! retirement or the terminal [`JoinerCore::flush`] — is processed one way,
+//! as same-purpose runs of at most `batch_size` tuples through the index's
+//! batch entry points.
 //!
 //! Every operation charges the unit's [`ResourceMeter`] through the
 //! [`CostModel`], and the live-state byte count is pushed to the meter
@@ -390,9 +391,11 @@ impl JoinerCore {
     /// once, however many tuples it carries. With the ordering protocol
     /// on, every entry is offered to the reorder buffer under its own
     /// `(router, seq)` stamp — batching never bends the global order —
-    /// and data may be buffered and processed later (on a punctuation), so
-    /// the emit callback fires zero or more times per call. Whatever a
-    /// punctuation releases is processed as same-purpose runs of at most
+    /// then the frame's cover (its channel's FIFO proof) is applied; data
+    /// may be buffered and processed later (on a later frame or
+    /// punctuation), so the emit callback fires zero or more times per
+    /// call. Whatever a cover or punctuation releases is processed as
+    /// same-purpose runs of at most
     /// [`JoinerCore::batch_size`] tuples through the index's
     /// `insert_batch`/`probe_batch` entry points. With the protocol off,
     /// the frame itself is the run. A run of join probes expires state
@@ -428,6 +431,9 @@ impl JoinerCore {
                     for e in b.entries() {
                         a.channel_recv(&self.unit_label, b.router(), b.purpose(), e.seq);
                     }
+                    if b.covers() > 0 {
+                        a.channel_cover(&self.unit_label, b.router(), b.covers());
+                    }
                 }
             }
         }
@@ -438,13 +444,14 @@ impl JoinerCore {
         let offer = |buf: &mut ReorderBuffer, released: &mut Vec<Released>| match msg {
             BatchMessage::Punct(p) => buf.offer(StreamMessage::Punct(p), released),
             BatchMessage::Batch(b) => {
-                let (router, purpose) = (b.router(), b.purpose());
+                let (router, purpose, covers) = (b.router(), b.purpose(), b.covers());
                 for e in b.into_entries() {
                     buf.offer(
                         StreamMessage::Data { router, seq: e.seq, purpose, tuple: e.tuple },
                         released,
                     );
                 }
+                buf.cover(router, covers, released);
             }
         };
         self.release(offer, punct, true, emit)
@@ -452,7 +459,9 @@ impl JoinerCore {
 
     /// The one release path: let `op` drive the reorder buffer, audit every
     /// tuple it released against the resulting watermark (when `audited`),
-    /// journal the advance if `punct` moved the watermark, and process what
+    /// journal the advance if `punct` moved the watermark (explicit
+    /// punctuations only: a cover's advance is data-path, not journalled),
+    /// and process what
     /// was released, in global order, as same-purpose runs of at most
     /// [`JoinerCore::batch_size`] tuples. Does nothing with the ordering
     /// protocol off.
@@ -617,8 +626,8 @@ impl JoinerCore {
         self.release(|buf, out| buf.flush(out), None, false, emit)
     }
 
-    /// Fault injection for auditor tests: corrupt one router's punctuation
-    /// frontier in the reorder buffer (see
+    /// Fault injection for auditor tests: corrupt one router's frontier in
+    /// the reorder buffer (see
     /// [`ReorderBuffer::debug_corrupt_frontier`]) and process whatever the
     /// corrupt watermark prematurely releases. Never called by production
     /// code.

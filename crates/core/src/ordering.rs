@@ -1,16 +1,21 @@
 //! The joiner-side reorder buffer: the order-consistent protocol
 //! (Definition 7) built on pairwise-FIFO channels (Definition 8).
 //!
-//! Every router stamps its tuples with a dense per-router counter and
+//! Every router stamps its tuples from one engine-wide counter and
 //! periodically punctuates with the highest counter assigned so far.
 //! Because each router→joiner channel is FIFO, receiving
 //! `Punctuation { router, seq }` proves that every copy from `router` with
-//! a counter ≤ `seq` destined for this joiner has already arrived.
+//! a counter ≤ `seq` destined for this joiner has already arrived. A data
+//! frame carries the same kind of proof, its `covers` seq (see
+//! `RouterCore`): the router stamps each frame with the highest counter
+//! below which it has nothing left for this unit, and
+//! [`ReorderBuffer::cover`] applies it exactly like a punctuation. So a
+//! frontier advances on whichever comes first — the frame or the timer.
 //!
 //! The buffer holds data messages in a min-heap keyed by
 //! `(seq, router_id)` and releases, in that order, every message whose
-//! counter is ≤ the **watermark** — the minimum punctuation frontier over
-//! all registered routers. Any copy still in flight from router `r'` has a
+//! counter is ≤ the **watermark** — the minimum frontier over all
+//! registered routers. Any copy still in flight from router `r'` has a
 //! counter `> frontier[r'] ≥ watermark`, so nothing smaller than a
 //! released key can arrive later; and since every joiner sorts by the same
 //! key, all joiners process their subsequences of one global order `Z` —
@@ -81,9 +86,9 @@ pub struct ReorderBuffer {
     frontiers: FxHashMap<RouterId, SeqNo>,
     heap: BinaryHeap<Reverse<Pending>>,
     stats: ReorderStats,
-    /// Test-only fault hook: while set, punctuations no longer advance
-    /// frontiers, so the watermark freezes and buffered data accumulates —
-    /// the exact signature the stall watchdog must detect.
+    /// Test-only fault hook: while set, neither punctuations nor covers
+    /// advance frontiers, so the watermark freezes and buffered data
+    /// accumulates — the exact signature the stall watchdog must detect.
     frozen: bool,
 }
 
@@ -165,14 +170,30 @@ impl ReorderBuffer {
                 self.stats.max_depth = self.stats.max_depth.max(self.heap.len());
             }
             StreamMessage::Punct(p) => {
-                let f = self.frontiers.entry(p.router).or_insert(0);
-                if !self.frozen {
-                    *f = (*f).max(p.seq);
-                }
+                self.advance(p.router, p.seq);
                 self.stats.punctuations += 1;
             }
         }
         self.release(out);
+    }
+
+    /// Apply a data frame's FIFO proof: `router` sends this joiner nothing
+    /// with a counter ≤ `seq` from now on. Advances the router's frontier
+    /// like a punctuation (max-only; `0` is no claim) and appends whatever
+    /// that releases to `out`. Offer the frame's entries first — they are
+    /// what the cover vouches for.
+    pub fn cover(&mut self, router: RouterId, seq: SeqNo, out: &mut Vec<Released>) {
+        self.advance(router, seq);
+        self.release(out);
+    }
+
+    /// Lift `router`'s frontier to `seq` (never lowers it; frozen: no-op
+    /// beyond registering the router).
+    fn advance(&mut self, router: RouterId, seq: SeqNo) {
+        let f = self.frontiers.entry(router).or_insert(0);
+        if !self.frozen {
+            *f = (*f).max(seq);
+        }
     }
 
     /// Terminal flush: release *everything* buffered, in global order.
@@ -233,12 +254,13 @@ impl ReorderBuffer {
     }
 
     /// Fault injection for auditor tests: force `router`'s frontier to
-    /// `seq`, bypassing the monotonic `max` that [`ReorderBuffer::offer`]
-    /// applies to punctuations, then release whatever the corrupt
-    /// watermark unblocks. This simulates a broken watermark computation
-    /// (e.g. a frontier advancing on data instead of punctuation) so tests
-    /// can prove the invariant auditor catches the resulting premature,
-    /// out-of-order releases. Never called by production code.
+    /// `seq`, bypassing the monotonic `max` that punctuations and covers
+    /// go through, then release whatever the corrupt watermark unblocks.
+    /// This simulates a broken watermark computation (e.g. a frontier
+    /// jumping past everything its channel has proven — a cover taken from
+    /// the frame's last entry instead of the router's pending batches) so
+    /// tests can prove the invariant auditor catches the resulting
+    /// premature, out-of-order releases. Never called by production code.
     #[doc(hidden)]
     pub fn debug_corrupt_frontier(
         &mut self,
@@ -250,12 +272,13 @@ impl ReorderBuffer {
         self.release(out);
     }
 
-    /// Fault injection for watchdog tests: while frozen, punctuations stop
-    /// advancing frontiers, so the watermark flatlines and offered data
-    /// piles up in the buffer — a seeded frontier stall (wedged ordering)
-    /// the progress watchdog must flag within its tick bound. Unfreezing
-    /// does not retroactively apply missed punctuations; later ones
-    /// re-advance the frontier as usual. Never called by production code.
+    /// Fault injection for watchdog tests: while frozen, neither
+    /// punctuations nor data-frame covers advance frontiers, so the
+    /// watermark flatlines and offered data piles up in the buffer — a
+    /// seeded frontier stall (wedged ordering) the progress watchdog must
+    /// flag within its tick bound. Unfreezing does not retroactively apply
+    /// missed punctuations or covers; later ones re-advance the frontier as
+    /// usual. Never called by production code.
     #[doc(hidden)]
     pub fn debug_freeze_frontier(&mut self, on: bool) {
         self.frozen = on;
@@ -442,6 +465,54 @@ mod tests {
         assert_eq!(ReorderBuffer::purpose_runs(&released, 1).count(), 6);
         assert_eq!(ReorderBuffer::purpose_runs(&released, 0).count(), 6);
         assert_eq!(ReorderBuffer::purpose_runs(&[], 8).count(), 0);
+    }
+
+    #[test]
+    fn a_cover_releases_like_a_punctuation() {
+        let mut buf = ReorderBuffer::new();
+        buf.register_router(0, 0);
+        buf.register_router(1, 0);
+        let mut out = Vec::new();
+        // Router 0's frame [1, 3] covers 2: its seq 3 waits for more proof.
+        buf.offer(data(0, 1, 0), &mut out);
+        buf.offer(data(0, 3, 0), &mut out);
+        buf.cover(0, 2, &mut out);
+        assert!(out.is_empty(), "router 1 has proven nothing yet");
+        // Router 1's frame [2] covers 4: the watermark is min(2, 4).
+        buf.offer(data(1, 2, 0), &mut out);
+        buf.cover(1, 4, &mut out);
+        let released: Vec<_> = out.iter().map(|r| (r.seq, r.router)).collect();
+        assert_eq!(released, vec![(1, 0), (2, 1)]);
+        // Covers are max-only, 0 claims nothing, and neither counts as a
+        // punctuation.
+        buf.cover(0, 1, &mut out);
+        buf.cover(0, 0, &mut out);
+        assert_eq!(buf.watermark(), Some(2));
+        buf.cover(0, 3, &mut out);
+        assert_eq!(out.len(), 3, "seq 3 released once router 0 covers it");
+        assert_eq!(buf.stats().punctuations, 0);
+        assert_eq!(buf.depth(), 0);
+    }
+
+    #[test]
+    fn a_frozen_buffer_ignores_covers_too() {
+        let mut buf = ReorderBuffer::new();
+        buf.register_router(0, 0);
+        let mut out = Vec::new();
+        buf.offer(data(0, 1, 0), &mut out);
+        buf.cover(0, 1, &mut out);
+        assert_eq!((out.len(), buf.watermark()), (1, Some(1)));
+        buf.debug_freeze_frontier(true);
+        for seq in 2..6 {
+            buf.offer(data(0, seq, 0), &mut out);
+            buf.cover(0, seq, &mut out);
+        }
+        buf.offer(punct(0, 5), &mut out);
+        assert_eq!(buf.watermark(), Some(1), "covered frames reached a frozen buffer");
+        assert_eq!((out.len(), buf.depth()), (1, 4), "everything after the freeze waits");
+        buf.debug_freeze_frontier(false);
+        buf.cover(0, 5, &mut out);
+        assert_eq!((out.len(), buf.depth()), (5, 0), "the next cover after the thaw releases");
     }
 
     #[test]

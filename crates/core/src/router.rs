@@ -9,9 +9,19 @@
 //!
 //! There is one data path. [`RouterCore::route_batched`] appends a tuple's
 //! copies to per-(destination, purpose) batches and hands back the frames
-//! that filled up; [`RouterCore::punctuate_batched`] flushes the rest ahead
-//! of the punctuation. At `batch_size = 1` (the default) every copy is its
-//! own frame: per-tuple framing is a setting of this path, not a second one.
+//! that filled up; [`RouterCore::flush_batches`] lets the rest go when the
+//! driver has nothing else to do, and [`RouterCore::punctuate_batched`]
+//! flushes them ahead of the punctuation. At `batch_size = 1` (the default)
+//! every copy is its own frame: per-tuple framing is a setting of this
+//! path, not a second one.
+//!
+//! Every frame leaves stamped with its channel's FIFO proof
+//! ([`TupleBatch::covers`]): the highest seq below which this router has
+//! nothing left for the destination. Sequence numbers only grow, so that is
+//! the head of the destination's *other* pending batch minus one — a Store
+//! frame `[70, 72]` covers 70 while Join `[71, …]` waits — or, with nothing
+//! else pending there, [`RouterCore::last_seq`]. The joiner applies it like
+//! a punctuation, so a tuple's release waits for a frame, not the timer.
 
 use crate::adaptive::{AdaptiveRouter, AdaptiveShared};
 use crate::config::{EngineConfig, RoutingStrategy};
@@ -192,6 +202,8 @@ pub struct RouterCore {
     /// receive both store and join copies from this router, and a
     /// [`TupleBatch`] carries exactly one purpose.
     pending: FxHashMap<(JoinerId, Purpose), TupleBatch>,
+    /// Copies across `pending`, so "anything to flush?" is O(1).
+    pending_copies: usize,
     /// Invariant auditor (test/debug harnesses): checks sequence density
     /// and punctuation monotonicity at the assignment point.
     auditor: Option<Auditor>,
@@ -222,6 +234,7 @@ impl RouterCore {
             tracer: Tracer::disabled(),
             batch_size: 1,
             pending: FxHashMap::default(),
+            pending_copies: 0,
             auditor: None,
             adaptive: None,
         }
@@ -295,7 +308,7 @@ impl RouterCore {
 
     /// Tuple copies sitting in unflushed per-destination batches.
     pub fn pending_batched(&self) -> usize {
-        self.pending.values().map(|b| b.len()).sum()
+        self.pending_copies
     }
 
     /// Register this router's metric series (labeled `router="r<id>"`)
@@ -474,43 +487,56 @@ impl RouterCore {
             .entry((dest, purpose))
             .or_insert_with(|| TupleBatch::with_capacity(router, purpose, cap));
         batch.push(seq, tuple);
-        let full = if batch.len() >= cap {
-            // Swap a fresh batch in rather than remove-and-reinsert; the
-            // leftover empty batch is skipped by flush_batches.
-            Some(std::mem::replace(batch, TupleBatch::with_capacity(router, purpose, cap)))
-        } else {
-            None
-        };
+        self.pending_copies += 1;
         if let Some(m) = &self.metrics {
             m.pending_copies.add(1);
-            if let Some(full) = &full {
-                m.batch_len.record(full.len() as u64);
-                m.pending_copies.sub(full.len() as u64);
-            }
         }
-        if let Some(full) = full {
-            out.push(RoutedBatch { dest, msg: BatchMessage::Batch(full) });
+        if batch.len() >= cap {
+            // Swap a fresh batch in rather than remove-and-reinsert; the
+            // leftover empty batch is skipped by flush_batches.
+            let full = std::mem::replace(batch, TupleBatch::with_capacity(router, purpose, cap));
+            self.send_batch(dest, full, out);
         }
     }
 
     /// Flush every pending batch into `out`, in deterministic
     /// `(destination, purpose)` order. Called before punctuating (a
-    /// punctuation must not overtake the data it covers) and at the end of
-    /// an ingest burst.
+    /// punctuation must not overtake the data it covers), when the driver's
+    /// ingest edge runs dry, and at the end of a run. With nothing pending
+    /// it returns at once and allocates nothing.
     pub fn flush_batches(&mut self, out: &mut Vec<RoutedBatch>) {
+        if self.pending_copies == 0 {
+            return;
+        }
         let mut keys: Vec<(JoinerId, Purpose)> = self.pending.keys().copied().collect();
         keys.sort_by_key(|&(d, p)| (d, p.as_byte()));
         for key in keys {
             let Some(batch) = self.pending.remove(&key) else { continue };
-            if batch.is_empty() {
-                continue;
+            if !batch.is_empty() {
+                self.send_batch(key.0, batch, out);
             }
-            if let Some(m) = &self.metrics {
-                m.batch_len.record(batch.len() as u64);
-                m.pending_copies.sub(batch.len() as u64);
-            }
-            out.push(RoutedBatch { dest: key.0, msg: BatchMessage::Batch(batch) });
         }
+    }
+
+    /// Let one non-empty batch leave for `dest`: stamp its cover (while the
+    /// other purpose's batch for `dest` is still in `pending`), account it,
+    /// append the frame to `out`.
+    fn send_batch(&mut self, dest: JoinerId, mut batch: TupleBatch, out: &mut Vec<RoutedBatch>) {
+        let other = match batch.purpose() {
+            Purpose::Store => Purpose::Join,
+            Purpose::Join => Purpose::Store,
+        };
+        let covers = match self.pending.get(&(dest, other)).and_then(TupleBatch::first_seq) {
+            Some(first) => first - 1,
+            None => self.last_seq(),
+        };
+        batch.set_covers(covers);
+        self.pending_copies -= batch.len();
+        if let Some(m) = &self.metrics {
+            m.batch_len.record(batch.len() as u64);
+            m.pending_copies.sub(batch.len() as u64);
+        }
+        out.push(RoutedBatch { dest, msg: BatchMessage::Batch(batch) });
     }
 
     /// Punctuate: flush all pending batches first (per-channel FIFO then
@@ -1079,6 +1105,103 @@ mod tests {
             .iter()
             .all(|f| matches!(f.msg, BatchMessage::Punct(p) if p.seq == 2)));
         assert_eq!(r.pending_batched(), 0);
+    }
+
+    #[test]
+    fn a_frame_covers_up_to_its_destinations_other_pending_batch() {
+        let layout = Layout::new(1, 1, 1).unwrap();
+        let (r_unit, s_unit) = (layout.units(Rel::R)[0], layout.units(Rel::S)[0]);
+        let mut r = RouterCore::standalone(0, RoutingStrategy::Hash, equi(), 7);
+        r.set_batch_size(2);
+        let mut out = Vec::new();
+        for rel in [Rel::R, Rel::S, Rel::R] {
+            r.route_batched(&tuple(rel, 1), &layout, &[], &mut out).unwrap();
+        }
+        r.flush_batches(&mut out);
+        let frames: Vec<(JoinerId, Purpose, Vec<SeqNo>, SeqNo)> = out
+            .iter()
+            .map(|f| {
+                let b = batch_of(f);
+                (f.dest, b.purpose(), b.entries().iter().map(|e| e.seq).collect(), b.covers())
+            })
+            .collect();
+        assert_eq!(
+            frames,
+            vec![
+                // Full at seq 3 while the unit's other batch starts at 2.
+                (r_unit, Purpose::Store, vec![1, 3], 1),
+                (s_unit, Purpose::Join, vec![1, 3], 1),
+                // Flushed with nothing else pending for the unit.
+                (r_unit, Purpose::Join, vec![2], 3),
+                (s_unit, Purpose::Store, vec![2], 3),
+            ]
+        );
+    }
+
+    #[test]
+    fn covers_never_decrease_and_nothing_covered_follows() {
+        let layout = Layout::new(2, 3, 1).unwrap();
+        let mut r = RouterCore::standalone(0, RoutingStrategy::Random, equi(), 11);
+        r.set_batch_size(3);
+        let mut out = Vec::new();
+        for i in 0..300i64 {
+            let rel = if (i * 7) % 3 == 0 { Rel::R } else { Rel::S };
+            r.route_batched(&tuple(rel, i % 5), &layout, &[], &mut out).unwrap();
+            match i % 17 {
+                0 => r.flush_batches(&mut out),
+                1 => r.punctuate_batched(&layout, &mut out),
+                _ => {}
+            }
+        }
+        r.flush_batches(&mut out);
+        for (_, unit) in layout.all_units() {
+            // Per channel: the frontier a joiner would hold, frame by frame.
+            let mut frontier = 0;
+            let mut data_frames = 0;
+            for f in out.iter().filter(|f| f.dest == unit) {
+                match &f.msg {
+                    BatchMessage::Batch(b) => {
+                        data_frames += 1;
+                        assert!(
+                            b.entries().iter().all(|e| e.seq > frontier),
+                            "{unit}: {b} carries data its channel was promised done with ({frontier})"
+                        );
+                        assert!(b.covers() >= frontier, "{unit}: cover regressed below {frontier}");
+                        frontier = b.covers();
+                    }
+                    BatchMessage::Punct(p) => frontier = frontier.max(p.seq),
+                }
+            }
+            assert!(data_frames > 10, "{unit} saw {data_frames} frames");
+        }
+    }
+
+    #[test]
+    fn an_idle_flush_with_nothing_pending_is_a_no_op() {
+        let layout = Layout::new(2, 2, 1).unwrap();
+        let reg = MetricsRegistry::new();
+        let mut r = RouterCore::standalone(1, RoutingStrategy::Hash, equi(), 7);
+        r.attach_registry(&reg);
+        r.set_batch_size(8);
+        let flushed = |reg: &MetricsRegistry| match reg
+            .scrape(0)
+            .get(bistream_types::metric_names::BATCH_SIZE, &[("router", "r1")])
+        {
+            Some(bistream_types::registry::MetricValue::Histogram(h)) => h.count,
+            _ => 0,
+        };
+        let mut out = Vec::new();
+        r.flush_batches(&mut out);
+        assert!(out.is_empty());
+        r.route_batched(&tuple(Rel::R, 4), &layout, &[], &mut out).unwrap();
+        assert!(out.is_empty(), "below the threshold");
+        r.flush_batches(&mut out);
+        assert_eq!((out.len(), r.pending_batched(), flushed(&reg)), (2, 0, 2));
+        // Again with nothing pending: no frame, no histogram sample.
+        r.flush_batches(&mut out);
+        assert_eq!((out.len(), flushed(&reg)), (2, 2));
+        r.route_batched(&tuple(Rel::R, 4), &layout, &[], &mut out).unwrap();
+        assert_eq!(r.pending_batched(), 2, "the drained keys take copies again");
     }
 
     #[test]

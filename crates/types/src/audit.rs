@@ -12,10 +12,12 @@
 //!   and never undercut a sequence number it already emitted.
 //! * **Pairwise FIFO (Definition 8)** — on every router→joiner channel,
 //!   data sequence numbers arrive strictly increasing and never at or
-//!   below the channel's last punctuation barrier.
+//!   below the channel's frontier: the highest seq a punctuation or a data
+//!   frame's cover has promised the channel is done with.
 //! * **Order-consistent release (Definition 7)** — every key a reorder
-//!   buffer releases is ≥ all keys it previously released and ≤ the
-//!   watermark in force, and the watermark itself never regresses.
+//!   buffer releases is ≥ all keys it previously released, ≤ the
+//!   watermark in force and ≤ its own channel's frontier, and the
+//!   watermark itself never regresses.
 //! * **Safe discarding (Theorem 1)** — the chained index never discards a
 //!   non-empty sub-index whose `max_ts` is still inside the window of a
 //!   possible future arrival.
@@ -134,7 +136,17 @@ struct ChannelState {
     /// `[71, 73, …]` on the same channel: order is per purpose.
     last_seq: [Option<SeqNo>; 2],
     last_punct: Option<SeqNo>,
+    /// Highest seq a data frame's cover promised (`None`: no cover yet).
+    last_cover: Option<SeqNo>,
     chain: Chain,
+}
+
+impl ChannelState {
+    /// What the channel has proven so far: the larger of its punctuation
+    /// and cover promises.
+    fn frontier(&self) -> Option<SeqNo> {
+        self.last_punct.max(self.last_cover)
+    }
 }
 
 #[derive(Debug, Default)]
@@ -328,15 +340,16 @@ impl Auditor {
 
     /// A joiner received a data message for `purpose` on its channel from
     /// `router`. Data seqs must increase per `(channel, purpose)`; no data
-    /// of either purpose may follow a punctuation that covers it.
+    /// of either purpose may follow a punctuation or cover that promised
+    /// it would not come.
     pub fn channel_recv(&self, joiner: &str, router: RouterId, purpose: Purpose, seq: SeqNo) {
         let mut st = self.lock();
         let state = st.channels.entry((joiner.to_string(), router)).or_default();
         state.chain.push(format!("{joiner} <- router {router} {purpose:?} data seq {seq}"));
         let chain = state.chain.snapshot();
+        let frontier = state.frontier();
         let slot = &mut state.last_seq[purpose.as_byte() as usize];
         let last_seq = *slot;
-        let last_punct = state.last_punct;
         *slot = Some(last_seq.map_or(seq, |l| l.max(seq)));
         if let Some(last) = last_seq {
             if seq <= last {
@@ -351,18 +364,31 @@ impl Auditor {
                 return;
             }
         }
-        if let Some(p) = last_punct {
+        if let Some(p) = frontier {
             if seq <= p {
                 st.violate(
                     Rule::ChannelFifo,
                     format!(
                         "channel router {router} -> {joiner}: data seq {seq} arrived after \
-                         punctuation {p}"
+                         the channel was promised done up to {p}"
                     ),
                     chain,
                 );
             }
         }
+    }
+
+    /// A joiner received a data frame from `router` whose cover promises no
+    /// later data ≤ `seq` on this channel. Like a punctuation it bounds what
+    /// may still arrive ([`Auditor::channel_recv`]) and what may be released
+    /// ([`Auditor::release`]); unlike one, it may lawfully sit below data
+    /// the channel already delivered — a Store frame `[70, 72]` covers 70
+    /// while the router's Join batch `[71, …]` is still pending.
+    pub fn channel_cover(&self, joiner: &str, router: RouterId, seq: SeqNo) {
+        let mut st = self.lock();
+        let state = st.channels.entry((joiner.to_string(), router)).or_default();
+        state.chain.push(format!("{joiner} <- router {router} covers seq {seq}"));
+        state.last_cover = Some(state.last_cover.map_or(seq, |l| l.max(seq)));
     }
 
     /// A joiner received a punctuation on its channel from `router`.
@@ -423,16 +449,17 @@ impl Auditor {
     ///
     /// Besides order/watermark monotonicity, the release is cross-checked
     /// against the auditor's own channel state: releasing `(seq, router)`
-    /// is only lawful once `router`'s punctuation on this joiner's channel
-    /// has reached `seq` (Definition 7 — the watermark is a minimum over
-    /// router frontiers, so each frontier individually bounds it). A buffer
-    /// whose watermark computation is corrupt passes its own
-    /// `seq <= watermark` test but fails this one. The cross-check is
-    /// skipped for channels the harness never reported, so unit tests may
-    /// drive `release` standalone.
+    /// is only lawful once `router`'s frontier on this joiner's channel —
+    /// its punctuations and covers — has reached `seq` (Definition 7 — the
+    /// watermark is a minimum over router frontiers, so each frontier
+    /// individually bounds it). A buffer whose watermark computation is
+    /// corrupt passes its own `seq <= watermark` test but fails this one.
+    /// The cross-check is skipped for channels the harness never reported,
+    /// so unit tests may drive `release` standalone.
     pub fn release(&self, joiner: &str, router: RouterId, seq: SeqNo, watermark: SeqNo) {
         let mut st = self.lock();
-        let channel_punct = st.channels.get(&(joiner.to_string(), router)).map(|c| c.last_punct);
+        let channel_frontier =
+            st.channels.get(&(joiner.to_string(), router)).map(ChannelState::frontier);
         let state = st.releases.entry(joiner.to_string()).or_default();
         state.chain.push(format!(
             "{joiner} released (seq {seq}, router {router}) @ watermark {watermark}"
@@ -460,14 +487,13 @@ impl Auditor {
             );
             return;
         }
-        if let Some(punct) = channel_punct {
-            if punct.is_none() || punct.is_some_and(|p| seq > p) {
+        if let Some(frontier) = channel_frontier {
+            if frontier.is_none_or(|p| seq > p) {
                 st.violate(
                     Rule::ReleaseOrder,
                     format!(
                         "{joiner}: released (seq {seq}, router {router}) but that channel's \
-                         punctuation frontier is {punct:?} — premature release (corrupt \
-                         watermark?)"
+                         frontier is {frontier:?} — premature release (corrupt watermark?)"
                     ),
                     chain,
                 );
@@ -795,7 +821,7 @@ mod tests {
         a.channel_recv("R0", 0, Purpose::Join, 74);
         let v = a.finish();
         assert_eq!(v.len(), 1);
-        assert!(v[0].message.contains("after punctuation"), "{}", v[0].message);
+        assert!(v[0].message.contains("promised done up to 74"), "{}", v[0].message);
     }
 
     #[test]
@@ -859,7 +885,35 @@ mod tests {
         let v = a.finish();
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].rule, Rule::ReleaseOrder);
-        assert!(v[0].message.contains("punctuation frontier"), "{}", v[0].message);
+        assert!(v[0].message.contains("channel's frontier"), "{}", v[0].message);
+    }
+
+    #[test]
+    fn a_cover_is_a_channel_promise_like_a_punctuation() {
+        let a = Auditor::new();
+        // Store frame [70, 72] covers 70: the router's Join batch [71, 73]
+        // is still pending. Not an undercut, and 70 may be released.
+        a.channel_recv("R0", 0, Purpose::Store, 70);
+        a.channel_recv("R0", 0, Purpose::Store, 72);
+        a.channel_cover("R0", 0, 70);
+        a.release("R0", 0, 70, 70);
+        // 72 is past what the channel has proven: premature.
+        a.release("R0", 0, 72, 72);
+        let v = a.finish();
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].rule, Rule::ReleaseOrder);
+        assert!(v[0].message.contains("frontier is Some(70)"), "{}", v[0].message);
+        // The Join frame [71, 73] then covers 73; data at or below a cover
+        // afterwards broke FIFO, and the chain shows the promise.
+        a.channel_recv("R0", 0, Purpose::Join, 71);
+        a.channel_recv("R0", 0, Purpose::Join, 73);
+        a.channel_cover("R0", 0, 73);
+        a.channel_recv("R0", 0, Purpose::Store, 73);
+        let v = a.finish();
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].rule, Rule::ChannelFifo);
+        assert!(v[0].message.contains("promised done up to 73"), "{}", v[0].message);
+        assert!(v[0].chain.iter().any(|e| e.contains("covers seq 73")), "{:?}", v[0].chain);
     }
 
     #[test]

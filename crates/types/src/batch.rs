@@ -14,10 +14,15 @@
 //! stamp, so the ordering protocol's global sequence `Z` (Definition 7) is
 //! untouched — a run with `batch_size = 1` and a run with `batch_size = 64`
 //! assign identical sequence numbers and produce identical output. Routers
-//! accumulate per-destination batches and flush on a size boundary or on a
-//! punctuation boundary (a punctuation may not overtake the data it
-//! covers), which is why sequence numbers inside a batch form runs of
-//! contiguous values per router.
+//! accumulate per-destination batches and flush on a size boundary, when
+//! their ingest edge runs dry, or on a punctuation boundary (a punctuation
+//! may not overtake the data it covers), which is why sequence numbers
+//! inside a batch form runs of contiguous values per router.
+//!
+//! A batch also carries its channel's **FIFO proof**, [`TupleBatch::covers`]:
+//! the emitting router promises that nothing with a sequence number at or
+//! below it will follow on this `(router, unit)` channel — the same promise
+//! a punctuation makes, riding on the data. `0` makes no claim.
 //!
 //! ## Wire format
 //!
@@ -25,7 +30,7 @@
 //! for tuples without decoding attribute values:
 //!
 //! ```text
-//! router(4) purpose(1) count(2) first_seq(8)
+//! router(4) purpose(1) count(2) first_seq(8) covers(8)
 //!   then per entry: seq_delta(4) tuple_len(4) tuple_bytes…
 //! ```
 //!
@@ -49,6 +54,9 @@ const KIND_BATCH: u8 = 2;
 /// Most entries one batch frame can carry (the count field is a `u16`).
 pub const MAX_BATCH_LEN: usize = u16::MAX as usize;
 
+/// Bytes of a batch frame's header, before its first entry.
+const BATCH_HEADER: usize = 23;
+
 /// One sequenced tuple copy inside a batch.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchEntry {
@@ -68,18 +76,19 @@ pub struct BatchEntry {
 pub struct TupleBatch {
     router: RouterId,
     purpose: Purpose,
+    covers: SeqNo,
     entries: Vec<BatchEntry>,
 }
 
 impl TupleBatch {
-    /// An empty batch for `router`'s `purpose` stream.
+    /// An empty batch for `router`'s `purpose` stream, claiming no cover.
     pub fn new(router: RouterId, purpose: Purpose) -> TupleBatch {
-        TupleBatch { router, purpose, entries: Vec::new() }
+        TupleBatch { router, purpose, covers: 0, entries: Vec::new() }
     }
 
     /// An empty batch with room for `cap` entries.
     pub fn with_capacity(router: RouterId, purpose: Purpose, cap: usize) -> TupleBatch {
-        TupleBatch { router, purpose, entries: Vec::with_capacity(cap) }
+        TupleBatch { router, purpose, covers: 0, entries: Vec::with_capacity(cap) }
     }
 
     /// Append one sequenced tuple.
@@ -108,6 +117,20 @@ impl TupleBatch {
     /// Store or join stream.
     pub fn purpose(&self) -> Purpose {
         self.purpose
+    }
+
+    /// The channel's FIFO proof: the emitting router sends nothing with a
+    /// sequence number ≤ this on this frame's `(router, unit)` channel after
+    /// the frame. `0` claims nothing (a frame built by hand, or one whose
+    /// router proves nothing yet).
+    pub fn covers(&self) -> SeqNo {
+        self.covers
+    }
+
+    /// Stamp the frame's FIFO proof (see [`TupleBatch::covers`]). Only the
+    /// emitting router can know a sound value.
+    pub fn set_covers(&mut self, seq: SeqNo) {
+        self.covers = seq;
     }
 
     /// Number of tuples in the batch.
@@ -164,11 +187,12 @@ impl TupleBatch {
         let first = self
             .first_seq()
             .ok_or_else(|| Error::Codec("refusing to encode an empty batch".into()))?;
-        let mut buf = BytesMut::with_capacity(15 + self.entries.len() * 32);
+        let mut buf = BytesMut::with_capacity(BATCH_HEADER + self.entries.len() * 32);
         buf.put_u32(self.router);
         buf.put_u8(self.purpose.as_byte());
         buf.put_u16(self.entries.len() as u16);
         buf.put_u64(first);
+        buf.put_u64(self.covers);
         for e in &self.entries {
             let delta = e.seq - first;
             if delta > u32::MAX as u64 {
@@ -186,7 +210,7 @@ impl TupleBatch {
 
     /// Decode a frame produced by [`TupleBatch::encode`].
     pub fn decode(buf: &mut impl Buf) -> Result<TupleBatch> {
-        if buf.remaining() < 15 {
+        if buf.remaining() < BATCH_HEADER {
             return Err(Error::Codec("batch header truncated".into()));
         }
         let router = buf.get_u32();
@@ -194,6 +218,7 @@ impl TupleBatch {
             .ok_or_else(|| Error::Codec("bad purpose byte in batch header".into()))?;
         let count = buf.get_u16() as usize;
         let first = buf.get_u64();
+        let covers = buf.get_u64();
         if count == 0 {
             return Err(Error::Codec("batch frame with zero entries".into()));
         }
@@ -216,7 +241,7 @@ impl TupleBatch {
             }
             entries.push(BatchEntry { seq: first + delta, tuple });
         }
-        Ok(TupleBatch { router, purpose, entries })
+        Ok(TupleBatch { router, purpose, covers, entries })
     }
 }
 
@@ -349,6 +374,7 @@ mod tests {
         assert_eq!(b.side(), Some(Rel::R));
         assert_eq!((b.first_seq(), b.last_seq()), (Some(10), Some(12)));
         assert!(b.is_contiguous());
+        assert_eq!(b.covers(), 0, "a frame built by hand claims no cover");
         let mut gappy = TupleBatch::new(0, Purpose::Join);
         gappy.push(1, t(Rel::S, 1, 1));
         gappy.push(5, t(Rel::S, 2, 2));
@@ -358,11 +384,14 @@ mod tests {
 
     #[test]
     fn encode_decode_roundtrip() {
-        let b = batch3();
-        let mut wire = b.encode().unwrap();
-        let back = TupleBatch::decode(&mut wire).unwrap();
-        assert_eq!(back, b);
-        assert!(!wire.has_remaining(), "frame fully consumed");
+        for covers in [0, 12] {
+            let mut b = batch3();
+            b.set_covers(covers);
+            let mut wire = b.encode().unwrap();
+            let back = TupleBatch::decode(&mut wire).unwrap();
+            assert_eq!((back.covers(), &back), (covers, &b));
+            assert!(!wire.has_remaining(), "frame fully consumed");
+        }
     }
 
     #[test]
@@ -384,7 +413,9 @@ mod tests {
 
     #[test]
     fn decode_rejects_truncation_at_every_cut() {
-        let full = batch3().encode().unwrap();
+        let mut covered = batch3();
+        covered.set_covers(12);
+        let full = covered.encode().unwrap();
         for cut in 0..full.len() {
             let mut partial = full.slice(0..cut);
             assert!(TupleBatch::decode(&mut partial).is_err(), "cut {cut}");
@@ -398,11 +429,13 @@ mod tests {
         buf.put_u8(0);
         buf.put_u16(0); // zero entries
         buf.put_u64(0);
+        buf.put_u64(0);
         assert!(TupleBatch::decode(&mut buf.freeze()).is_err());
         let mut buf = BytesMut::new();
         buf.put_u32(0);
         buf.put_u8(9); // bad purpose
         buf.put_u16(1);
+        buf.put_u64(0);
         buf.put_u64(0);
         assert!(TupleBatch::decode(&mut buf.freeze()).is_err());
     }
@@ -411,7 +444,9 @@ mod tests {
     fn hostile_frames_are_an_error_never_a_panic() {
         use crate::cases::for_cases;
 
-        let valid = BatchMessage::Batch(batch3()).encode().unwrap().to_vec();
+        let mut covered = batch3();
+        covered.set_covers(12);
+        let valid = BatchMessage::Batch(covered).encode().unwrap().to_vec();
         for_cases("hostile_frames_are_an_error_never_a_panic", 512, |g| {
             // Arbitrary bytes behind each kind byte.
             let mut noise = g.bytes(0..64);
@@ -428,8 +463,9 @@ mod tests {
                 assert!(!b.is_empty() && b.len() <= MAX_BATCH_LEN);
             }
         });
-        // A header that promises 65 535 entries and carries none.
-        let mut liar = valid[..16].to_vec();
+        // A header that promises 65 535 entries and carries none: the kind
+        // byte and the whole batch header, count at bytes 6..8.
+        let mut liar = valid[..1 + BATCH_HEADER].to_vec();
         liar[6..8].copy_from_slice(&u16::MAX.to_be_bytes());
         assert!(BatchMessage::decode(&mut Bytes::from(liar)).is_err());
     }

@@ -33,15 +33,17 @@ fn scrapes_see_monotone_counters_while_writers_bump() {
         }));
     }
 
-    // Scrape continuously while the writers run; every per-key counter
-    // reading must be monotone non-decreasing across scrapes.
+    // Scrape continuously while the writers run — and at least once, even
+    // if the scraper is first scheduled after they finish; every per-key
+    // counter reading must be monotone non-decreasing across scrapes.
     let scraper = {
         let reg = reg.clone();
         let stop = Arc::clone(&stop);
         thread::spawn(move || {
             let mut floor = [0u64; WRITERS];
             let mut scrapes = 0u64;
-            while !stop.load(Ordering::Relaxed) {
+            loop {
+                let last = stop.load(Ordering::Relaxed);
                 let snap = reg.scrape(scrapes);
                 for (w, lo) in floor.iter_mut().enumerate() {
                     let unit = format!("R{w}");
@@ -52,6 +54,9 @@ fn scrapes_see_monotone_counters_while_writers_bump() {
                     *lo = v;
                 }
                 scrapes += 1;
+                if last {
+                    break;
+                }
             }
             scrapes
         })

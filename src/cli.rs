@@ -355,10 +355,10 @@ ROUTING:
   hash            content-sensitive, 2 copies/tuple (skew-fragile).
   contrand:D      paper's ContRand with D subgroups per side.
   adaptive[:D]    self-tuning ContRand starting at D subgroups (default
-                  2): hot keys (detected by in-router sketches) fan out
-                  wide, cold keys stay content-sensitive, and D re-tunes
-                  online; every strategy switch is fenced on punctuation
-                  boundaries. Equi joins only.
+                  2): hot keys (found by each router's space-saving
+                  summary) fan out wide, cold keys stay content-
+                  sensitive, and D re-tunes online; every strategy switch
+                  is fenced on punctuation boundaries. Equi joins only.
                   --adaptive-tune-puncts sets the tuning cadence in
                   punctuation ticks (default 4); --adaptive-hot-ppm the
                   hot-key share threshold in parts-per-million of the

@@ -1,13 +1,19 @@
 //! Integration tests for the runtime invariant auditor: a clean audited
 //! end-to-end run with the nested-loop oracle enabled, and the acceptance
-//! case for fault injection — a deliberately corrupted watermark (via the
-//! test-only mutation hook) must be caught as a Definition 7 violation
+//! cases for fault injection — a deliberately corrupted watermark (via the
+//! test-only mutation hook) must be caught as a Definition 7 violation, and
+//! a data frame whose cover over-claims as a Definition 8 one, each
 //! carrying an event-chain diagnostic.
 
+use bistream::cluster::CostModel;
 use bistream::core::config::{EngineConfig, RoutingStrategy};
 use bistream::core::engine::BicliqueEngine;
+use bistream::core::joiner::JoinerCore;
+use bistream::core::layout::JoinerId;
 use bistream::types::audit::{Auditor, Rule};
+use bistream::types::batch::{BatchMessage, TupleBatch};
 use bistream::types::predicate::JoinPredicate;
+use bistream::types::punct::Purpose;
 use bistream::types::rel::Rel;
 use bistream::types::time::Ts;
 use bistream::types::tuple::Tuple;
@@ -57,16 +63,21 @@ fn audited_engine_run_with_oracle_is_clean() {
 #[test]
 fn corrupt_watermark_is_caught_with_event_chain() {
     let auditor = Auditor::new();
-    let mut engine = BicliqueEngine::builder(config()).auditor(auditor.clone()).build().unwrap();
+    let cfg = EngineConfig { batch_size: 2, ..config() };
+    let mut engine = BicliqueEngine::builder(cfg).auditor(auditor.clone()).build().unwrap();
     // One healthy punctuation round first, so the shared event journal has
     // real history for the diagnostic to attach.
     engine.ingest(&t(Rel::R, 1, 1), 1).unwrap();
     engine.ingest(&t(Rel::S, 2, 1), 2).unwrap();
     engine.punctuate(10).unwrap();
-    // More data arrives, but no punctuation follows — these tuples must
-    // stay buffered in every reorder buffer.
-    engine.ingest(&t(Rel::R, 11, 2), 11).unwrap();
-    engine.ingest(&t(Rel::S, 12, 2), 12).unwrap();
+    // More data arrives, but no punctuation follows. The S tuples' frames
+    // fill (seqs 4, 5) while both their units still hold the R tuple's seq
+    // 3 in the router's other batch, so each cover proves only seq 2 and
+    // the copies stay buffered in their reorder buffers.
+    engine.ingest(&t(Rel::R, 11, 1), 11).unwrap();
+    engine.ingest(&t(Rel::S, 12, 1), 12).unwrap();
+    engine.ingest(&t(Rel::S, 13, 1), 13).unwrap();
+    assert_eq!(engine.stats().results, 1, "only the healthy round joined");
     assert_eq!(auditor.violation_count(), 0, "healthy run must be clean so far");
 
     // Fault injection: pretend router 0's frontier reached seq 1000.
@@ -78,18 +89,63 @@ fn corrupt_watermark_is_caught_with_event_chain() {
         .iter()
         .find(|v| v.rule == Rule::ReleaseOrder)
         .unwrap_or_else(|| panic!("expected a ReleaseOrder violation, got {violations:?}"));
-    assert!(v.message.contains("punctuation frontier"), "{}", v.message);
+    assert!(v.message.contains("channel's frontier is Some(2)"), "{}", v.message);
     assert!(!v.chain.is_empty(), "violation must carry its event chain");
     assert!(
         v.chain.iter().any(|line| line.starts_with("journal:")),
         "chain must include the journal tail: {:?}",
         v.chain
     );
-    // The prematurely released pair joined, and left through the engine's
-    // one emitter like any other result: counted once, timed once.
+    // The prematurely released probes joined — ahead of the R tuple they
+    // should have met — and left through the engine's one emitter like any
+    // other result: counted once, timed once.
     let stats = engine.stats();
-    assert_eq!(stats.results, 2, "the healthy round's result and the corrupt release's");
+    assert_eq!(stats.results, 3, "the healthy round's result and the corrupt release's two");
     assert_eq!(stats.results, stats.latency.count, "every counted result is timed");
+}
+
+/// A data frame's cover is a promise about its channel, like a
+/// punctuation. A frame built by hand that over-claims — Store `[70]`
+/// covering 72 while the router still holds seq 71 for this unit — is
+/// caught the moment 71 arrives, as a Definition 8 violation whose chain
+/// shows the broken promise. (The reorder buffer trusts the cover and
+/// drops 71 as a duplicate: without the auditor the tuple would be lost
+/// silently.)
+#[test]
+fn an_over_claiming_cover_is_caught_with_event_chain() {
+    let auditor = Auditor::new();
+    let mut joiner = JoinerCore::new(
+        JoinerId(0),
+        Rel::R,
+        JoinPredicate::Equi { r_attr: 0, s_attr: 0 },
+        WindowSpec::sliding(W),
+        20,
+        true,
+        &[(0, 69)],
+        CostModel::default(),
+    );
+    joiner.set_auditor(auditor.clone());
+    let mut over_claim = TupleBatch::new(0, Purpose::Store);
+    over_claim.push(70, t(Rel::R, 70, 1));
+    over_claim.set_covers(72);
+    let mut later = TupleBatch::new(0, Purpose::Join);
+    later.push(71, t(Rel::S, 71, 1));
+    later.set_covers(71);
+    let mut results = Vec::new();
+    for frame in [over_claim, later] {
+        joiner.handle_batch(BatchMessage::Batch(frame), &mut |r| results.push(r)).unwrap();
+    }
+
+    let violations = auditor.take_violations();
+    let v = violations
+        .iter()
+        .find(|v| v.rule == Rule::ChannelFifo)
+        .unwrap_or_else(|| panic!("expected a ChannelFifo violation, got {violations:?}"));
+    assert!(v.message.contains("data seq 71"), "{}", v.message);
+    assert!(v.message.contains("promised done up to 72"), "{}", v.message);
+    assert!(v.chain.iter().any(|e| e.contains("covers seq 72")), "{:?}", v.chain);
+    assert!(results.is_empty(), "the probe that should have joined was dropped");
+    assert_eq!(joiner.reorder_stats().unwrap().duplicates_dropped, 1);
 }
 
 /// The same bookkeeping holds when the run ends in a router's retirement:

@@ -46,6 +46,7 @@ fn run_biclique(
     predicate: JoinPredicate,
     routing: RoutingStrategy,
     routers: usize,
+    batch_size: usize,
     delivery: DeliveryMode,
 ) -> Vec<(Ts, Vec<Value>, Ts, Vec<Value>)> {
     let cfg = EngineConfig {
@@ -58,7 +59,7 @@ fn run_biclique(
         punctuation_interval_ms: 30,
         ordering: true,
         seed: 11,
-        batch_size: 1,
+        batch_size,
         adaptive: Default::default(),
     };
     let auditor = bistream::types::audit::Auditor::new();
@@ -133,7 +134,7 @@ fn biclique_equi_matches_reference_under_every_strategy() {
     for routing in
         [RoutingStrategy::Random, RoutingStrategy::Hash, RoutingStrategy::ContRand { subgroups: 2 }]
     {
-        let got = run_biclique(&tuples, predicate.clone(), routing, 1, DeliveryMode::InOrder);
+        let got = run_biclique(&tuples, predicate.clone(), routing, 1, 1, DeliveryMode::InOrder);
         assert_eq!(got, expect, "strategy {routing:?}");
     }
 }
@@ -152,26 +153,35 @@ fn biclique_band_and_theta_match_reference() {
             predicate.clone(),
             RoutingStrategy::Random,
             1,
+            1,
             DeliveryMode::InOrder,
         );
         assert_eq!(got, expect, "predicate {predicate}");
     }
 }
 
+/// Exactly-once under adversarial delivery at every framing and router
+/// count: each router's frames prove their channel's FIFO frontier on
+/// their own, and the release waits for the slowest router's proof.
 #[test]
 fn biclique_exactly_once_with_multiple_routers_and_shuffled_network() {
     let tuples = stream(800, 13, 0xC);
     let predicate = JoinPredicate::Equi { r_attr: 0, s_attr: 0 };
     let expect = reference(&tuples, &predicate);
-    for seed in [1u64, 99] {
-        let got = run_biclique(
-            &tuples,
-            predicate.clone(),
-            RoutingStrategy::Random,
-            3,
-            DeliveryMode::Shuffled { seed },
-        );
-        assert_eq!(got, expect, "shuffle seed {seed}");
+    for batch in [1, 3, 7, 64] {
+        for routers in 1..=3 {
+            for seed in [1u64, 99] {
+                let got = run_biclique(
+                    &tuples,
+                    predicate.clone(),
+                    RoutingStrategy::Random,
+                    routers,
+                    batch,
+                    DeliveryMode::Shuffled { seed },
+                );
+                assert_eq!(got, expect, "batch {batch}, {routers} routers, shuffle seed {seed}");
+            }
+        }
     }
 }
 
@@ -188,6 +198,7 @@ fn matrix_and_biclique_agree_on_every_predicate() {
             &tuples,
             predicate.clone(),
             RoutingStrategy::Random,
+            1,
             1,
             DeliveryMode::InOrder,
         );

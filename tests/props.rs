@@ -346,23 +346,32 @@ fn drive_engine(engine: &mut BicliqueEngine, tuples: &[Tuple]) -> Vec<Identity> 
     engine.take_captured().iter().map(JoinResult::identity).collect()
 }
 
-/// The data path wired by hand, outside any runtime — one `RouterCore`
-/// framing at `batch_size`, a `BatchMessage` channel per (router, unit)
-/// pair delivering in `mode`, and one `JoinerCore` per unit processing runs
-/// of up to `batch_size` — with `auditor` on every hook the cores expose
-/// and fed the oracle's inputs and outputs. Returns the results in
-/// emission order.
+/// The data path wired by hand, outside any runtime — `routers`
+/// `RouterCore`s on one sequence counter taking the tuples in turn, framing
+/// at `batch_size`, a `BatchMessage` channel per (router, unit) pair
+/// delivering in `mode`, and one `JoinerCore` per unit processing runs of
+/// up to `batch_size` — with `auditor` on every hook the cores expose and
+/// fed the oracle's inputs and outputs. Returns the results in emission
+/// order.
 fn hand_wired_run(
     tuples: &[Tuple],
     routing: RoutingStrategy,
     batch_size: usize,
+    routers: usize,
     mode: DeliveryMode,
     auditor: &Auditor,
 ) -> Vec<Identity> {
     let layout = Layout::new(2, 3, routing.subgroups()).unwrap();
-    let mut router = RouterCore::new(0, routing, equi(), SEED, Arc::new(AtomicU64::new(0)));
-    router.set_batch_size(batch_size);
-    router.set_auditor(auditor.clone());
+    let seq = Arc::new(AtomicU64::new(0));
+    let mut routers: Vec<RouterCore> = (0..routers as u32)
+        .map(|id| {
+            let mut router = RouterCore::new(id, routing, equi(), SEED, Arc::clone(&seq));
+            router.set_batch_size(batch_size);
+            router.set_auditor(auditor.clone());
+            router
+        })
+        .collect();
+    let frontiers: Vec<_> = routers.iter().map(|r| (r.id(), 0)).collect();
     let mut joiners: BTreeMap<JoinerId, JoinerCore> = layout
         .all_units()
         .map(|(side, id)| {
@@ -374,7 +383,7 @@ fn hand_wired_run(
                 window,
                 20,
                 true,
-                &[(0, 0)],
+                &frontiers,
                 CostModel::default(),
             );
             j.set_batch_size(batch_size);
@@ -388,37 +397,79 @@ fn hand_wired_run(
         auditor.observe_output(&r.r.to_string(), &r.s.to_string());
         out.push(r.identity());
     };
-    // Send what the router produced, then deliver everything in flight.
+    // Send what a router produced, then deliver everything in flight.
     let mut frames = Vec::new();
-    let mut pump =
-        |frames: &mut Vec<RoutedBatch>, joiners: &mut BTreeMap<JoinerId, JoinerCore>, now: Ts| {
-            for f in frames.drain(..) {
-                assert!(net.send(0, f.dest, f.msg), "no plan, no refusal");
-            }
-            while let Some(f) = net.deliver_next() {
-                let j = joiners.get_mut(&f.dest).unwrap();
-                j.set_now(now);
-                j.handle_batch(f.msg, &mut emit).unwrap();
-            }
-        };
+    let mut pump = |router: u32,
+                    frames: &mut Vec<RoutedBatch>,
+                    joiners: &mut BTreeMap<JoinerId, JoinerCore>,
+                    now: Ts| {
+        for f in frames.drain(..) {
+            assert!(net.send(router, f.dest, f.msg), "no plan, no refusal");
+        }
+        while let Some(f) = net.deliver_next() {
+            let j = joiners.get_mut(&f.dest).unwrap();
+            j.set_now(now);
+            j.handle_batch(f.msg, &mut emit).unwrap();
+        }
+    };
     let mut next_punct = PUNCT;
-    for t in tuples {
+    for (i, t) in tuples.iter().enumerate() {
         let key = t.get(0).unwrap().to_string();
         auditor.observe_input(t.rel() == Rel::R, t.ts(), key, t.to_string());
         while next_punct <= t.ts() {
-            router.punctuate_batched(&layout, &mut frames);
-            pump(&mut frames, &mut joiners, next_punct);
+            for r in &mut routers {
+                r.punctuate_batched(&layout, &mut frames);
+                pump(r.id(), &mut frames, &mut joiners, next_punct);
+            }
             next_punct += PUNCT;
         }
-        router.route_batched(t, &layout, &[], &mut frames).unwrap();
-        pump(&mut frames, &mut joiners, t.ts());
+        let turn = i % routers.len();
+        let r = &mut routers[turn];
+        r.route_batched(t, &layout, &[], &mut frames).unwrap();
+        pump(r.id(), &mut frames, &mut joiners, t.ts());
     }
     let end = tuples.last().map_or(0, Tuple::ts) + PUNCT;
-    router.punctuate_batched(&layout, &mut frames);
-    pump(&mut frames, &mut joiners, end);
+    for r in &mut routers {
+        r.punctuate_batched(&layout, &mut frames);
+        pump(r.id(), &mut frames, &mut joiners, end);
+    }
     for j in joiners.values_mut() {
         j.set_now(end);
         j.flush(&mut emit).unwrap();
+    }
+    out
+}
+
+/// Each tuple's store unit, keyed by its (unique) timestamp: the routing
+/// replayed alone, with the seed and RNG draws of every one-router run here.
+fn store_units(tuples: &[Tuple], routing: RoutingStrategy) -> BTreeMap<Ts, JoinerId> {
+    let layout = Layout::new(2, 3, routing.subgroups()).unwrap();
+    let mut router = RouterCore::new(0, routing, equi(), SEED, Arc::new(AtomicU64::new(0)));
+    let mut frames = Vec::new();
+    tuples
+        .iter()
+        .map(|t| {
+            frames.clear();
+            router.route_batched(t, &layout, &[], &mut frames).unwrap();
+            let store = frames.iter().find(
+                |f| matches!(&f.msg, BatchMessage::Batch(b) if b.purpose() == Purpose::Store),
+            );
+            (t.ts(), store.expect("every tuple is stored once").dest)
+        })
+        .collect()
+}
+
+/// Results split by the unit that emitted them — the store unit of the
+/// pair's earlier tuple, which the later one probed — each in emission
+/// order. Units emit independently, so this is the order the protocol
+/// fixes; how their outputs interleave depends on when frames leave.
+fn per_unit(
+    results: &[Identity],
+    units: &BTreeMap<Ts, JoinerId>,
+) -> BTreeMap<JoinerId, Vec<Identity>> {
+    let mut out: BTreeMap<JoinerId, Vec<Identity>> = BTreeMap::new();
+    for r in results {
+        out.entry(units[&r.0.min(r.2)]).or_default().push(r.clone());
     }
     out
 }
@@ -476,26 +527,28 @@ fn biclique_and_matrix_agree_with_reference() {
 /// released tuple its own run — is the ordered reference: its result
 /// multiset equals the brute-force reference join with a clean audit, on
 /// the hand-wired cores and in the engine alike; and the engine at batch
-/// sizes {3, 7, 64} produces the *identical ordered* result sequence
-/// (ordering on) and the same trace span totals.
+/// sizes {3, 7, 64} produces the *identical ordered* result sequence at
+/// every unit (ordering on) and the same trace span totals.
 #[test]
 fn micro_batching_preserves_results_order_and_traces() {
     let check = |ops: Vec<(bool, i64, Ts)>, routing_pick: u64| {
         let routing = routing_of(routing_pick);
         let tuples = stream_of(&ops);
+        let units = store_units(&tuples, routing);
 
         // Batch 1 on the hand-wired cores matches the brute-force join.
         let wired_audit = Auditor::new();
         wired_audit.enable_oracle(Some(W));
-        let reference = hand_wired_run(&tuples, routing, 1, DeliveryMode::InOrder, &wired_audit);
+        let reference = hand_wired_run(&tuples, routing, 1, 1, DeliveryMode::InOrder, &wired_audit);
         let mut ref_sorted = reference.clone();
         ref_sorted.sort();
         assert_eq!(&ref_sorted, &reference_join(&tuples), "hand-wired batch 1 {:?}", routing);
         let wired_violations = wired_audit.finish();
         assert!(wired_violations.is_empty(), "hand-wired audit: {:#?}", wired_violations);
+        let reference = per_unit(&reference, &units);
 
-        // The engine reproduces that *ordered* output at every batch size,
-        // with identical trace span totals.
+        // The engine reproduces every unit's *ordered* output at every
+        // batch size, with identical trace span totals.
         let mut span_base: Option<usize> = None;
         for &batch in &[1usize, 3, 7, 64] {
             let obs = Observability::with_tracing(3);
@@ -506,7 +559,7 @@ fn micro_batching_preserves_results_order_and_traces() {
                 .auditor(auditor.clone())
                 .build()
                 .unwrap();
-            let ordered = drive_engine(&mut engine, &tuples);
+            let ordered = per_unit(&drive_engine(&mut engine, &tuples), &units);
             assert_eq!(&ordered, &reference, "batch {} ordered output {:?}", batch, routing);
             let violations = auditor.finish();
             assert!(violations.is_empty(), "batch {} audit: {:#?}", batch, violations);
@@ -531,34 +584,39 @@ fn micro_batching_preserves_results_order_and_traces() {
 
 /// Adversarial cross-channel delivery: a seeded scheduler that picks a
 /// random non-empty channel each step preserves only pairwise FIFO
-/// (Definition 8), yet — whether a frame carries one copy or many — the
-/// ordering protocol still produces exactly the reference join, and the
-/// invariant auditor — including its nested-loop output oracle —
-/// observes zero violations. Order consistency (Definition 7) is free of
-/// the delivery interleaving and of the framing.
+/// (Definition 8), yet — whether a frame carries one copy or many, and
+/// whether one router or several share the sequence — the ordering
+/// protocol still produces exactly the reference join, and the invariant
+/// auditor — including its nested-loop output oracle — observes zero
+/// violations. Order consistency (Definition 7) is free of the delivery
+/// interleaving, of the framing, and of which frames' covers arrive first.
 #[test]
 fn adversarial_delivery_is_order_consistent_and_audit_clean() {
     const BATCHES: [usize; 4] = [1, 3, 7, 64];
-    let check = |ops: Vec<(bool, i64, Ts)>, shuffle_seed: u64, routing_pick: u64, batch: usize| {
-        let routing = routing_of(routing_pick);
+    const ROUTERS: [usize; 3] = [1, 2, 3];
+    let check = |ops: Vec<(bool, i64, Ts)>, seed: u64, pick: u64, batch: usize, routers: usize| {
+        let routing = routing_of(pick);
         let tuples = stream_of(&ops);
         let auditor = Auditor::new();
         auditor.enable_oracle(Some(W));
-        let mode = DeliveryMode::Shuffled { seed: shuffle_seed };
-        let mut out = hand_wired_run(&tuples, routing, batch, mode, &auditor);
+        let mode = DeliveryMode::Shuffled { seed };
+        let mut out = hand_wired_run(&tuples, routing, batch, routers, mode, &auditor);
         out.sort();
-        assert_eq!(&out, &reference_join(&tuples), "shuffled, batch {} {:?}", batch, routing);
+        let case = format!("shuffled, batch {batch}, {routers} routers, {routing:?}");
+        assert_eq!(&out, &reference_join(&tuples), "{case}");
         let violations = auditor.finish();
-        assert!(violations.is_empty(), "adversarial delivery audit: {:#?}", violations);
+        assert!(violations.is_empty(), "{case} audit: {violations:#?}");
     };
     for routing_pick in 0..3 {
         for batch in BATCHES {
-            check(window_boundary_ops(), 0, routing_pick, batch);
+            for routers in ROUTERS {
+                check(window_boundary_ops(), 0, routing_pick, batch, routers);
+            }
         }
     }
     for_cases("adversarial_delivery_is_order_consistent_and_audit_clean", 256, |g| {
         let ops = g.vec(10..100, |g| (g.bool(), g.int(0..10), g.uint(1..20)));
-        check(ops, g.u64(), g.uint(0..3), *g.pick(&BATCHES));
+        check(ops, g.u64(), g.uint(0..3), *g.pick(&BATCHES), *g.pick(&ROUTERS));
     });
 }
 
@@ -750,44 +808,50 @@ fn expected_pairs(ops: &[(bool, i64)]) -> Vec<(i64, i64)> {
     expect
 }
 
-/// One router, results captured, `auditor` armed, and a window wide enough
-/// that nothing expires in a run of milliseconds, so the reference join is
-/// exact.
+/// `routers` routers, results captured, `auditor` armed, and a window wide
+/// enough that nothing expires in a run of milliseconds, so the reference
+/// join is exact.
 fn live_config(
     mut engine: EngineConfig,
     batch: usize,
+    routers: usize,
     backend: Backend,
     auditor: &Auditor,
 ) -> PipelineConfig {
     engine.window = WindowSpec::sliding(600_000);
     engine.batch_size = batch;
     let mut c = PipelineConfig::new(engine);
-    c.routers = 1;
+    c.routers = routers;
     c.backend = backend;
     c.capture_results = true;
     c.auditor = Some(auditor.clone());
     c
 }
 
-/// The pluggable-backend contract: for any key stream and every
-/// framing size {1, 7, 64}, the broker-queue pipeline and the
-/// lock-free sharded ring runtime produce the *identical ordered*
-/// result sequence, the same trace span totals, and a clean invariant
-/// audit — and both match the brute-force reference join. A single
-/// router plus the ordering protocol pins each joiner's release order
-/// to the ingest sequence, so backend equality is exact sequence
-/// equality, not just multiset equality.
+/// The pluggable-backend contract: for any key stream, every framing
+/// size {1, 3, 7, 64} and {1, 2, 3} routers, the broker-queue pipeline
+/// and the lock-free sharded ring runtime each match the brute-force
+/// reference join with a clean invariant audit and agree on the result
+/// counter. With one router the ordering protocol pins each joiner's
+/// release order to the ingest sequence, so there backend equality is
+/// exact sequence equality — and equal trace span totals — not just
+/// multiset equality; with several, which router stamps which tuple is a
+/// race between competing consumers, so only the multiset is fixed.
 #[test]
 fn broker_and_sharded_backends_are_observationally_equivalent() {
     for_cases("broker_and_sharded_backends_are_observationally_equivalent", 4, |g| {
         let ops = g.vec(24..72, |g| (g.bool(), g.int(0..8)));
         let expect = expected_pairs(&ops);
 
-        for &batch in &[1usize, 7, 64] {
+        for (batch, routers) in
+            [1usize, 3, 7, 64].into_iter().flat_map(|b| (1..=3).map(move |r| (b, r)))
+        {
+            let case = format!("batch {batch}, {routers} routers");
             let mut runs = Vec::new();
             for backend in [Backend::Broker, Backend::Sharded] {
                 let auditor = Auditor::new();
-                let mut c = live_config(EngineConfig::default_equi(), batch, backend, &auditor);
+                let mut c =
+                    live_config(EngineConfig::default_equi(), batch, routers, backend, &auditor);
                 c.trace_one_in = Some(5);
                 let p = Pipeline::launch(c).unwrap();
                 for (i, op) in ops.iter().enumerate() {
@@ -796,31 +860,17 @@ fn broker_and_sharded_backends_are_observationally_equivalent() {
                 let report = p.finish().unwrap();
                 auditor.assert_clean();
                 let spans: usize = report.traces.iter().map(|t| t.spans.len()).sum();
+                let mut multiset = payload_pairs(&report.captured);
+                multiset.sort_unstable();
+                assert_eq!(&multiset, &expect, "{case}, {backend:?}: vs brute-force reference");
                 runs.push((payload_pairs(&report.captured), spans, report.snapshot.results));
             }
             let (sharded_run, broker_run) = (runs.pop().unwrap(), runs.pop().unwrap());
-            let mut multiset = broker_run.0.clone();
-            multiset.sort_unstable();
-            assert_eq!(
-                &multiset, &expect,
-                "batch {}: captured results vs brute-force reference",
-                batch
-            );
-            assert_eq!(
-                &broker_run.0, &sharded_run.0,
-                "batch {}: ordered result sequences diverge across backends",
-                batch
-            );
-            assert_eq!(
-                broker_run.1, sharded_run.1,
-                "batch {}: trace span totals diverge across backends",
-                batch
-            );
-            assert_eq!(
-                broker_run.2, sharded_run.2,
-                "batch {}: result counters diverge across backends",
-                batch
-            );
+            assert_eq!(broker_run.2, sharded_run.2, "{case}: result counters diverge");
+            if routers == 1 {
+                assert_eq!(&broker_run.0, &sharded_run.0, "{case}: ordered sequences diverge");
+                assert_eq!(broker_run.1, sharded_run.1, "{case}: trace span totals diverge");
+            }
         }
     });
 }
@@ -868,7 +918,7 @@ fn adaptive_routing_is_backend_equivalent_across_forced_switches() {
                 engine.adaptive =
                     AdaptiveTuning { tune_every_puncts: u32::MAX, ..AdaptiveTuning::default() };
                 let auditor = Auditor::new();
-                let p = Pipeline::launch(live_config(engine, batch, backend, &auditor)).unwrap();
+                let p = Pipeline::launch(live_config(engine, batch, 1, backend, &auditor)).unwrap();
                 let shared = Arc::clone(p.adaptive_state().expect("adaptive engine"));
                 let mut fed = 0u64;
                 for (chunk_idx, chunk) in ops.chunks(seg).enumerate() {
